@@ -12,7 +12,7 @@ from .algebra import (AuditReport, audit_theorem, check_spanning,
                       rank_exact)
 from .dims import (ShatterWitness, ds_dimension, ds_shatter_core,
                    natarajan_dimension, validate_witness, vc_dimension)
-from .errors import BudgetError, RealizabilityError
+from .errors import BudgetError, CertificateError, RealizabilityError
 from .hclass import (HypothesisClass, gen_cube, gen_random, load_class,
                      restrict, save_class)
 from .learn import (ListPrediction, SyntheticDistribution, loo_error,

@@ -27,11 +27,11 @@ from typing import Sequence
 import numpy as np
 
 from .dims import ds_dimension
-from .errors import BudgetError
+from .errors import BudgetError, CertificateError
 from .hclass import HypothesisClass
 from .learn import (ExperimentReport, ListPrediction, PrefixVotePredictor,
-                    SyntheticDistribution, _consolidate, _predict_from_state,
-                    _state_of, oig_list_predict)
+                    SyntheticDistribution, _cached_predict, _consolidate,
+                    _predict_from_state, _state_of)
 
 __all__ = [
     "CoverMember",
@@ -46,13 +46,24 @@ __all__ = [
 
 
 class CoverMember:
-    """Union of one-inclusion predictions over stored subsamples."""
+    """Union of one-inclusion predictions over stored subsamples.
+
+    Each subsample is consolidated once, here, which also checks that it is
+    realizable.  Predictions are looked up in ``memo``, a (state, x) ->
+    ListPrediction dict; ``build_list_cover`` passes one memo to its boosting
+    rounds and to every member it builds, so each distinct (state, x) is
+    oriented once per cover.  Sharing is sound because a prediction depends
+    only on (H, state, x, ell) and one cover fixes H and ell.  The union at
+    each x is kept per member in ``_cache``.
+    """
 
     def __init__(self, H: HypothesisClass, subsamples: tuple[tuple[tuple[int, int], ...], ...],
-                 ell: int):
+                 ell: int, memo: dict):
         self.H = H
         self.subsamples = subsamples
         self.ell = ell
+        self._states = tuple(_state_of(*_consolidate(sub, H)) for sub in subsamples)
+        self._memo = memo
         self._cache: dict[int, frozenset[int]] = {}
 
     @property
@@ -62,10 +73,9 @@ class CoverMember:
     def predict(self, x: int) -> frozenset[int]:
         got = self._cache.get(x)
         if got is None:
-            labels: set[int] = set()
-            for sub in self.subsamples:
-                labels.update(oig_list_predict(self.H, sub, x, self.ell).labels)
-            got = frozenset(labels)
+            got = frozenset().union(*(
+                _cached_predict(self.H, state, x, self.ell, self._memo).labels
+                for state in self._states))
             self._cache[x] = got
         return got
 
@@ -81,16 +91,18 @@ class ListCover:
 
 
 def _boost_member(H: HypothesisClass, points: list[tuple[int, int]], d: int, j: int,
-                  ell: int, rng: np.random.Generator, tries: int) -> CoverMember | None:
+                  ell: int, rng: np.random.Generator, tries: int,
+                  memo: dict) -> CoverMember | None:
     """Boost one covering member for a realizable point set.
 
     Maintains weights over the points; each round draws up to ``tries``
     weighted size-d subsamples until the trained predictor's weighted miss
     rate is at most 1/3, then halves the weights of points it covers.
-    Returns None when some round finds no weak subsample.
+    Returns None when some round finds no weak subsample.  Predictions go
+    through the cover's (state, x) ``memo``.
     """
     if not points:
-        return CoverMember(H, (), ell)
+        return CoverMember(H, (), ell, memo)
     weights = np.ones(len(points))
     subsamples: list[tuple[tuple[int, int], ...]] = []
     preds: list[frozenset[int]] = []
@@ -100,7 +112,8 @@ def _boost_member(H: HypothesisClass, points: list[tuple[int, int]], d: int, j: 
         for _attempt in range(tries):
             picks = rng.choice(len(points), size=d, p=p)
             sub = tuple(points[int(i)] for i in picks)
-            per_point = [frozenset(oig_list_predict(H, sub, x, ell).labels)
+            state = _state_of(*_consolidate(sub, H))
+            per_point = [frozenset(_cached_predict(H, state, x, ell, memo).labels)
                          for x, _y in points]
             miss = sum(w for (x, y), w, pl in zip(points, weights, per_point)
                        if y not in pl)
@@ -118,7 +131,7 @@ def _boost_member(H: HypothesisClass, points: list[tuple[int, int]], d: int, j: 
         if all(any(y in pl[idx] for pl in preds)
                for idx, (x, y) in enumerate(points)):
             break  # everything already covered; no need for more rounds
-    return CoverMember(H, tuple(subsamples), ell)
+    return CoverMember(H, tuple(subsamples), ell, memo)
 
 
 def build_list_cover(H: HypothesisClass, S1: Sequence[tuple[int, int]], d: int, j: int,
@@ -131,11 +144,18 @@ def build_list_cover(H: HypothesisClass, S1: Sequence[tuple[int, int]], d: int, 
     direct membership checks.  Hypotheses whose member failed to cover (or
     whose boosting found no weak subsample within ``budget`` tries per
     round) are reported in ``uncovered``.
+
+    One (state, x) -> ListPrediction memo is created per call and shared by
+    the boosting rounds and every member, so an orientation is computed once
+    per distinct (state, x) of this cover; see ``CoverMember``.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     if d < 1 or j < 1:
         raise ValueError("need d >= 1 and j >= 1")
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    memo: dict = {}
     members: list[CoverMember] = []
     by_subsamples: dict[tuple, int] = {}
     member_of: dict[int, int] = {}
@@ -143,7 +163,7 @@ def build_list_cover(H: HypothesisClass, S1: Sequence[tuple[int, int]], d: int, 
     pairs = [(int(x), int(y)) for x, y in S1]
     for h_idx, h in enumerate(H.hyps):
         points = [(x, y) for x, y in pairs if h[x - 1] == y]
-        member = _boost_member(H, points, d, j, ell=ell, rng=rng, tries=budget)
+        member = _boost_member(H, points, d, j, ell=ell, rng=rng, tries=budget, memo=memo)
         if member is None:
             uncovered.append(h_idx)
             continue
@@ -169,21 +189,26 @@ class Menu:
     ``trace`` records (round, member index); only rounds 1..T-1 contribute to
     the menu.  ``weight_history`` stores each round's pre-update weight
     vector so the multiplicative update can be replayed and checked exactly.
+    The union at each x is taken once, over the distinct ``menu_members()``,
+    and kept in ``_memo``; the menu is immutable, so the union never changes.
     """
 
     cover: ListCover = field(compare=False)
     trace: tuple[tuple[int, int], ...] = ()
     rewards: tuple[tuple[int, ...], ...] = ()
     weight_history: tuple[tuple[float, ...], ...] = ()
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def menu_members(self) -> tuple[int, ...]:
         return tuple(sorted({m for _t, m in self.trace[:-1]}))
 
     def predict(self, x: int) -> frozenset[int]:
-        labels: set[int] = set()
-        for t, m_idx in self.trace[:-1]:
-            labels.update(self.cover.members[m_idx].predict(x))
-        return frozenset(labels)
+        got = self._memo.get(x)
+        if got is None:
+            got = frozenset().union(*(self.cover.members[m].predict(x)
+                                      for m in self.menu_members()))
+            self._memo[x] = got
+        return got
 
     @property
     def list_bound(self) -> int:
@@ -212,7 +237,7 @@ def mw_menu(F: ListCover, S2: Sequence[tuple[int, int]],
     trace: list[tuple[int, int]] = []
     rewards: list[tuple[int, ...]] = []
     history: list[tuple[float, ...]] = []
-    selected: list[int] = []
+    selected: set[int] = set()
     for t, (x, y) in enumerate(S2, start=1):
         history.append(tuple(float(w) for w in weights))
         p = weights / weights.sum()
@@ -229,7 +254,7 @@ def mw_menu(F: ListCover, S2: Sequence[tuple[int, int]],
         for m in range(n_members):
             if r[m]:
                 weights[m] *= math.exp(0.5)
-        selected.append(m_idx)
+        selected.add(m_idx)
     history.append(tuple(float(w) for w in weights))
     assert np.all(weights > 0)
     return Menu(cover=F, trace=tuple(trace), rewards=tuple(rewards),
@@ -298,7 +323,9 @@ def inside_menu_erm(H: HypothesisClass, nu: Menu, S3: Sequence[tuple[int, int]],
         return ListPrediction(tuple(inside[:ell]))
 
     pred_loss = _loss_of_predictor(predict, nu, S)
-    assert pred_loss <= min(losses)
+    if pred_loss > min(losses):
+        raise CertificateError(f"predictor inside-menu loss {pred_loss} exceeds "
+                               f"the ERM loss {min(losses)}")
     return InsideMenuResult(erm_index=erm_idx, erm_loss=losses[erm_idx],
                             predictor_loss=pred_loss, n_plus=len(s_plus),
                             flagged=False, predict=predict)
@@ -355,7 +382,8 @@ def agnostic_pipeline(H: HypothesisClass, D: SyntheticDistribution, ell: int,
         term2 = sum((w for (x, y), w in zip(D.support, D.weights)
                      if y in mu_star.predict(x) and y not in nu.predict(x)),
                     Fraction(0))
-        assert term_nu <= term1 + term2
+        if term_nu > term1 + term2:
+            raise CertificateError(f"decomposition fails: {term_nu} > {term1} + {term2}")
         decomposition = {"best_label_outside_menu": float(term_nu),
                          "best_label_outside_cover_member": float(term1),
                          "cover_member_outside_menu": float(term2)}

@@ -1,13 +1,14 @@
 """Command-line surface: reproducible runs with machine-readable outputs.
 
 Exit codes: 0 for success / PASS verdicts, 2 when a mathematical verdict is
-FAIL (so CI can tell falsification apart from crashes), 1 for usage errors
-and other failures.
+FAIL or a certificate fails its check (so CI can tell falsification apart
+from crashes), 1 for usage errors and other failures.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from . import algebra, dims, oig
 from .agnostic import agnostic_pipeline
-from .errors import BudgetError, RealizabilityError
+from .errors import BudgetError, CertificateError, RealizabilityError
 from .hclass import gen_cube, gen_random, load_class, save_class
 from .learn import SyntheticDistribution, loo_error, pac_experiment
 from .oig import format_ratio
@@ -60,6 +61,12 @@ def _emit(payload: dict, cfg: RunConfig, out: str | None):
         Path(out).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
+
+
+def _csv_sink(out: str | None):
+    """Context manager over the CSV output: the ``out`` file, closed on every
+    path, or stdout, left open."""
+    return open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout)
 
 
 def _parse_kv(text: str) -> dict:
@@ -159,17 +166,19 @@ def _cmd_audit(args, cfg) -> int:
 
     failed = False
     if args.format == "csv" or (target.is_dir() and args.format != "json"):
-        sink = open(args.output, "w", newline="") if args.output else sys.stdout
-        writer = csv.writer(sink)
-        writer.writerow(algebra.AuditReport.CSV_HEADER)
-        runner = map(_audit_one, jobs) if args.jobs <= 1 else \
-            ProcessPoolExecutor(max_workers=args.jobs).map(_audit_one, jobs)
-        for _path, report in runner:
-            writer.writerow(report.csv_row())
-            sink.flush()  # partial outputs stay valid CSV
-            failed = failed or not report.passed
-        if args.output:
-            sink.close()
+        with contextlib.ExitStack() as stack:
+            sink = stack.enter_context(_csv_sink(args.output))
+            writer = csv.writer(sink)
+            writer.writerow(algebra.AuditReport.CSV_HEADER)
+            if args.jobs <= 1:
+                runner = map(_audit_one, jobs)
+            else:
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
+                runner = pool.map(_audit_one, jobs)
+            for _path, report in runner:
+                writer.writerow(report.csv_row())
+                sink.flush()  # partial outputs stay valid CSV
+                failed = failed or not report.passed
     else:
         reports = []
         for job in jobs:
@@ -207,14 +216,12 @@ def _cmd_pac(args, cfg) -> int:
         rows.append(report)
         failed = failed or report.verdict != "PASS"
     if args.format == "csv":
-        sink = open(args.output, "w", newline="") if args.output else sys.stdout
-        writer = csv.writer(sink)
-        writer.writerow(["m", "quantile_err", "bound", "verdict"])
-        for rep in rows:
-            writer.writerow([rep.params["m"], rep.results["quantile_err"],
-                             rep.results["bound"], rep.verdict])
-        if args.output:
-            sink.close()
+        with _csv_sink(args.output) as sink:
+            writer = csv.writer(sink)
+            writer.writerow(["m", "quantile_err", "bound", "verdict"])
+            for rep in rows:
+                writer.writerow([rep.params["m"], rep.results["quantile_err"],
+                                 rep.results["bound"], rep.verdict])
     else:
         _emit({"reports": [rep.to_dict() for rep in rows]}, cfg, args.output)
     return EXIT_VERDICT_FAIL if failed else EXIT_OK
@@ -322,6 +329,9 @@ def main(argv=None) -> int:
                           if k not in ("fn", "command") and v is not None})
     try:
         return args.fn(args, cfg)
+    except CertificateError as exc:
+        print(f"dslab {args.command}: certificate failed: {exc}", file=sys.stderr)
+        return EXIT_VERDICT_FAIL
     except (BudgetError, RealizabilityError, ValueError, OSError, KeyError) as exc:
         print(f"dslab {args.command}: {exc}", file=sys.stderr)
         if isinstance(exc, BudgetError):

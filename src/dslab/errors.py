@@ -16,3 +16,11 @@ class BudgetError(ValueError):
 class RealizabilityError(ValueError):
     """A labeled sample admits no consistent hypothesis, so the requested
     operation is undefined."""
+
+
+class CertificateError(RuntimeError):
+    """A certificate the computation claims failed its explicit check.
+
+    Raised in place of an ``assert`` so the check survives ``python -O``;
+    the CLI reports it as a failed verdict (exit 2), not as breakage.
+    """

@@ -11,8 +11,14 @@ Repeated coordinates are handled by reduction: a direction whose coordinate
 occurs more than once in the projection tuple carries only singleton edges
 (its value is pinned by the other copy), so the graph collapses to the
 distinct coordinates with repeated ones marked dead.  Predictions therefore
-depend only on which coordinates were seen, their labels, and whether each
-was seen once or more -- which is also what makes aggressive caching sound.
+depend only on (H, state, x, ell), where the state (``CoordState``) records
+which coordinates were seen, their labels, and whether each was seen once or
+more -- which is what makes caching sound.  Each memo maps (state, x) to a
+prediction for one fixed (H, ell) and is owned by its caller:
+``PrefixVotePredictor``'s ``cache`` (``pac_experiment`` shares one across its
+trials), and the memo ``agnostic.build_list_cover`` creates per call for its
+boosting rounds and cover members.  ``agnostic.inside_menu_erm`` keeps a
+separate prefix-vote cache because it predicts over a subclass of H.
 """
 
 from __future__ import annotations
@@ -109,6 +115,20 @@ def _predict_from_state(H: HypothesisClass, state: CoordState, x: int, ell: int)
     raise RealizabilityError("no edge matches the training labels")
 
 
+def _cached_predict(H: HypothesisClass, state: CoordState, x: int, ell: int,
+                    cache: dict) -> ListPrediction:
+    """``_predict_from_state`` through a caller-owned (state, x) memo.
+
+    One memo must serve a single (H, ell): a prediction depends only on
+    (H, state, x, ell), so within that pair the key fixes the answer.
+    """
+    key = (state, x)
+    got = cache.get(key)
+    if got is None:
+        got = cache[key] = _predict_from_state(H, state, x, ell)
+    return got
+
+
 def oig_list_predict(H: HypothesisClass, train: Sequence[tuple[int, int]],
                      x: int, ell: int) -> ListPrediction:
     """Predict at most ell labels for instance ``x`` from a realizable sample."""
@@ -201,12 +221,7 @@ class PrefixVotePredictor:
         self._weighted_states = sorted(weights.items())
 
     def _lookup(self, state: CoordState, x: int) -> ListPrediction:
-        key = (state, x)
-        got = self._cache.get(key)
-        if got is None:
-            got = _predict_from_state(self.H, state, x, self.ell)
-            self._cache[key] = got
-        return got
+        return _cached_predict(self.H, state, x, self.ell, self._cache)
 
     def predict_prefix(self, t: int, x: int) -> ListPrediction:
         """Prediction of the predictor trained on the first ``t`` points."""
@@ -253,7 +268,7 @@ class SyntheticDistribution:
         if not self.support:
             raise ValueError("support must be non-empty")
         total = sum(self.weights)
-        if abs(total - 1) > Fraction(1, 10**12):
+        if total != 1:
             raise ValueError(f"weights sum to {total}, not 1")
         if any(w < 0 for w in self.weights):
             raise ValueError("weights must be non-negative")

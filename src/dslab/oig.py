@@ -22,7 +22,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
-from .errors import BudgetError
+from .errors import BudgetError, CertificateError
 from .hclass import HypothesisClass, restrict
 
 __all__ = [
@@ -312,8 +312,12 @@ def min_max_orientation(G: OneInclusionGraph, ell: int) -> tuple[Orientation, in
     Feasibility of a target t is decided by an exact integral max-flow:
     source -> edge with capacity min(ell, |e|), edge -> member with capacity
     1, vertex -> sink with capacity (deg - t)_+.  All sink arcs saturate iff
-    every vertex can be covered by all but t of its edges.  The returned
-    t_star is certified minimal by infeasibility at t_star - 1.
+    every vertex can be covered by all but t of its edges.  The binary search
+    starts at ceil(density): every full orientation's outdegrees sum to
+    sum over edges of (|e| - ell)_+ = density * |W|, so no maximum is
+    smaller.  The returned orientation is the flow at t_star, and t_star is
+    certified minimal by infeasibility at t_star - 1; a failed certificate
+    raises CertificateError.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -323,7 +327,7 @@ def min_max_orientation(G: OneInclusionGraph, ell: int) -> tuple[Orientation, in
         assign = tuple((e.direction, e.key, e.members) for e in edges)
         return Orientation(ell=ell, assign=assign), 0
 
-    lo, hi = 0, n_dirs
+    lo, hi = math.ceil(density(G.base, ell, graph=G)), n_dirs
     feasible_assign = None
     while lo < hi:
         mid = (lo + hi) // 2
@@ -334,11 +338,12 @@ def min_max_orientation(G: OneInclusionGraph, ell: int) -> tuple[Orientation, in
         else:
             lo = mid + 1
     t_star = lo
-    if feasible_assign is None or hi != t_star:
+    if feasible_assign is None:  # the search never tried t_star
         feasible_assign = _flow_assignment(G, edges, ell, t_star)
-    assert feasible_assign is not None
-    if t_star > 0:
-        assert _flow_assignment(G, edges, ell, t_star - 1) is None  # minimality certificate
+    if feasible_assign is None:
+        raise CertificateError(f"no feasible orientation at t_star={t_star}")
+    if t_star > 0 and _flow_assignment(G, edges, ell, t_star - 1) is not None:
+        raise CertificateError(f"orientation with max outdegree {t_star - 1} < t_star={t_star}")
 
     assign = []
     for e, picked in zip(edges, feasible_assign):
@@ -380,11 +385,11 @@ def _flow_assignment(G: OneInclusionGraph, edges: list[EdgeGroup], ell: int, t: 
     if res.flow_value != need * V:
         return None
     flow = res.flow.tocsr()
+    indptr, indices, data = flow.indptr, flow.indices.tolist(), flow.data.tolist()
     picked = []
-    for j, e in enumerate(edges):
-        row = flow.getrow(1 + j)
-        sel = {int(c) - 1 - E for c, f in zip(row.indices, row.data) if f > 0}
-        picked.append(sel)
+    for j in range(E):
+        a, b = indptr[1 + j], indptr[2 + j]
+        picked.append({c - 1 - E for c, f in zip(indices[a:b], data[a:b]) if f > 0})
     return picked
 
 

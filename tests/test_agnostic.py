@@ -1,10 +1,12 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 
+from helpers import random_class
 from dslab.hclass import HypothesisClass, gen_cube
-from dslab.learn import SyntheticDistribution
+from dslab.learn import SyntheticDistribution, oig_list_predict
 from dslab.agnostic import (agnostic_pipeline, build_list_cover,
                             inside_menu_erm, mw_menu)
 
@@ -227,3 +229,46 @@ def test_pipeline_median_excess_error_at_scale():
     excesses.sort()
     median = excesses[len(excesses) // 2]
     assert median <= 0.1
+
+
+# sha256 of agnostic_pipeline(...).to_json() at the at-scale config, computed
+# before the cover and menu predictions were memoized
+AT_SCALE_DIGESTS = {
+    0: "ccf935fb59f86fb273943677c1ad19ce5a87b82c338637e090c4570a70305a45",
+    1: "23fffe6573afd7ccced0d6faf36d5003f20a26ab0fc5d50afce21a1bebe2f09a",
+    2: "22de068e3a6812c48c8d6a64407bfd2874b813fa423fb04e091e6a31d9b7c3f8",
+    3: "1658029b42ced947430aec7a855eb4f06b54960ba8321486a3fd53d9064e8a23",
+    4: "5faf202a7c5c2d0979c8a008a6c2301f8d78acc5608a14cff85a972c967f3cca",
+}
+
+
+def test_pipeline_reports_pinned_at_scale():
+    H = gen_cube(3, 1, 2, 4)
+    D = SyntheticDistribution.with_label_noise(H, target=0, noise=Fraction(1, 10))
+    for seed, digest in AT_SCALE_DIGESTS.items():
+        rep = agnostic_pipeline(H, D, ell=1, n1=200, T=200, n3=800,
+                                delta=0.1, seed=seed)
+        assert hashlib.sha256(rep.to_json().encode()).hexdigest() == digest
+
+
+def test_memoized_predictions_match_definitions():
+    # members and menus answer from memos; each must equal the union it
+    # stands for, recomputed here without any memo
+    rng = np.random.default_rng(40)
+    for trial in range(25):
+        H = random_class(rng, size_max=8)
+        D = SyntheticDistribution.with_label_noise(H, target=0, noise=Fraction(1, 4))
+        ell = 1 + trial % 2
+        cover = build_list_cover(H, draw(D, trial, 12), d=2, j=4, ell=ell,
+                                 rng=np.random.default_rng(trial))
+        menu = mw_menu(cover, draw(D, 100 + trial, 6), rng=np.random.default_rng(trial))
+        for x in range(1, H.n + 1):
+            for member in cover.members:
+                want = set()
+                for sub in member.subsamples:
+                    want.update(oig_list_predict(H, sub, x, ell).labels)
+                assert member.predict(x) == want
+            want = set()
+            for _t, m in menu.trace[:-1]:
+                want.update(cover.members[m].predict(x))
+            assert menu.predict(x) == want

@@ -1,8 +1,12 @@
+import gc
 import json
+import warnings
 
 import pytest
 
+from dslab import oig
 from dslab.cli import EXIT_ERROR, EXIT_OK, EXIT_VERDICT_FAIL, main
+from dslab.errors import CertificateError
 from dslab.hclass import gen_cube, load_class, save_class
 
 
@@ -70,6 +74,23 @@ def test_orient_command(square, capsys):
     assert len(doc["orientation"]["edges"]) == 4
 
 
+def test_failed_minimality_certificate_exits_two(square, capsys, monkeypatch):
+    # the square's t_star = 1 equals ceil(density), where the search starts,
+    # so only the minimality check asks for t_star - 1 = 0; a flow that lies
+    # there must be caught, not returned as an orientation
+    G = oig.build_oig(load_class(square))
+    honest = oig._flow_assignment
+
+    def lying(G, edges, ell, t):
+        return [set() for _ in edges] if t == 0 else honest(G, edges, ell, t)
+
+    monkeypatch.setattr(oig, "_flow_assignment", lying)
+    with pytest.raises(CertificateError, match="t_star=1"):
+        oig.min_max_orientation(G, 1)
+    code, out, err = run(capsys, "orient", "--class", square, "--ell", "1")
+    assert code == EXIT_VERDICT_FAIL and out == "" and "certificate" in err
+
+
 def test_span_command(square, capsys):
     code, out, _err = run(capsys, "span", "--class", square, "--ell", "1", "--s", "2")
     assert code == EXIT_OK and json.loads(out)["spanning"] is True
@@ -108,6 +129,22 @@ def test_audit_directory_batch_csv(tmp_path, capsys):
     lines = out_file.read_text().strip().splitlines()
     assert lines[0].startswith("class_id,ell,mu_num,mu_den,ceil_mu")
     assert len(lines) == 1 + 4  # 2 classes x 2 ell values
+
+
+def test_audit_csv_closes_output_when_a_class_is_malformed(tmp_path, capsys):
+    d = tmp_path / "classes"
+    d.mkdir()
+    (d / "a.json").write_text('{"k": 2, "hyps": [[1, 2]]}')  # no "n"
+    save_class(gen_cube(2, 1, 2, 2), d / "b.json")
+    out_file = tmp_path / "batch.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _out, _err = run(capsys, "audit", "--class", str(d), "--ell", "1",
+                               "--format", "csv", "-o", str(out_file))
+        gc.collect()
+    assert code == EXIT_ERROR
+    assert out_file.read_text().splitlines()[0].startswith("class_id,ell,mu_num")
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_audit_batch_parallel_jobs(tmp_path, capsys):

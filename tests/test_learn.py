@@ -191,6 +191,9 @@ def test_vote_error_bounded_by_average_prefix_error():
 def test_distribution_validation():
     with pytest.raises(ValueError):
         SyntheticDistribution(support=((1, 1),), weights=(Fraction(1, 2),))
+    with pytest.raises(ValueError, match="not 1"):  # exact weights: no tolerance
+        SyntheticDistribution(support=((1, 1), (1, 2)),
+                              weights=(Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**15)))
     D = SyntheticDistribution.uniform_realizable(gen_cube(2, 1, 2, 2), 0)
     assert D.realizable and sum(D.weights) == 1
 

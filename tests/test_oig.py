@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -207,6 +208,13 @@ def test_orientation_all_edges_small():
     assert all(len(chosen) == 3 for _d, _k, chosen in sigma.assign)
 
 
+def check_orientation_oracle(G, ell):
+    sigma, t = min_max_orientation(G, ell)
+    assert t == brute_min_max_outdegree(G, ell)
+    assert t >= math.ceil(density(G.base, ell, graph=G))  # the search's start
+    assert max(outdegrees(G, sigma)) == t
+
+
 def test_orientation_flow_matches_exhaustive():
     rng = np.random.default_rng(9)
     checked = 0
@@ -216,8 +224,38 @@ def test_orientation_flow_matches_exhaustive():
         if G.n_edges > 6 or any(len(e) > 4 for e in G.edges()):
             continue
         for ell in (1, 2):
-            _sigma, t = min_max_orientation(G, ell)
-            assert t == brute_min_max_outdegree(G, ell)
+            check_orientation_oracle(G, ell)
+        checked += 1
+    assert checked >= 10
+
+
+@pytest.mark.parametrize("W, dead, ells", [
+    (gen_cube(3, 1, 2, 2), (0,), (1, 2)),                  # a dead direction
+    (gen_cube(2, 1, 2, 3), (0, 2), (1,)),                  # two dead directions
+    (gen_cube(3, 2, 1, 1), (), (3, 4)),                    # ell >= every edge size
+    (gen_cube(2, 1, 2, 2), (), (2,)),
+    (HypothesisClass(k=4, n=1, hyps=((1,), (2,), (3,), (4,))), (), (1, 2, 3, 4)),  # n = 1
+    (HypothesisClass(k=3, n=1, hyps=((1,), (3,))), (0,), (1,)),
+    (HypothesisClass(k=2, n=3, hyps=((1, 2, 1),)), (), (1, 2)),  # |W| = 1
+    (HypothesisClass(k=2, n=2, hyps=((2, 1),)), (1,), (1,)),
+])
+def test_orientation_oracle_edge_shapes(W, dead, ells):
+    G = build_oig(W, dead_dirs=dead)
+    for ell in ells:
+        check_orientation_oracle(G, ell)
+
+
+def test_orientation_oracle_random_dead_directions():
+    rng = np.random.default_rng(14)
+    checked = 0
+    for _ in range(40):
+        W = random_class(rng, size_max=7)
+        dead = [i for i in range(W.n) if rng.random() < 0.4]
+        G = build_oig(W, dead_dirs=dead)
+        if G.n_edges > 12 or any(len(e) > 4 for e in G.edges()):
+            continue
+        for ell in (1, 2):
+            check_orientation_oracle(G, ell)
         checked += 1
     assert checked >= 10
 
