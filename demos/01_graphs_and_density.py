@@ -29,7 +29,7 @@ for k in (4, 8, 16, 64):
     print(f"k={k:3d}: density = {val} = {float(val):.4f}")
 
 # Subfamilies can be denser than the class they came from; the exact search
-# enumerates every subset and returns the maximizer.
+# finds the maximizer by min cuts.
 square = gen_cube(2, 1, 2, 2)
 val, F = max_density_subfamily(square, 1)
 print("densest subfamily of the full square:", val, F.hyps)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .dims import ds_dimension, natarajan_dimension
-from .errors import BudgetError
+from .errors import BudgetError, CertificateError
 from .hclass import HypothesisClass, dumps_class, restrict
 from .oig import (build_oig, format_ratio, max_density_subfamily,
                   min_max_orientation, mu_with_witness, DEFAULT_SUBSET_CAP)
@@ -216,7 +216,8 @@ def rank_exact(M: EvalMatrix | list, prime: int | None = None) -> int:
     The modular rank can only undershoot (bad primes kill minors), so a
     modular result equal to min(rows, cols) is already certified.  Any
     deficit triggers the fraction-free integer elimination, whose answer is
-    exact and is returned.
+    exact and is returned; an exact rank below the modular one raises
+    CertificateError.
     """
     rows = M.entries if isinstance(M, EvalMatrix) else M
     rows = [list(r) for r in rows]
@@ -227,7 +228,8 @@ def rank_exact(M: EvalMatrix | list, prime: int | None = None) -> int:
     if r_mod == min(len(rows), len(rows[0])):
         return r_mod
     r_exact = rank_bareiss(rows)
-    assert r_exact >= r_mod
+    if r_exact < r_mod:
+        raise CertificateError(f"exact rank {r_exact} below modular rank {r_mod}")
     return r_exact
 
 

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .dims import ds_dimension
-from .errors import RealizabilityError
+from .errors import CertificateError, RealizabilityError
 from .hclass import HypothesisClass, restrict
 from .oig import build_oig, min_max_orientation, outdegrees
 
@@ -146,8 +146,8 @@ def loo_error(H: HypothesisClass, sample: Sequence[tuple[int, int]],
 
     Hold-out predictions all share one graph (only the designated test
     direction changes), so the error equals the outdegree of the ground-truth
-    vertex under a single min-max orientation.  Returns (M_n, t_star) and
-    asserts M_n <= t_star.
+    vertex under a single min-max orientation.  Returns (M_n, t_star); a
+    violated M_n <= t_star raises CertificateError.
     """
     if not sample:
         raise ValueError("sample must be non-empty")
@@ -159,7 +159,8 @@ def loo_error(H: HypothesisClass, sample: Sequence[tuple[int, int]],
     sigma, t_star = min_max_orientation(G, ell)
     truth = tuple(y_of[c] for c in coords)
     m_n = outdegrees(G, sigma)[W.row_index(truth)]
-    assert m_n <= t_star
+    if m_n > t_star:
+        raise CertificateError(f"leave-one-out error {m_n} exceeds t_star={t_star}")
     return m_n, t_star
 
 

@@ -43,7 +43,10 @@ __all__ = [
     "DEFAULT_SUBSET_CAP",
 ]
 
-DEFAULT_SUBSET_CAP = 22  # exact subfamily search enumerates 2^|W| bitmasks
+# Row budget of the subfamily searches (--budget-subsets).  mu_prime enumerates
+# 2^|W| subsets; the exact density search takes polynomial time but still
+# refuses larger classes, past which the audit reports only a lower bound.
+DEFAULT_SUBSET_CAP = 22
 
 
 @dataclass(frozen=True)
@@ -145,86 +148,204 @@ def density(W: HypothesisClass, ell: int, graph: OneInclusionGraph | None = None
 # -- exact subfamily search --------------------------------------------------
 #
 # The edges of a subfamily F <= W are exactly W's edges intersected with F,
-# so every subfamily's density can be scored from W's edge masks alone.  The
-# search enumerates all bitmasks with numpy and a 16-bit popcount table.
-
-_POP16 = None
-
-
-def _pop16():
-    global _POP16
-    if _POP16 is None:
-        _POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.int8)
-    return _POP16
+# so every subfamily's density is a function of W's live edges (|e| > ell)
+# alone.  The excess f(F) = sum over live edges of (|e & F| - ell)_+ is
+# supermodular (a convex function of a modular one), so max f(F)/|F| is a
+# maximum-density subgraph problem (Goldberg 1984): Dinkelbach iteration over
+# min cuts solves it exactly in a few max-flows, and the final residual graph
+# holds every maximizer (Picard & Queyranne 1980).  mu_prime's gross
+# objective is not supermodular and still enumerates all 2^|W| bitmasks.
 
 
-def _best_subfamily_mask(group_masks: list[int], n_rows: int, ell: int, gross: bool) -> tuple[int, int, int]:
-    """Maximize the density objective over all non-empty vertex bitmasks.
+def _max_flow(adj: list[list[int]], head: list[int], cap: list[int], source: int, sink: int) -> None:
+    """Dinic's max-flow, in place: ``cap`` ends as the residual capacities.
 
-    ``gross=False`` scores sum over edges of (|e & F| - ell)_+ (the usual
-    excess); ``gross=True`` scores sum of |e & F| over edges with
-    |e & F| > 1.  Ties break toward smaller subfamilies, then the
-    lexicographically smallest member index tuple.  Returns
-    (numerator, size, mask).
+    Arc ``a`` runs to ``head[a]``, arc ``a ^ 1`` is its reverse, and
+    ``adj[u]`` lists the arcs leaving node u.  Capacities are Python ints, so
+    scaled capacities cannot overflow.  Paths are walked iteratively, so long
+    residual paths cannot exhaust the recursion limit.
     """
-    pop = _pop16()
+    n = len(adj)
+    while True:
+        level = [-1] * n
+        level[source] = 0
+        queue = [source]
+        for u in queue:
+            for a in adj[u]:
+                if cap[a] and level[head[a]] < 0:
+                    level[head[a]] = level[u] + 1
+                    queue.append(head[a])
+        if level[sink] < 0:
+            return
+        nxt = [0] * n
+        path: list[int] = []
+        u = source
+        while True:
+            if u == sink:
+                push = min(cap[a] for a in path)
+                for a in path:
+                    cap[a] -= push
+                    cap[a ^ 1] += push
+                path.clear()
+                u = source
+                continue
+            arcs, i = adj[u], nxt[u]
+            while i < len(arcs) and not (cap[arcs[i]] and level[head[arcs[i]]] == level[u] + 1):
+                i += 1
+            nxt[u] = i
+            if i < len(arcs):
+                path.append(arcs[i])
+                u = head[arcs[i]]
+            elif u == source:
+                break
+            else:  # dead end for this phase: retreat one arc
+                level[u] = -1
+                u = head[path.pop() ^ 1]
+
+
+def _residual_reach(adj: list[list[int]], head: list[int], cap: list[int],
+                    start: int, forward: bool) -> set[int]:
+    """Nodes ``start`` reaches in the residual graph, or (``forward=False``)
+    the nodes that reach ``start``."""
+    seen, stack = {start}, [start]
+    while stack:
+        u = stack.pop()
+        for a in adj[u]:
+            if cap[a if forward else a ^ 1] and head[a] not in seen:
+                seen.add(head[a])
+                stack.append(head[a])
+    return seen
+
+
+def _densest_subfamily(live: list[tuple[int, ...]], n_rows: int, ell: int) -> tuple[Fraction, tuple[int, ...]]:
+    """Exact max of f(F)/|F| over non-empty F, and its smallest, then
+    lexicographically first, maximizer as ascending row indices.
+
+    For lam = p/q the network is source -> live edge (capacity q*ell),
+    edge -> member (q), and vertex -> sink (q*d_v - p, only where positive),
+    with d_v the number of live edges at v.  All sink arcs saturate iff no
+    F has f(F) > lam*|F|.  Otherwise the vertices that reach the sink in the
+    residual graph are strictly denser, and their density is the next lam.
+    At the maximum, the smallest maximizer containing v is the set of
+    vertices that reach v in the residual graph (none if the source does).
+    Both steps are checked, and a failure raises CertificateError.
+    """
+    deg = [0] * n_rows
+    for e in live:
+        for v in e:
+            deg[v] += 1
+
+    def excess(rows) -> int:
+        rows = set(rows)
+        return sum(max(sum(v in rows for v in e) - ell, 0) for e in live)
+
+    # One topology for every lam: arc a has capacity max(q*per_q - p*per_p, 0),
+    # and a vertex whose sink arc is 0 takes no part.
+    E = len(live)
+    source, sink = 0, E + n_rows + 1
+    adj: list[list[int]] = [[] for _ in range(sink + 1)]
+    head: list[int] = []
+    coef: list[tuple[int, int]] = []
+
+    def arc(u: int, v: int, per_q: int, per_p: int) -> None:
+        adj[u].append(len(head))
+        head.append(v)
+        coef.append((per_q, per_p))
+        adj[v].append(len(head))
+        head.append(u)
+        coef.append((0, 0))
+
+    for j, e in enumerate(live, 1):
+        arc(source, j, ell, 0)
+        for v in e:
+            arc(j, E + 1 + v, 1, 0)
+    vertex_sink_arcs = []
+    for v, d in enumerate(deg):
+        vertex_sink_arcs.append(len(head))
+        arc(E + 1 + v, sink, d, 1)
+
+    lam = Fraction(sum(len(e) - ell for e in live), n_rows)
+    while True:
+        p, q = lam.numerator, lam.denominator
+        cap = [max(q * per_q - p * per_p, 0) for per_q, per_p in coef]
+        sink_arcs = [a for a in vertex_sink_arcs if cap[a]]
+        _max_flow(adj, head, cap, source, sink)
+        if not any(cap[a] for a in sink_arcs):
+            break
+        denser = [u - E - 1 for u in _residual_reach(adj, head, cap, sink, False) if E < u < sink]
+        nxt = Fraction(excess(denser), len(denser))
+        if nxt <= lam:
+            raise CertificateError(f"min cut at density {lam} found no denser subfamily")
+        lam = nxt
+
+    # Maximizers are closed under union and non-empty intersection, so the
+    # minimal ones are disjoint and each is the ancestor set of every member.
+    # An ancestor set that its own vertex reaches in full is minimal: its
+    # other members need no search of their own.
+    from_source = _residual_reach(adj, head, cap, source, True)
+    best, settled = None, set()
+    for a in sink_arcs:
+        u = head[a ^ 1]
+        if u in from_source or u in settled:
+            continue
+        anc = {x for x in _residual_reach(adj, head, cap, u, False) if E < x < sink}
+        if anc <= _residual_reach(adj, head, cap, u, True):
+            settled |= anc
+        rows = tuple(sorted(x - E - 1 for x in anc))
+        if best is None or (len(rows), rows) < (len(best), best):
+            best = rows
+    if best is None or excess(best) * q != p * len(best):
+        raise CertificateError(f"residual graph at density {lam} holds no maximizer")
+    return lam, best
+
+
+def _best_subfamily_mask(group_masks: list[int], n_rows: int) -> Fraction:
+    """Best gross density over all non-empty vertex bitmasks: the sum of
+    |e & F| over edges with |e & F| > 1, per member of F.
+
+    Enumerates all 2^n_rows bitmasks as uint32, so more than 26 rows raise
+    BudgetError before anything is allocated.
+    """
+    if n_rows > 26:
+        raise BudgetError(f"gross subfamily enumeration unsupported beyond 26 rows, got {n_rows}")
     arr = np.arange(1, 1 << n_rows, dtype=np.uint32)
-    sizes = (pop[arr & 0xFFFF] + pop[arr >> 16]).astype(np.int16)
-    num = np.zeros(arr.shape[0], dtype=np.int32)
+    num = np.zeros(arr.shape[0], dtype=np.int64)
     for g in group_masks:
-        x = arr & np.uint32(g)
-        cnt = (pop[x & 0xFFFF] + pop[x >> 16]).astype(np.int32)
-        if gross:
-            num += np.where(cnt >= 2, cnt, 0)
-        else:
-            np.maximum(cnt - ell, 0, out=cnt)
-            num += cnt
+        cnt = np.bitwise_count(arr & np.uint32(g)).astype(np.int64)
+        num += np.where(cnt >= 2, cnt, 0)
+    sizes = np.bitwise_count(arr).astype(np.int64)
+    # max num/size: compare over the common denominator lcm(1..n_rows)
     lcm = math.lcm(*range(1, n_rows + 1))
-    per_size = np.zeros(n_rows + 1, dtype=np.int64)
-    for s in range(1, n_rows + 1):
-        per_size[s] = lcm // s
-    score = num.astype(np.int64) * per_size[sizes]
-    # same score -> prefer fewer members; encoded so one argmax suffices
-    combined = score * (n_rows + 1) + (n_rows - sizes)
-    best = int(combined.max())
-    ties = np.flatnonzero(combined == best)
-    if ties.shape[0] == 1:
-        idx = int(ties[0])
-    else:
-        idx = min((int(m) for m in arr[ties]),
-                  key=lambda m: tuple(v for v in range(n_rows) if m >> v & 1))
-        idx -= 1  # arr[j] == j + 1
-    return int(num[idx]), int(sizes[idx]), int(arr[idx])
+    idx = int(np.argmax(num * (lcm // sizes)))
+    return Fraction(int(num[idx]), int(sizes[idx]))
 
 
-def _mask_to_class(W: HypothesisClass, mask: int) -> HypothesisClass:
-    rows = [W.hyps[v] for v in range(len(W)) if mask >> v & 1]
-    return HypothesisClass(k=W.k, n=W.n, hyps=tuple(rows))
+def _rows_to_class(W: HypothesisClass, rows) -> HypothesisClass:
+    return HypothesisClass(k=W.k, n=W.n, hyps=tuple(W.hyps[v] for v in rows))
 
 
 def max_density_subfamily(W: HypothesisClass, ell: int, mode: str = "exact",
                           cap: int = DEFAULT_SUBSET_CAP) -> tuple[Fraction, HypothesisClass]:
     """Best ell-density over all non-empty subfamilies of ``W``.
 
-    Exact mode enumerates every subfamily (requires |W| <= cap) and returns
-    the true maximizer; heuristic mode hill-climbs by single add/remove moves
-    and returns a certified lower bound with its witness.
+    Exact mode (requires |W| <= cap) returns the true maximum by min cuts,
+    with the smallest, then lexicographically first, maximizer as witness;
+    heuristic mode hill-climbs by single add/remove moves and returns a
+    certified lower bound with its witness.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
     G = build_oig(W)
-    live = [g.mask for g in G.edges() if len(g) > ell]
     if mode == "exact":
         if len(W) > cap:
             raise BudgetError(f"|W|={len(W)} exceeds exact subfamily cap {cap}")
-        if len(W) > 26:  # uint32 bitmask enumeration; memory explodes anyway
-            raise BudgetError(f"exact subfamily search unsupported beyond 26 rows, got {len(W)}")
+        live = [g.members for g in G.edges() if len(g) > ell]
         if not live:
-            return Fraction(0), _mask_to_class(W, 1)
-        num, size, mask = _best_subfamily_mask(live, len(W), ell, gross=False)
-        return Fraction(num, size), _mask_to_class(W, mask)
+            return Fraction(0), _rows_to_class(W, (0,))
+        val, rows = _densest_subfamily(live, len(W), ell)
+        return val, _rows_to_class(W, rows)
     if mode == "heuristic":
-        return _hill_climb(W, live, ell)
+        return _hill_climb(W, [g.mask for g in G.edges() if len(g) > ell], ell)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -249,7 +370,17 @@ def _hill_climb(W: HypothesisClass, live: list[int], ell: int) -> tuple[Fraction
             if val > cur_val:
                 cur, cur_val = cand, val
                 improved = True
-    return cur_val, _mask_to_class(W, cur)
+    return cur_val, _rows_to_class(W, [v for v in range(n_rows) if cur >> v & 1])
+
+
+def _restrictions(H: HypothesisClass, n_samples: int) -> Iterator[tuple[tuple[int, ...], HypothesisClass]]:
+    """(T, H restricted to T) for every coordinate subset T of size 1 to
+    min(n_samples, n), by size, then lexicographically."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    for size in range(1, min(n_samples, H.n) + 1):
+        for T in itertools.combinations(range(1, H.n + 1), size):
+            yield T, restrict(H, T)
 
 
 def mu_with_witness(H: HypothesisClass, n_samples: int, ell: int,
@@ -263,15 +394,11 @@ def mu_with_witness(H: HypothesisClass, n_samples: int, ell: int,
     only refine edge groups.  Witness ties break toward smaller, then
     lexicographically earlier, coordinate sets.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     best = (Fraction(-1), (), None)
-    for size in range(1, min(n_samples, H.n) + 1):
-        for T in itertools.combinations(range(1, H.n + 1), size):
-            W = restrict(H, T)
-            val, F = max_density_subfamily(W, ell, cap=cap)
-            if val > best[0]:
-                best = (val, T, F)
+    for T, W in _restrictions(H, n_samples):
+        val, F = max_density_subfamily(W, ell, cap=cap)
+        if val > best[0]:
+            best = (val, T, F)
     return best
 
 
@@ -286,20 +413,13 @@ def mu_prime(H: HypothesisClass, n_samples: int, cap: int = DEFAULT_SUBSET_CAP) 
     Agrees with ``mu(..., ell=1)`` up to a factor of two:
     mu' / 2 <= mu <= mu'.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     best = Fraction(0)
-    for size in range(1, min(n_samples, H.n) + 1):
-        for T in itertools.combinations(range(1, H.n + 1), size):
-            W = restrict(H, T)
-            if len(W) > cap:
-                raise BudgetError(f"|W|={len(W)} exceeds exact subfamily cap {cap}")
-            G = build_oig(W)
-            live = [g.mask for g in G.edges() if len(g) >= 2]
-            if not live:
-                continue
-            num, sz, _ = _best_subfamily_mask(live, len(W), ell=1, gross=True)
-            best = max(best, Fraction(num, sz))
+    for _T, W in _restrictions(H, n_samples):
+        if len(W) > cap:
+            raise BudgetError(f"|W|={len(W)} exceeds exact subfamily cap {cap}")
+        live = [g.mask for g in build_oig(W).edges() if len(g) >= 2]
+        if live:
+            best = max(best, _best_subfamily_mask(live, len(W)))
     return best
 
 

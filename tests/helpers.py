@@ -44,6 +44,17 @@ def brute_max_density(W: HypothesisClass, ell: int) -> Fraction:
     return max(naive_density(F, ell) for F in subclasses(W))
 
 
+def brute_max_density_witness(W: HypothesisClass, ell: int) -> tuple[Fraction, HypothesisClass]:
+    """Maximum density and its first maximizer in ``subclasses()`` order:
+    smallest size first, then lexicographically first rows."""
+    best = None
+    for F in subclasses(W):
+        val = naive_density(F, ell)
+        if best is None or val > best[0]:
+            best = (val, F)
+    return best
+
+
 def brute_mu(H: HypothesisClass, n_samples: int, ell: int) -> Fraction:
     from dslab.hclass import restrict
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import fraction_rank, random_class
-from dslab.errors import BudgetError
+import dslab.algebra as algebra
+from dslab.errors import BudgetError, CertificateError
 from dslab.hclass import HypothesisClass, gen_cube, gen_random
 from dslab.dims import ds_dimension
 from dslab.algebra import (audit_theorem, check_spanning, class_id,
@@ -79,6 +80,13 @@ def test_rank_engineered_deficiency():
     # third row is a combination of the first two
     mat = [[2, 4, 6], [1, 0, 1], [3, 4, 7]]
     assert rank_exact(mat) == 2 == fraction_rank(mat)
+
+
+def test_rank_exact_below_modular_rank_raises_certificate_error(monkeypatch):
+    # a modular deficit falls back to Bareiss, whose rank may not undershoot
+    monkeypatch.setattr(algebra, "rank_bareiss", lambda rows: 0)
+    with pytest.raises(CertificateError):
+        rank_exact([[2, 4, 6], [1, 0, 1], [3, 4, 7]])
 
 
 def test_rank_low_rank_products():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from helpers import random_class
-from dslab.errors import RealizabilityError
+import dslab.learn as learn
+from dslab.errors import CertificateError, RealizabilityError
 from dslab.hclass import HypothesisClass, gen_cube, restrict
 from dslab.dims import ds_dimension
 from dslab.oig import build_oig, min_max_orientation
@@ -99,6 +100,12 @@ def test_loo_square():
     H = gen_cube(2, 1, 2, 2)
     m_n, t_star = loo_error(H, [(1, 1), (2, 2)], 1)
     assert m_n <= t_star == 1
+
+
+def test_loo_error_above_t_star_raises_certificate_error(monkeypatch):
+    monkeypatch.setattr(learn, "outdegrees", lambda G, sigma: [G.n_directions + 1] * G.n_vertices)
+    with pytest.raises(CertificateError):
+        loo_error(gen_cube(2, 1, 2, 2), [(1, 1), (2, 2)], 1)
 
 
 def test_loo_bounded_by_ds_dimension():

@@ -1,12 +1,16 @@
+import itertools
 import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from helpers import (brute_max_density, brute_min_max_outdegree, brute_mu,
-                     naive_density, naive_edges, random_class, subclasses)
+import dslab.oig as oig
+from helpers import (brute_max_density, brute_max_density_witness,
+                     brute_min_max_outdegree, brute_mu, naive_density,
+                     naive_edges, random_class, subclasses)
 from dslab.errors import BudgetError
 from dslab.hclass import HypothesisClass, gen_cube, gen_random, restrict
 from dslab.oig import (build_oig, density, format_ratio, max_density_subfamily,
@@ -123,6 +127,112 @@ def test_heuristic_mode_is_certified_lower_bound():
         approx, F = max_density_subfamily(W, 1, mode="heuristic")
         assert approx <= exact
         assert density(F, 1) == approx
+
+
+@st.composite
+def classes(draw):
+    """A random class over [k]^n with 1 to 10 rows."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 3))
+    cube = list(itertools.product(range(1, k + 1), repeat=n))
+    rows = draw(st.sets(st.sampled_from(cube), min_size=1, max_size=min(10, len(cube))))
+    return HypothesisClass(k=k, n=n, hyps=tuple(sorted(rows)))
+
+
+@st.composite
+def isolated_classes(draw):
+    """Rows (a, b, a + b mod k) differ pairwise in at least two coordinates,
+    so every edge is a singleton and every subfamily has density 0."""
+    k = draw(st.integers(2, 4))
+    base = draw(st.sets(st.tuples(st.integers(1, k), st.integers(1, k)), min_size=1, max_size=6))
+    rows = {(a, b, (a + b) % k + 1) for a, b in base}
+    return HypothesisClass(k=k, n=3, hyps=tuple(sorted(rows)))
+
+
+@st.composite
+def twin_block_classes(draw):
+    """A class on labels {1, 2} and its copy on {3, 4}: the copies differ in
+    every coordinate, so they share no edge and their densities tie."""
+    n = draw(st.integers(2, 3))
+    cube = list(itertools.product((1, 2), repeat=n))
+    block = draw(st.sets(st.sampled_from(cube), min_size=1, max_size=5))
+    rows = block | {tuple(x + 2 for x in h) for h in block}
+    return HypothesisClass(k=4, n=n, hyps=tuple(sorted(rows)))
+
+
+@st.composite
+def cube_with_pendants(draw):
+    """The dense cube {k-1, k}^n plus rows that start with label 1, which sort
+    first: a larger maximizer can then hold the cube's smaller one."""
+    k = draw(st.integers(3, 4))
+    n = draw(st.integers(2, 3))
+    cube = set(itertools.product((k - 1, k), repeat=n))
+    tails = list(itertools.product(range(1, k + 1), repeat=n - 1))
+    pendants = draw(st.sets(st.sampled_from(tails), min_size=1, max_size=10 - len(cube)))
+    rows = cube | {(1,) + t for t in pendants}
+    return HypothesisClass(k=k, n=n, hyps=tuple(sorted(rows)))
+
+
+def check_witness_oracle(W, ell):
+    val, F = max_density_subfamily(W, ell)
+    want_val, want_F = brute_max_density_witness(W, ell)
+    assert val == want_val
+    assert F.hyps == want_F.hyps
+
+
+@pytest.mark.parametrize("W, ells", [
+    (HypothesisClass(k=3, n=1, hyps=((2,),)), (1, 2)),                            # |W| = 1, n = 1
+    (HypothesisClass(k=4, n=1, hyps=((1,), (2,), (3,), (4,))), (1, 2, 3, 4, 5)),  # n = 1
+    (gen_cube(3, 2, 1, 1), (3, 4)),                                               # ell >= every edge size
+    (HypothesisClass(k=3, n=2, hyps=((1, 1), (2, 2), (3, 3))), (1,)),             # all rows isolated
+    (HypothesisClass(k=4, n=2, hyps=((1, 1), (1, 2), (3, 3), (3, 4))), (1,)),     # two equal disjoint edges
+    (HypothesisClass(k=3, n=2, hyps=((1, 1), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3))), (1,)),  # nested maximizers
+])
+def test_max_density_witness_edge_shapes(W, ells):
+    for ell in ells:
+        check_witness_oracle(W, ell)
+
+
+@given(classes(), st.integers(1, 4))
+def test_max_density_witness_matches_oracle(W, ell):
+    check_witness_oracle(W, ell)
+
+
+@given(isolated_classes(), st.integers(1, 3))
+def test_max_density_witness_isolated_rows(W, ell):
+    check_witness_oracle(W, ell)
+
+
+@given(twin_block_classes(), st.integers(1, 2))
+def test_max_density_witness_tied_disjoint_blocks(W, ell):
+    check_witness_oracle(W, ell)
+
+
+@given(cube_with_pendants(), st.integers(1, 2))
+def test_max_density_witness_nested_maximizers(W, ell):
+    check_witness_oracle(W, ell)
+
+
+@pytest.mark.parametrize("rows, ell", [(30, 1), (34, 2), (40, 1)])
+def test_max_density_exact_past_26_rows(rows, ell):
+    W = gen_random(3, 4, rows, seed=rows)
+    val, F = max_density_subfamily(W, ell, cap=64)
+    assert density(F, ell) == val
+    # orientation duality: the min-max outdegree is the ceiling of the maximum
+    assert math.ceil(val) == min_max_orientation(build_oig(W), ell)[1]
+    assert val >= max_density_subfamily(W, ell, mode="heuristic")[0]
+
+
+def test_mu_prime_refuses_wide_restriction_before_allocating(monkeypatch):
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.{name} used before the row check")
+
+    monkeypatch.setattr(oig, "np", NoNumpy())
+    for rows in (27, 33):  # 33 rows no longer fit a uint32 bitmask either
+        H = HypothesisClass(k=rows, n=1, hyps=tuple((v,) for v in range(1, rows + 1)))
+        with pytest.raises(BudgetError, match="26 rows"):
+            mu_prime(H, 1, cap=64)
 
 
 def test_mu_square():
