@@ -19,8 +19,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
+from scipy.sparse import csr_matrix  # noqa: F401  (unused; bench/tracing.py spans oig.csr_matrix)
 
 from .errors import BudgetError, CertificateError
 from .hclass import HypothesisClass, restrict
@@ -145,7 +144,7 @@ def density(W: HypothesisClass, ell: int, graph: OneInclusionGraph | None = None
     return val
 
 
-# -- exact subfamily search --------------------------------------------------
+# -- min cuts: exact subfamily search and orientation targets ----------------
 #
 # The edges of a subfamily F <= W are exactly W's edges intersected with F,
 # so every subfamily's density is a function of W's live edges (|e| > ell)
@@ -153,18 +152,72 @@ def density(W: HypothesisClass, ell: int, graph: OneInclusionGraph | None = None
 # supermodular (a convex function of a modular one), so max f(F)/|F| is a
 # maximum-density subgraph problem (Goldberg 1984): Dinkelbach iteration over
 # min cuts solves it exactly in a few max-flows, and the final residual graph
-# holds every maximizer (Picard & Queyranne 1980).  mu_prime's gross
-# objective is not supermodular and still enumerates all 2^|W| bitmasks.
+# holds every maximizer (Picard & Queyranne 1980).  The same network at an
+# integer lam = t, over all edges, decides whether an orientation of maximum
+# outdegree t exists, and its min cut is a subfamily denser than t when none
+# does.  One pure-Python Dinic serves both.  mu_prime's gross objective is
+# not supermodular and still enumerates all 2^|W| bitmasks.
 
 
-def _max_flow(adj: list[list[int]], head: list[int], cap: list[int], source: int, sink: int) -> None:
-    """Dinic's max-flow, in place: ``cap`` ends as the residual capacities.
+class _Network:
+    """The cut network on ``edges`` (ascending row tuples over ``n_rows``
+    rows), with every arc capacity a function of a parameter lam = p/q:
 
-    Arc ``a`` runs to ``head[a]``, arc ``a ^ 1`` is its reverse, and
-    ``adj[u]`` lists the arcs leaving node u.  Capacities are Python ints, so
-    scaled capacities cannot overflow.  Paths are walked iteratively, so long
-    residual paths cannot exhaust the recursion limit.
+        source -> edge    q * min(ell, |e|)
+        edge -> member    q
+        row -> sink       (q * d_v - p)_+, d_v the number of edges at v
+
+    Node 0 is the source, node j the j-th edge (1-based), node E + 1 + v row
+    v, and the last node the sink.  Arc a runs to ``head[a]``, arc a ^ 1 is
+    its reverse, and ``adj[u]`` lists the arcs at u by ascending head, the
+    order in which scipy's maximum_flow walks them, so both find the same flow.
     """
+
+    def __init__(self, edges: Sequence[tuple[int, ...]], n_rows: int, ell: int):
+        E = len(edges)
+        self.n_edges, self.sink = E, E + n_rows + 1
+        adj: list[list[int]] = [[] for _ in range(self.sink + 1)]
+        head: list[int] = []
+        coef: list[tuple[int, int]] = []  # capacity at p/q: max(q*coef[0] - p*coef[1], 0)
+
+        def arc(u: int, v: int, per_q: int, per_p: int) -> None:
+            adj[u].append(len(head))
+            head.append(v)
+            coef.append((per_q, per_p))
+            adj[v].append(len(head))
+            head.append(u)
+            coef.append((0, 0))
+
+        deg = [0] * n_rows
+        for j, e in enumerate(edges, 1):
+            arc(0, j, min(ell, len(e)), 0)
+            for v in e:
+                deg[v] += 1
+                arc(j, E + 1 + v, 1, 0)
+        self.sink_arcs = []  # the arc from row v to the sink, by v
+        for v, d in enumerate(deg):
+            self.sink_arcs.append(len(head))
+            arc(E + 1 + v, self.sink, d, 1)
+        self.adj, self.head, self.coef = adj, head, coef
+
+    def capacities(self, p: int, q: int = 1) -> list[int]:
+        return [max(q * a - p * b, 0) for a, b in self.coef]
+
+    def rows(self, nodes) -> list[int]:
+        """The rows among ``nodes``, ascending."""
+        first, sink = self.n_edges + 1, self.sink
+        return sorted(u - first for u in nodes if first <= u < sink)
+
+
+def maximum_flow(net: _Network, cap: list[int]) -> None:
+    """Dinic's max-flow from the source to the sink of ``net``, in place:
+    ``cap`` ends as the residual capacities.
+
+    Capacities are Python ints, so scaled capacities cannot overflow.  Paths
+    are walked iteratively, so long residual paths cannot exhaust the
+    recursion limit.
+    """
+    adj, head, source, sink = net.adj, net.head, 0, net.sink
     n = len(adj)
     while True:
         level = [-1] * n
@@ -203,10 +256,10 @@ def _max_flow(adj: list[list[int]], head: list[int], cap: list[int], source: int
                 u = head[path.pop() ^ 1]
 
 
-def _residual_reach(adj: list[list[int]], head: list[int], cap: list[int],
-                    start: int, forward: bool) -> set[int]:
+def _residual_reach(net: _Network, cap: list[int], start: int, forward: bool) -> set[int]:
     """Nodes ``start`` reaches in the residual graph, or (``forward=False``)
     the nodes that reach ``start``."""
+    adj, head = net.adj, net.head
     seen, stack = {start}, [start]
     while stack:
         u = stack.pop()
@@ -217,63 +270,36 @@ def _residual_reach(adj: list[list[int]], head: list[int], cap: list[int],
     return seen
 
 
+def _excess(edges: Sequence[tuple[int, ...]], rows, ell: int) -> int:
+    """sum over ``edges`` of (|e & rows| - ell)_+: the outdegree that the
+    members of ``rows`` carry in any orientation of their edges."""
+    rows = set(rows)
+    return sum(max(sum(v in rows for v in e) - ell, 0) for e in edges)
+
+
 def _densest_subfamily(live: list[tuple[int, ...]], n_rows: int, ell: int) -> tuple[Fraction, tuple[int, ...]]:
     """Exact max of f(F)/|F| over non-empty F, and its smallest, then
     lexicographically first, maximizer as ascending row indices.
 
-    For lam = p/q the network is source -> live edge (capacity q*ell),
-    edge -> member (q), and vertex -> sink (q*d_v - p, only where positive),
-    with d_v the number of live edges at v.  All sink arcs saturate iff no
-    F has f(F) > lam*|F|.  Otherwise the vertices that reach the sink in the
+    The network is ``_Network`` on the live edges at lam = p/q, where
+    every live edge's source arc is q*ell.  All sink arcs saturate iff no F
+    has f(F) > lam*|F|.  Otherwise the vertices that reach the sink in the
     residual graph are strictly denser, and their density is the next lam.
     At the maximum, the smallest maximizer containing v is the set of
     vertices that reach v in the residual graph (none if the source does).
     Both steps are checked, and a failure raises CertificateError.
     """
-    deg = [0] * n_rows
-    for e in live:
-        for v in e:
-            deg[v] += 1
-
-    def excess(rows) -> int:
-        rows = set(rows)
-        return sum(max(sum(v in rows for v in e) - ell, 0) for e in live)
-
-    # One topology for every lam: arc a has capacity max(q*per_q - p*per_p, 0),
-    # and a vertex whose sink arc is 0 takes no part.
-    E = len(live)
-    source, sink = 0, E + n_rows + 1
-    adj: list[list[int]] = [[] for _ in range(sink + 1)]
-    head: list[int] = []
-    coef: list[tuple[int, int]] = []
-
-    def arc(u: int, v: int, per_q: int, per_p: int) -> None:
-        adj[u].append(len(head))
-        head.append(v)
-        coef.append((per_q, per_p))
-        adj[v].append(len(head))
-        head.append(u)
-        coef.append((0, 0))
-
-    for j, e in enumerate(live, 1):
-        arc(source, j, ell, 0)
-        for v in e:
-            arc(j, E + 1 + v, 1, 0)
-    vertex_sink_arcs = []
-    for v, d in enumerate(deg):
-        vertex_sink_arcs.append(len(head))
-        arc(E + 1 + v, sink, d, 1)
-
+    net = _Network(live, n_rows, ell)
     lam = Fraction(sum(len(e) - ell for e in live), n_rows)
     while True:
         p, q = lam.numerator, lam.denominator
-        cap = [max(q * per_q - p * per_p, 0) for per_q, per_p in coef]
-        sink_arcs = [a for a in vertex_sink_arcs if cap[a]]
-        _max_flow(adj, head, cap, source, sink)
+        cap = net.capacities(p, q)
+        sink_arcs = [a for a in net.sink_arcs if cap[a]]  # a row whose sink arc is 0 takes no part
+        maximum_flow(net, cap)
         if not any(cap[a] for a in sink_arcs):
             break
-        denser = [u - E - 1 for u in _residual_reach(adj, head, cap, sink, False) if E < u < sink]
-        nxt = Fraction(excess(denser), len(denser))
+        denser = net.rows(_residual_reach(net, cap, net.sink, False))
+        nxt = Fraction(_excess(live, denser, ell), len(denser))
         if nxt <= lam:
             raise CertificateError(f"min cut at density {lam} found no denser subfamily")
         lam = nxt
@@ -282,19 +308,20 @@ def _densest_subfamily(live: list[tuple[int, ...]], n_rows: int, ell: int) -> tu
     # minimal ones are disjoint and each is the ancestor set of every member.
     # An ancestor set that its own vertex reaches in full is minimal: its
     # other members need no search of their own.
-    from_source = _residual_reach(adj, head, cap, source, True)
+    from_source = _residual_reach(net, cap, 0, True)
+    row_nodes = range(net.n_edges + 1, net.sink)
     best, settled = None, set()
     for a in sink_arcs:
-        u = head[a ^ 1]
+        u = net.head[a ^ 1]
         if u in from_source or u in settled:
             continue
-        anc = {x for x in _residual_reach(adj, head, cap, u, False) if E < x < sink}
-        if anc <= _residual_reach(adj, head, cap, u, True):
+        anc = _residual_reach(net, cap, u, False).intersection(row_nodes)
+        if anc <= _residual_reach(net, cap, u, True):
             settled |= anc
-        rows = tuple(sorted(x - E - 1 for x in anc))
+        rows = tuple(net.rows(anc))
         if best is None or (len(rows), rows) < (len(best), best):
             best = rows
-    if best is None or excess(best) * q != p * len(best):
+    if best is None or _excess(live, best, ell) * q != p * len(best):
         raise CertificateError(f"residual graph at density {lam} holds no maximizer")
     return lam, best
 
@@ -429,88 +456,70 @@ def mu_prime(H: HypothesisClass, n_samples: int, cap: int = DEFAULT_SUBSET_CAP) 
 def min_max_orientation(G: OneInclusionGraph, ell: int) -> tuple[Orientation, int]:
     """Orientation minimizing the maximum ell-outdegree, with optimal value.
 
-    Feasibility of a target t is decided by an exact integral max-flow:
-    source -> edge with capacity min(ell, |e|), edge -> member with capacity
-    1, vertex -> sink with capacity (deg - t)_+.  All sink arcs saturate iff
-    every vertex can be covered by all but t of its edges.  The binary search
-    starts at ceil(density): every full orientation's outdegrees sum to
-    sum over edges of (|e| - ell)_+ = density * |W|, so no maximum is
-    smaller.  The returned orientation is the flow at t_star, and t_star is
-    certified minimal by infeasibility at t_star - 1; a failed certificate
-    raises CertificateError.
+    A target t is tested by one max-flow on ``_Network`` over all of G's
+    edges, singletons included, at lam = t: each vertex's sink arc is
+    n_dirs - t.  All sink arcs saturate iff every vertex can be covered by
+    all but t of its edges, and then the flow is the orientation.  Otherwise
+    the vertices that reach the sink in the residual graph form a subfamily
+    F with excess(F) > t*|F| (``_excess`` over G's edges).  F's members carry
+    that much outdegree in every orientation, so no maximum is below
+    ceil(excess(F) / |F|), the next t.  The search starts at F = W.
+
+    So t_star is certified minimal by its witness subfamily, and the padded
+    orientation is certified to reach it by its outdegrees.  Both checks are
+    arithmetic, independent of the flow; a failure raises CertificateError.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
     edges = list(G.edges())
-    n_dirs = G.n_directions
     if all(len(e) <= ell for e in edges):
         assign = tuple((e.direction, e.key, e.members) for e in edges)
         return Orientation(ell=ell, assign=assign), 0
 
-    lo, hi = math.ceil(density(G.base, ell, graph=G)), n_dirs
-    feasible_assign = None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        got = _flow_assignment(G, edges, ell, mid)
-        if got is not None:
-            hi = mid
-            feasible_assign = got
-        else:
-            lo = mid + 1
-    t_star = lo
-    if feasible_assign is None:  # the search never tried t_star
-        feasible_assign = _flow_assignment(G, edges, ell, t_star)
-    if feasible_assign is None:
-        raise CertificateError(f"no feasible orientation at t_star={t_star}")
-    if t_star > 0 and _flow_assignment(G, edges, ell, t_star - 1) is not None:
-        raise CertificateError(f"orientation with max outdegree {t_star - 1} < t_star={t_star}")
+    members = [e.members for e in edges]
+    net = _Network(members, G.n_vertices, ell)
+    ex, size = sum(max(len(e) - ell, 0) for e in members), G.n_vertices
+    while True:
+        t = -(-ex // size)  # ceil(excess(F) / |F|): no orientation does better
+        picked, F = _flow_assignment(net, t)
+        if picked is not None:
+            break
+        ex, size = _excess(members, F, ell), len(F)
+        if ex <= t * size:
+            raise CertificateError(f"min cut at t={t} found no subfamily denser than t")
 
     assign = []
-    for e, picked in zip(edges, feasible_assign):
+    for e, got in zip(edges, picked):
         want = min(ell, len(e))
-        chosen = sorted(picked)
+        chosen = sorted(got)
         for v in e.members:  # pad deterministically up to the size bound
             if len(chosen) >= want:
                 break
-            if v not in picked:
+            if v not in got:
                 chosen.append(v)
         assign.append((e.direction, e.key, tuple(sorted(chosen))))
-    return Orientation(ell=ell, assign=tuple(assign)), t_star
+    sigma = Orientation(ell=ell, assign=tuple(assign))
+    try:
+        worst = max(outdegrees(G, sigma))
+    except ValueError as exc:
+        raise CertificateError(f"flow at t_star={t} is no orientation: {exc}") from exc
+    if worst > t:
+        raise CertificateError(f"orientation with max outdegree {worst} > t_star={t}")
+    return sigma, t
 
 
-def _flow_assignment(G: OneInclusionGraph, edges: list[EdgeGroup], ell: int, t: int):
-    """Per-edge covered-vertex sets if max outdegree t is achievable, else None."""
-    V = G.n_vertices
-    need = G.n_directions - t
-    if need <= 0:
-        return [set() for _ in edges]
-    E = len(edges)
-    source, sink = 0, 1 + E + V
-    rows, cols, caps = [], [], []
-    for j, e in enumerate(edges):
-        rows.append(source)
-        cols.append(1 + j)
-        caps.append(min(ell, len(e)))
-        for v in e.members:
-            rows.append(1 + j)
-            cols.append(1 + E + v)
-            caps.append(1)
-    for v in range(V):
-        rows.append(1 + E + v)
-        cols.append(sink)
-        caps.append(need)
-    graph = csr_matrix((np.array(caps, dtype=np.int32), (rows, cols)),
-                       shape=(sink + 1, sink + 1))
-    res = maximum_flow(graph, source, sink)
-    if res.flow_value != need * V:
-        return None
-    flow = res.flow.tocsr()
-    indptr, indices, data = flow.indptr, flow.indices.tolist(), flow.data.tolist()
-    picked = []
-    for j in range(E):
-        a, b = indptr[1 + j], indptr[2 + j]
-        picked.append({c - 1 - E for c, f in zip(indices[a:b], data[a:b]) if f > 0})
-    return picked
+def _flow_assignment(net: _Network, t: int) -> tuple[list[set[int]] | None, list[int] | None]:
+    """One max-flow at max outdegree t.  If t is achievable, the per-edge
+    sets of rows the flow covers, and None; otherwise None, and the rows
+    that reach the sink in the residual graph (a min cut's sink side)."""
+    cap = net.capacities(t)
+    maximum_flow(net, cap)
+    if any(cap[a] for a in net.sink_arcs):
+        return None, net.rows(_residual_reach(net, cap, net.sink, False))
+    first_row = net.n_edges + 1
+    picked = [{net.head[a] - first_row for a in net.adj[j] if not a & 1 and cap[a ^ 1]}
+              for j in range(1, first_row)]
+    return picked, None
 
 
 def outdegrees(G: OneInclusionGraph, sigma: Orientation) -> list[int]:

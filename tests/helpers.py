@@ -85,6 +85,45 @@ def brute_min_max_outdegree(G, ell: int) -> int:
     return best
 
 
+def scipy_flow_assignment(G, edges, ell: int, t: int):
+    """Per-edge covered-vertex sets of scipy's max-flow on the orientation
+    network at max outdegree t, or None if t is not achievable."""
+    import numpy as np
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_flow
+
+    V = G.n_vertices
+    need = G.n_directions - t
+    if need <= 0:
+        return [set() for _ in edges]
+    E = len(edges)
+    source, sink = 0, 1 + E + V
+    rows, cols, caps = [], [], []
+    for j, e in enumerate(edges):
+        rows.append(source)
+        cols.append(1 + j)
+        caps.append(min(ell, len(e)))
+        for v in e.members:
+            rows.append(1 + j)
+            cols.append(1 + E + v)
+            caps.append(1)
+    for v in range(V):
+        rows.append(1 + E + v)
+        cols.append(sink)
+        caps.append(need)
+    graph = csr_matrix((np.array(caps, dtype=np.int32), (rows, cols)),
+                       shape=(sink + 1, sink + 1))
+    res = maximum_flow(graph, source, sink)
+    if res.flow_value != need * V:
+        return None
+    flow = res.flow.tocsr()
+    picked = []
+    for j in range(E):
+        a, b = flow.indptr[1 + j], flow.indptr[2 + j]
+        picked.append({int(c) - 1 - E for c, f in zip(flow.indices[a:b], flow.data[a:b]) if f > 0})
+    return picked
+
+
 def brute_has_valid_subfamily(W: HypothesisClass, ell: int) -> bool:
     """Does any subfamily give every member >= ell i-neighbors everywhere?"""
     for F in subclasses(W):

@@ -1,6 +1,10 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -76,19 +80,61 @@ def test_orient_command(square, capsys):
 
 def test_failed_minimality_certificate_exits_two(square, capsys, monkeypatch):
     # the square's t_star = 1 equals ceil(density), where the search starts,
-    # so only the minimality check asks for t_star - 1 = 0; a flow that lies
-    # there must be caught, not returned as an orientation
+    # so t = 1 is the only target it asks for; a flow that lies there (it
+    # covers no vertex) must fail the outdegree check, not be returned
     G = oig.build_oig(load_class(square))
     honest = oig._flow_assignment
 
-    def lying(G, edges, ell, t):
-        return [set() for _ in edges] if t == 0 else honest(G, edges, ell, t)
+    def lying(net, t):
+        return ([set() for _ in range(net.n_edges)], None) if t == 1 else honest(net, t)
 
     monkeypatch.setattr(oig, "_flow_assignment", lying)
     with pytest.raises(CertificateError, match="t_star=1"):
         oig.min_max_orientation(G, 1)
     code, out, err = run(capsys, "orient", "--class", square, "--ell", "1")
     assert code == EXIT_VERDICT_FAIL and out == "" and "certificate" in err
+
+
+def test_cut_not_denser_than_t_exits_two(square, capsys, monkeypatch):
+    # a flow that calls t = 1 infeasible must show a subfamily of density
+    # above 1; the whole square has density exactly 1
+    G = oig.build_oig(load_class(square))
+    monkeypatch.setattr(oig, "_flow_assignment", lambda net, t: (None, [0, 1, 2, 3]))
+    with pytest.raises(CertificateError, match="t=1"):
+        oig.min_max_orientation(G, 1)
+    code, out, err = run(capsys, "orient", "--class", square, "--ell", "1")
+    assert code == EXIT_VERDICT_FAIL and out == "" and "certificate" in err
+
+
+LYING_FLOWS = """
+import sys
+from dslab import oig
+from dslab.errors import CertificateError
+from dslab.hclass import gen_cube
+
+if not sys.flags.optimize:
+    sys.exit(3)
+G = oig.build_oig(gen_cube(2, 1, 2, 2))
+lies = {"no cover": lambda net, t: ([set() for _ in range(net.n_edges)], None),
+        "thin cut": lambda net, t: (None, [0, 1, 2, 3]),
+        "foreign cover": lambda net, t: ([{9} for _ in range(net.n_edges)], None)}
+for name, lie in lies.items():
+    oig._flow_assignment = lie
+    try:
+        oig.min_max_orientation(G, 1)
+    except CertificateError:
+        print(name, "caught")
+"""
+
+
+def test_orientation_certificates_survive_python_O():
+    # python -O strips asserts; the orientation certificates must not be asserts
+    src = Path(oig.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-O", "-c", LYING_FLOWS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["no cover caught", "thin cut caught", "foreign cover caught"]
 
 
 def test_span_command(square, capsys):

@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import dslab.oig as oig
 from helpers import (brute_max_density, brute_max_density_witness,
                      brute_min_max_outdegree, brute_mu, naive_density,
-                     naive_edges, random_class, subclasses)
+                     naive_edges, random_class, scipy_flow_assignment, subclasses)
 from dslab.errors import BudgetError
 from dslab.hclass import HypothesisClass, gen_cube, gen_random, restrict
 from dslab.oig import (build_oig, density, format_ratio, max_density_subfamily,
@@ -368,6 +368,40 @@ def test_orientation_oracle_random_dead_directions():
             check_orientation_oracle(G, ell)
         checked += 1
     assert checked >= 10
+
+
+@st.composite
+def orientation_graphs(draw):
+    """The graph of a class of at most 6 rows over [k]^n, k and n from 1,
+    projected on a sample whose coordinates may repeat, with some dead
+    directions."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    cube = list(itertools.product(range(1, k + 1), repeat=n))
+    rows = draw(st.sets(st.sampled_from(cube), min_size=1, max_size=min(6, len(cube))))
+    H = HypothesisClass(k=k, n=n, hyps=tuple(sorted(rows)))
+    coords = draw(st.lists(st.integers(1, n), min_size=1, max_size=3))
+    W = restrict(H, coords, allow_repeats=True)
+    dead = draw(st.sets(st.integers(0, W.n - 1)))
+    return build_oig(W, dead_dirs=dead)
+
+
+@given(orientation_graphs(), st.integers(1, 4))
+@example(build_oig(HypothesisClass(k=1, n=1, hyps=((1,),))), 1)  # k = 1, n = 1, |W| = 1
+@example(build_oig(gen_cube(3, 2, 1, 2)), 3)                     # ell >= k
+@example(build_oig(restrict(gen_cube(3, 1, 2, 2), (1, 1, 2), allow_repeats=True),
+                   dead_dirs=(0, 1)), 1)                        # a repeated coordinate, dead
+@example(build_oig(restrict(gen_cube(3, 2, 2, 3), (2, 3, 2), allow_repeats=True)), 2)  # not dead
+def test_orientation_flow_matches_scipy_oracle(G, ell):
+    edges = list(G.edges())
+    members = [e.members for e in edges]
+    net = oig._Network(members, G.n_vertices, ell)
+    for t in range(G.n_directions + 1):
+        picked, cut = oig._flow_assignment(net, t)
+        assert picked == scipy_flow_assignment(G, edges, ell, t)
+        if picked is None:  # the min cut's sink side is denser than t
+            assert oig._excess(members, cut, ell) > t * len(cut)
+    check_orientation_oracle(G, ell)
 
 
 def test_orientation_achieves_exactly_t_star():
