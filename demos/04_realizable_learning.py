@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """The one-inclusion list learner, leave-one-out accounting, and the
-prefix-vote wrapper with its error bound.
+prefix-vote predictor with its error bound.
 
 Training data lives on the class's coordinates: a sample is a list of
 (instance, label) pairs.  The learner projects the class onto the sample
@@ -10,9 +10,8 @@ vertices the training edge was assigned.
 
 import numpy as np
 
-from dslab import (gen_cube, loo_error, oig_list_predict, pac_experiment,
-                   prefix_vote_predictor, topk_vote)
-from dslab.learn import SyntheticDistribution, pac_error_bound
+from dslab import gen_cube, loo_error, oig_list_predict, pac_experiment, topk_vote
+from dslab.learn import PrefixVotePredictor, SyntheticDistribution, pac_error_bound
 
 H = gen_cube(3, 1, 2, 4)  # 9 hypotheses over 4 instances
 D = SyntheticDistribution.uniform_realizable(H, target=5)
@@ -31,7 +30,7 @@ m_n, t_star = loo_error(H, sample, 1)
 print("leave-one-out misses:", m_n, "<= t_star =", t_star)
 
 # The deployed predictor votes over all prefixes from n/4 to n-1.
-vote = prefix_vote_predictor(H, sample, 1)
+vote = PrefixVotePredictor(H, sample, 1)
 print("prefix lengths:", list(vote.prefix_lengths))
 print("votes:", {x: vote.predict(x).labels for x in range(1, 5)})
 print("aggregation matches topk:", vote.predict(1) ==

@@ -16,8 +16,7 @@ from .errors import BudgetError, CertificateError, RealizabilityError
 from .hclass import (HypothesisClass, gen_cube, gen_random, load_class,
                      restrict, save_class)
 from .learn import (ListPrediction, SyntheticDistribution, loo_error,
-                    oig_list_predict, pac_experiment, prefix_vote_predictor,
-                    topk_vote)
+                    oig_list_predict, pac_experiment, topk_vote)
 from .oig import (OneInclusionGraph, Orientation, build_oig, density,
                   max_density_subfamily, min_max_orientation, mu, mu_prime,
                   outdegrees)

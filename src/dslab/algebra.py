@@ -21,8 +21,7 @@ from fractions import Fraction
 from .dims import ds_dimension, natarajan_dimension
 from .errors import BudgetError, CertificateError
 from .hclass import HypothesisClass, dumps_class, restrict
-from .oig import (build_oig, format_ratio, max_density_subfamily,
-                  min_max_orientation, mu_with_witness, DEFAULT_SUBSET_CAP)
+from .oig import build_oig, format_ratio, min_max_orientation, mu_with_witness
 
 __all__ = [
     "Monomial",
@@ -253,7 +252,7 @@ def direction_subspace_dim(W: HypothesisClass, i: int, ell: int,
 
     The formula value  sum over edges of min(ell, |e|)  is checked against
     the independently computed rank of the stacked per-edge Vandermonde
-    columns before being returned.
+    columns before being returned; a mismatch raises CertificateError.
     """
     if not 1 <= i <= W.n:
         raise ValueError(f"direction {i} out of range")
@@ -270,7 +269,7 @@ def direction_subspace_dim(W: HypothesisClass, i: int, ell: int,
             stacked.append(row)
     rank = rank_exact(stacked, prime=prime)
     if rank != formula:
-        raise AssertionError(
+        raise CertificateError(
             f"direction {i}: stacked Vandermonde rank {rank} != formula {formula}")
     return formula
 
@@ -339,7 +338,6 @@ class AuditReport:
     modulus: int
     authoritative: bool
     verdicts: dict = field(compare=False)
-    mu_lower_bound: Fraction | None = None  # heuristic fallback past the cap
 
     @property
     def passed(self) -> bool:
@@ -365,9 +363,6 @@ class AuditReport:
             "class_size": self.class_size,
             "modulus": self.modulus,
             "authoritative": self.authoritative,
-            "lower_bound_only": self.mu_lower_bound is not None,
-            "mu_lower_bound": None if self.mu_lower_bound is None
-                              else format_ratio(self.mu_lower_bound),
             "verdicts": dict(self.verdicts),
             "verdict": self.verdict,
         }
@@ -390,7 +385,6 @@ def class_id(H: HypothesisClass) -> str:
 
 
 def audit_theorem(H: HypothesisClass, ell: int, n_samples: int | None = None,
-                  subset_cap: int = DEFAULT_SUBSET_CAP,
                   matrix_budget: int = DEFAULT_MATRIX_BUDGET,
                   prime_seed: int = _PRIME_SEED) -> AuditReport:
     """Audit the ceiling-of-density bound and its companions on one class.
@@ -398,8 +392,9 @@ def audit_theorem(H: HypothesisClass, ell: int, n_samples: int | None = None,
     Verdicts: ceil(mu) <= d_DS, d_Nat <= d_DS, t_star == ceil(mu) on the
     density-maximizing restriction, and spanning at s = d_DS.  Any failed
     verdict marks the report FAIL: it would contradict the bound being
-    audited or expose an implementation bug.  Budget overruns produce a
-    partial, non-authoritative report instead of a guess.
+    audited or expose an implementation bug.  A spanning check past
+    ``matrix_budget`` is skipped, and the report is marked non-authoritative
+    instead of guessing.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -407,21 +402,14 @@ def audit_theorem(H: HypothesisClass, ell: int, n_samples: int | None = None,
     prime = random_prime(seed=prime_seed)
     cid = class_id(H)
 
-    authoritative = True
-    mu_val = ceil_mu = t_star = mu_lower = None
-    try:
-        mu_val, T_star, _F = mu_with_witness(H, ns, ell, cap=subset_cap)
-        ceil_mu = math.ceil(mu_val)
-        W_star = restrict(H, T_star)
-        _sigma, t_star = min_max_orientation(build_oig(W_star), ell)
-    except BudgetError:
-        # past the cap only the hill-climbing lower bound is available
-        authoritative = False
-        mu_lower, _F = max_density_subfamily(H, ell, mode="heuristic")
+    mu_val, T_star, _F = mu_with_witness(H, ns, ell)
+    ceil_mu = math.ceil(mu_val)
+    _sigma, t_star = min_max_orientation(build_oig(restrict(H, T_star)), ell)
 
     d_ds, _w = ds_dimension(H, ell)
     d_nat, _wn = natarajan_dimension(H, ell)
 
+    authoritative = True
     spanning_ok = spanning_rank = None
     try:
         spanning_ok, spanning_rank, _size = check_spanning(
@@ -429,14 +417,11 @@ def audit_theorem(H: HypothesisClass, ell: int, n_samples: int | None = None,
     except BudgetError:
         authoritative = False
 
-    verdicts = {}
-    if ceil_mu is not None:
-        verdicts["ceil_mu_le_d_ds"] = ceil_mu <= d_ds
-        verdicts["t_star_eq_ceil_mu"] = t_star == ceil_mu
-    elif mu_lower is not None:
-        # a certified lower bound can still falsify, never confirm
-        verdicts["ceil_mu_lower_le_d_ds"] = math.ceil(mu_lower) <= d_ds
-    verdicts["d_nat_le_d_ds"] = d_nat <= d_ds
+    verdicts = {
+        "ceil_mu_le_d_ds": ceil_mu <= d_ds,
+        "t_star_eq_ceil_mu": t_star == ceil_mu,
+        "d_nat_le_d_ds": d_nat <= d_ds,
+    }
     if spanning_ok is not None:
         verdicts["spanning"] = spanning_ok
 
@@ -445,5 +430,5 @@ def audit_theorem(H: HypothesisClass, ell: int, n_samples: int | None = None,
         mu_value=mu_val, ceil_mu=ceil_mu, d_ds=d_ds, d_nat=d_nat,
         t_star=t_star, spanning_ok=spanning_ok, spanning_rank=spanning_rank,
         class_size=len(H), modulus=prime, authoritative=authoritative,
-        verdicts=verdicts, mu_lower_bound=mu_lower,
+        verdicts=verdicts,
     )

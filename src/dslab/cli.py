@@ -123,7 +123,7 @@ def _cmd_density(args, cfg) -> int:
 def _cmd_mu(args, cfg) -> int:
     H = load_class(args.klass)
     n = args.n if args.n is not None else H.n
-    val = oig.mu(H, n, args.ell, cap=args.budget_subsets)
+    val = oig.mu(H, n, args.ell)
     _emit({"ell": args.ell, "n": n, "mu": format_ratio(val)}, cfg, args.output)
     return EXIT_OK
 
@@ -147,22 +147,16 @@ def _cmd_span(args, cfg) -> int:
 
 
 def _audit_one(path_ell):
-    path, ell, n, caps = path_ell
+    path, ell, n, matrix_budget = path_ell
     H = load_class(path)
-    report = algebra.audit_theorem(H, ell, n_samples=n,
-                                   subset_cap=caps[0], matrix_budget=caps[1])
-    return path, report
+    return path, algebra.audit_theorem(H, ell, n_samples=n, matrix_budget=matrix_budget)
 
 
 def _cmd_audit(args, cfg) -> int:
     target = Path(args.klass)
     ells = [int(e) for e in str(args.ell).split(",")]
-    caps = (args.budget_subsets, args.budget_matrix)
-    if target.is_dir():
-        jobs = [(str(p), ell, args.n, caps)
-                for p in sorted(target.glob("*.json")) for ell in ells]
-    else:
-        jobs = [(str(target), ell, args.n, caps) for ell in ells]
+    paths = sorted(target.glob("*.json")) if target.is_dir() else [target]
+    jobs = [(str(p), ell, args.n, args.budget_matrix) for p in paths for ell in ells]
 
     failed = False
     if args.format == "csv" or (target.is_dir() and args.format != "json"):
@@ -250,7 +244,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--seed", type=int, default=None,
                         help="falls back to env DSLAB_SEED, then 0")
         sp.add_argument("--jobs", type=int, default=1)
-        sp.add_argument("--budget-subsets", type=int, default=oig.DEFAULT_SUBSET_CAP)
         sp.add_argument("--budget-matrix", type=int, default=algebra.DEFAULT_MATRIX_BUDGET)
         sp.add_argument("--format", choices=["json", "csv"], default="json")
         sp.add_argument("-o", "--output", default=None)
@@ -335,7 +328,7 @@ def main(argv=None) -> int:
     except (BudgetError, RealizabilityError, ValueError, OSError, KeyError) as exc:
         print(f"dslab {args.command}: {exc}", file=sys.stderr)
         if isinstance(exc, BudgetError):
-            print("hint: raise --budget-subsets / --budget-matrix or shrink the input",
+            print("hint: raise --budget-matrix or shrink the input",
                   file=sys.stderr)
         return EXIT_ERROR
 

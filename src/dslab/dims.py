@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 
-from .errors import BudgetError
 from .hclass import HypothesisClass, check_coords, restrict
 
 __all__ = [
@@ -69,17 +67,7 @@ def ds_shatter_core(W: HypothesisClass, ell: int) -> HypothesisClass | None:
     return HypothesisClass(k=W.k, n=W.n, hyps=rows)
 
 
-def _subset_budget(n: int, d_max: int, budget: int | None) -> None:
-    if budget is None:
-        return
-    total = sum(math.comb(n, d) for d in range(1, d_max + 1))
-    if total > budget:
-        raise BudgetError(
-            f"{total} coordinate subsets exceed budget {budget}", best_found=0)
-
-
-def ds_dimension(H: HypothesisClass, ell: int,
-                 budget: int | None = None) -> tuple[int, ShatterWitness | None]:
+def ds_dimension(H: HypothesisClass, ell: int) -> tuple[int, ShatterWitness | None]:
     """Largest d such that some d-coordinate set has a non-empty shatter core.
 
     Searches subset sizes from the top down and returns at the first success;
@@ -88,7 +76,6 @@ def ds_dimension(H: HypothesisClass, ell: int,
     i-neighbor (the off positions pin the repeated value), so any core over a
     sequence with duplicates is empty.
     """
-    _subset_budget(H.n, H.n, budget)
     for d in range(H.n, 0, -1):
         for S in itertools.combinations(range(1, H.n + 1), d):
             core = ds_shatter_core(restrict(H, S), ell)
@@ -97,8 +84,7 @@ def ds_dimension(H: HypothesisClass, ell: int,
     return 0, None
 
 
-def natarajan_dimension(H: HypothesisClass, ell: int,
-                        budget: int | None = None) -> tuple[int, ShatterWitness | None]:
+def natarajan_dimension(H: HypothesisClass, ell: int) -> tuple[int, ShatterWitness | None]:
     """Largest d admitting label lists y_1..y_d of size ell+1 with the full
     product embedded in the restriction.
 
@@ -108,7 +94,6 @@ def natarajan_dimension(H: HypothesisClass, ell: int,
         raise ValueError("ell must be >= 1")
     if ell + 1 > H.k:
         return 0, None
-    _subset_budget(H.n, H.n, budget)
     for d in range(H.n, 0, -1):
         for S in itertools.combinations(range(1, H.n + 1), d):
             W = restrict(H, S)
@@ -145,11 +130,10 @@ def _find_product(W: HypothesisClass, width: int) -> tuple[tuple[int, ...], ...]
     return extend(0, [], [()])
 
 
-def vc_dimension(H: HypothesisClass, budget: int | None = None) -> int:
+def vc_dimension(H: HypothesisClass) -> int:
     """Exact VC dimension by subset enumeration; binary classes only."""
     if H.k != 2:
         raise ValueError("vc_dimension requires k = 2")
-    _subset_budget(H.n, H.n, budget)
     for d in range(H.n, 0, -1):
         full = 1 << d
         for S in itertools.combinations(range(1, H.n + 1), d):

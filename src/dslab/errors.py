@@ -2,15 +2,8 @@
 
 
 class BudgetError(ValueError):
-    """An exact computation would exceed its configured budget.
-
-    ``best_found`` carries the best certified value obtained before the
-    budget ran out ("unknown >= best_found"), when that makes sense.
-    """
-
-    def __init__(self, message: str, best_found=None):
-        super().__init__(message)
-        self.best_found = best_found
+    """An exact computation would exceed its budget: the matrix budget of the
+    spanning check, or the fixed row limit of ``mu_prime``'s enumeration."""
 
 
 class RealizabilityError(ValueError):

@@ -43,7 +43,6 @@ __all__ = [
     "oig_list_predict",
     "loo_error",
     "topk_vote",
-    "prefix_vote_predictor",
     "PrefixVotePredictor",
     "pac_experiment",
     "pac_error_bound",
@@ -241,11 +240,6 @@ class PrefixVotePredictor:
                 counts[lab] = counts.get(lab, 0) + w
         ranked = sorted(counts, key=lambda lab: (-counts[lab], lab))
         return ListPrediction(tuple(ranked[:self.ell]))
-
-
-def prefix_vote_predictor(H: HypothesisClass, sample: Sequence[tuple[int, int]],
-                          ell: int, cache: dict | None = None) -> PrefixVotePredictor:
-    return PrefixVotePredictor(H, sample, ell, cache=cache)
 
 
 # -- synthetic distributions and experiments ----------------------------------

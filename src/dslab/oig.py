@@ -39,13 +39,7 @@ __all__ = [
     "orientation_to_json",
     "format_ratio",
     "parse_ratio",
-    "DEFAULT_SUBSET_CAP",
 ]
-
-# Row budget of the subfamily searches (--budget-subsets).  mu_prime enumerates
-# 2^|W| subsets; the exact density search takes polynomial time but still
-# refuses larger classes, past which the audit reports only a lower bound.
-DEFAULT_SUBSET_CAP = 22
 
 
 @dataclass(frozen=True)
@@ -330,11 +324,11 @@ def _best_subfamily_mask(group_masks: list[int], n_rows: int) -> Fraction:
     """Best gross density over all non-empty vertex bitmasks: the sum of
     |e & F| over edges with |e & F| > 1, per member of F.
 
-    Enumerates all 2^n_rows bitmasks as uint32, so more than 26 rows raise
+    Enumerates all 2^n_rows bitmasks as uint32, so more than 22 rows raise
     BudgetError before anything is allocated.
     """
-    if n_rows > 26:
-        raise BudgetError(f"gross subfamily enumeration unsupported beyond 26 rows, got {n_rows}")
+    if n_rows > 22:
+        raise BudgetError(f"gross subfamily enumeration unsupported beyond 22 rows, got {n_rows}")
     arr = np.arange(1, 1 << n_rows, dtype=np.uint32)
     num = np.zeros(arr.shape[0], dtype=np.int64)
     for g in group_masks:
@@ -351,53 +345,17 @@ def _rows_to_class(W: HypothesisClass, rows) -> HypothesisClass:
     return HypothesisClass(k=W.k, n=W.n, hyps=tuple(W.hyps[v] for v in rows))
 
 
-def max_density_subfamily(W: HypothesisClass, ell: int, mode: str = "exact",
-                          cap: int = DEFAULT_SUBSET_CAP) -> tuple[Fraction, HypothesisClass]:
-    """Best ell-density over all non-empty subfamilies of ``W``.
-
-    Exact mode (requires |W| <= cap) returns the true maximum by min cuts,
-    with the smallest, then lexicographically first, maximizer as witness;
-    heuristic mode hill-climbs by single add/remove moves and returns a
-    certified lower bound with its witness.
-    """
+def max_density_subfamily(W: HypothesisClass, ell: int) -> tuple[Fraction, HypothesisClass]:
+    """Best ell-density over all non-empty subfamilies of ``W``, exact by min
+    cuts, with the smallest, then lexicographically first, maximizer as
+    witness."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    G = build_oig(W)
-    if mode == "exact":
-        if len(W) > cap:
-            raise BudgetError(f"|W|={len(W)} exceeds exact subfamily cap {cap}")
-        live = [g.members for g in G.edges() if len(g) > ell]
-        if not live:
-            return Fraction(0), _rows_to_class(W, (0,))
-        val, rows = _densest_subfamily(live, len(W), ell)
-        return val, _rows_to_class(W, rows)
-    if mode == "heuristic":
-        return _hill_climb(W, [g.mask for g in G.edges() if len(g) > ell], ell)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _hill_climb(W: HypothesisClass, live: list[int], ell: int) -> tuple[Fraction, HypothesisClass]:
-    n_rows = len(W)
-
-    def dens_of(mask: int) -> Fraction:
-        size = mask.bit_count()
-        if size == 0:
-            return Fraction(-1)
-        num = sum(max((mask & g).bit_count() - ell, 0) for g in live)
-        return Fraction(num, size)
-
-    cur = (1 << n_rows) - 1
-    cur_val = dens_of(cur)
-    improved = True
-    while improved:
-        improved = False
-        for v in range(n_rows):
-            cand = cur ^ (1 << v)
-            val = dens_of(cand)
-            if val > cur_val:
-                cur, cur_val = cand, val
-                improved = True
-    return cur_val, _rows_to_class(W, [v for v in range(n_rows) if cur >> v & 1])
+    live = [g.members for g in build_oig(W).edges() if len(g) > ell]
+    if not live:
+        return Fraction(0), _rows_to_class(W, (0,))
+    val, rows = _densest_subfamily(live, len(W), ell)
+    return val, _rows_to_class(W, rows)
 
 
 def _restrictions(H: HypothesisClass, n_samples: int) -> Iterator[tuple[tuple[int, ...], HypothesisClass]]:
@@ -410,8 +368,7 @@ def _restrictions(H: HypothesisClass, n_samples: int) -> Iterator[tuple[tuple[in
             yield T, restrict(H, T)
 
 
-def mu_with_witness(H: HypothesisClass, n_samples: int, ell: int,
-                    cap: int = DEFAULT_SUBSET_CAP) -> tuple[Fraction, tuple[int, ...], HypothesisClass]:
+def mu_with_witness(H: HypothesisClass, n_samples: int, ell: int) -> tuple[Fraction, tuple[int, ...], HypothesisClass]:
     """Maximum ell-density over restrictions: value, coordinates, subfamily.
 
     Restrictions range over all non-empty coordinate subsets of size up to
@@ -423,27 +380,27 @@ def mu_with_witness(H: HypothesisClass, n_samples: int, ell: int,
     """
     best = (Fraction(-1), (), None)
     for T, W in _restrictions(H, n_samples):
-        val, F = max_density_subfamily(W, ell, cap=cap)
+        val, F = max_density_subfamily(W, ell)
         if val > best[0]:
             best = (val, T, F)
     return best
 
 
-def mu(H: HypothesisClass, n_samples: int, ell: int, cap: int = DEFAULT_SUBSET_CAP) -> Fraction:
+def mu(H: HypothesisClass, n_samples: int, ell: int) -> Fraction:
     """Maximum ell-density function of ``H`` for sample size ``n_samples``."""
-    return mu_with_witness(H, n_samples, ell, cap=cap)[0]
+    return mu_with_witness(H, n_samples, ell)[0]
 
 
-def mu_prime(H: HypothesisClass, n_samples: int, cap: int = DEFAULT_SUBSET_CAP) -> Fraction:
+def mu_prime(H: HypothesisClass, n_samples: int) -> Fraction:
     """Variant density maximum summing full sizes of edges with |e| > 1.
 
     Agrees with ``mu(..., ell=1)`` up to a factor of two:
-    mu' / 2 <= mu <= mu'.
+    mu' / 2 <= mu <= mu'.  Enumerates all 2^|W| subfamilies of each
+    restriction, so a restriction with an edge and more than 22 rows raises
+    BudgetError.
     """
     best = Fraction(0)
     for _T, W in _restrictions(H, n_samples):
-        if len(W) > cap:
-            raise BudgetError(f"|W|={len(W)} exceeds exact subfamily cap {cap}")
         live = [g.mask for g in build_oig(W).edges() if len(g) >= 2]
         if live:
             best = max(best, _best_subfamily_mask(live, len(W)))

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from dslab.algebra import (audit_theorem, check_spanning, class_id,
                            in_direction_subspace, is_probable_prime,
                            monomial_set, random_prime, rank_bareiss,
                            rank_exact, rank_mod_p)
+from dslab.oig import density, mu_with_witness
 
 
 def test_monomial_counts():
@@ -155,6 +157,14 @@ def test_direction_subspace_matches_edge_formula():
                 assert direction_subspace_dim(W, i, ell) == want
 
 
+def test_direction_subspace_rank_mismatch_raises_certificate_error(monkeypatch):
+    W = gen_cube(2, 1, 2, 2)
+    formula = direction_subspace_dim(W, 1, 1)
+    monkeypatch.setattr(algebra, "rank_exact", lambda rows, prime=None: formula - 1)
+    with pytest.raises(CertificateError, match="Vandermonde"):
+        direction_subspace_dim(W, 1, 1)
+
+
 def test_low_degree_monomials_live_in_direction_subspace():
     rng = np.random.default_rng(35)
     for _ in range(10):
@@ -209,16 +219,31 @@ def test_audit_singleton():
     assert rep.passed
 
 
-def test_audit_budget_flags_partial_with_lower_bound():
+def test_audit_matrix_budget_flags_partial():
     H = gen_random(2, 5, 30, seed=2)
-    rep = audit_theorem(H, 1, subset_cap=8)
-    assert not rep.authoritative
-    assert rep.mu_value is None
-    assert "d_nat_le_d_ds" in rep.verdicts
-    assert rep.mu_lower_bound is not None
-    assert rep.to_dict()["lower_bound_only"] is True
-    # the heuristic bound can only falsify; here it must be consistent
-    assert rep.verdicts["ceil_mu_lower_le_d_ds"]
+    rep = audit_theorem(H, 1, matrix_budget=10)
+    assert rep.authoritative is False
+    # the density side is exact at every class size; only spanning is skipped
+    assert rep.mu_value == Fraction(7, 3)
+    assert rep.ceil_mu == 3 and rep.t_star == 3
+    assert "spanning" not in rep.verdicts and rep.spanning_ok is None
+    assert "lower_bound_only" not in rep.to_dict()
+    assert rep.passed
+
+
+@pytest.mark.parametrize("k, n, rows, seed, ell, want", [
+    (3, 3, 23, 5, 1, Fraction(42, 23)),
+    (3, 4, 40, 40, 2, Fraction(21, 25)),
+])
+def test_audit_past_former_cap_is_exact(k, n, rows, seed, ell, want):
+    H = gen_random(k, n, rows, seed=seed)
+    assert len(H) == rows
+    rep = audit_theorem(H, ell)
+    assert rep.authoritative and rep.verdict == "PASS"
+    assert rep.mu_value == want
+    assert rep.t_star == rep.ceil_mu == math.ceil(want)
+    _val, _T, F = mu_with_witness(H, H.n, ell)
+    assert density(F, ell) == want
 
 
 def test_audit_report_serialization():

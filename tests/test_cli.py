@@ -163,6 +163,17 @@ def test_audit_embeds_config_and_reruns_identically(square, tmp_path, capsys):
     assert first["config"]["args"]["klass"] == square
 
 
+def test_audit_past_former_row_cap_exits_zero(tmp_path, capsys):
+    from dslab.hclass import gen_random
+    p = tmp_path / "wide.json"
+    save_class(gen_random(3, 3, 23, seed=5), p)
+    code, out, _err = run(capsys, "audit", "--class", str(p), "--ell", "1")
+    assert code == EXIT_OK
+    (report,) = json.loads(out)["reports"]
+    assert report["authoritative"] is True and report["mu"] == "42/23"
+    assert "budget_subsets" not in json.loads(out)["config"]["args"]
+
+
 def test_audit_directory_batch_csv(tmp_path, capsys):
     d = tmp_path / "classes"
     d.mkdir()
@@ -243,19 +254,23 @@ def test_agnostic_command(tmp_path, capsys):
     assert "excess_err" in json.loads(out)["report"]["results"]
 
 
-def test_usage_errors_exit_one(capsys, tmp_path):
+def test_usage_errors_exit_one(capsys, tmp_path, square):
     assert run(capsys, "definitely-not-a-command")[0] == EXIT_ERROR
     assert run(capsys, "mu", "--class", str(tmp_path / "missing.json"))[0] == EXIT_ERROR
     assert run(capsys, "gen")[0] == EXIT_ERROR
+    # the exact density search has no row budget, so the flag is gone
+    assert run(capsys, "mu", "--class", square)[0] == EXIT_OK
+    assert run(capsys, "mu", "--class", square, "--budget-subsets", "8")[0] == EXIT_ERROR
 
 
 def test_budget_error_exits_one_with_hint(tmp_path, capsys):
     from dslab.hclass import gen_random
     p = tmp_path / "big.json"
     save_class(gen_random(2, 5, 30, seed=0), p)
-    code, _out, err = run(capsys, "mu", "--class", str(p), "--ell", "1",
-                          "--budget-subsets", "8")
+    code, _out, err = run(capsys, "span", "--class", str(p), "--ell", "1",
+                          "--budget-matrix", "10")
     assert code == EXIT_ERROR and "budget" in err.lower()
+    assert "hint: raise --budget-matrix" in err
 
 
 def test_verdict_fail_exit_code_mapping():

@@ -114,21 +114,6 @@ def test_max_density_tie_break_is_smallest_then_lex():
     assert F.hyps == ((1, 1),)
 
 
-def test_max_density_cap():
-    with pytest.raises(BudgetError):
-        max_density_subfamily(gen_random(2, 5, 25, seed=0), 1, cap=22)
-
-
-def test_heuristic_mode_is_certified_lower_bound():
-    rng = np.random.default_rng(4)
-    for _ in range(10):
-        W = random_class(rng, size_max=8)
-        exact, _ = max_density_subfamily(W, 1)
-        approx, F = max_density_subfamily(W, 1, mode="heuristic")
-        assert approx <= exact
-        assert density(F, 1) == approx
-
-
 @st.composite
 def classes(draw):
     """A random class over [k]^n with 1 to 10 rows."""
@@ -216,11 +201,10 @@ def test_max_density_witness_nested_maximizers(W, ell):
 @pytest.mark.parametrize("rows, ell", [(30, 1), (34, 2), (40, 1)])
 def test_max_density_exact_past_26_rows(rows, ell):
     W = gen_random(3, 4, rows, seed=rows)
-    val, F = max_density_subfamily(W, ell, cap=64)
+    val, F = max_density_subfamily(W, ell)
     assert density(F, ell) == val
     # orientation duality: the min-max outdegree is the ceiling of the maximum
     assert math.ceil(val) == min_max_orientation(build_oig(W), ell)[1]
-    assert val >= max_density_subfamily(W, ell, mode="heuristic")[0]
 
 
 def test_mu_prime_refuses_wide_restriction_before_allocating(monkeypatch):
@@ -229,10 +213,10 @@ def test_mu_prime_refuses_wide_restriction_before_allocating(monkeypatch):
             raise AssertionError(f"numpy.{name} used before the row check")
 
     monkeypatch.setattr(oig, "np", NoNumpy())
-    for rows in (27, 33):  # 33 rows no longer fit a uint32 bitmask either
+    for rows in (23, 27, 33):  # 33 rows no longer fit a uint32 bitmask either
         H = HypothesisClass(k=rows, n=1, hyps=tuple((v,) for v in range(1, rows + 1)))
-        with pytest.raises(BudgetError, match="26 rows"):
-            mu_prime(H, 1, cap=64)
+        with pytest.raises(BudgetError, match="22 rows"):
+            mu_prime(H, 1)
 
 
 def test_mu_square():
