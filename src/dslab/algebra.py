@@ -18,9 +18,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .dims import ds_dimension, natarajan_dimension
+from .dims import ds_dimension, natarajan_dimension, validate_witness
 from .errors import BudgetError, CertificateError
-from .hclass import HypothesisClass, dumps_class, restrict
+from .hclass import HypothesisClass, dumps_class, restrict_via
 from .oig import build_oig, format_ratio, min_max_orientation, mu_with_witness
 
 __all__ = [
@@ -116,10 +116,23 @@ def eval_matrix(W: HypothesisClass, monomials: list[Monomial],
     cells = len(monomials) * len(W)
     if cells > budget:
         raise BudgetError(f"evaluation matrix of {cells} cells exceeds budget {budget}")
-    rows = tuple(tuple(m.evaluate(h) for h in W.hyps) for m in monomials)
+    # A row is the elementwise product of per-coordinate power columns; the
+    # products over the exponent prefix shared with the previous row are kept.
+    cols, powers = list(zip(*W.hyps)), {}  # powers[i, a]: cols[i] ** a, elementwise
+    prefix, prev, rows = [(1,) * len(W)], (), []
+    for m in monomials:
+        j = next((i for i, (x, y) in enumerate(zip(prev, m.alpha)) if x != y), len(prev))
+        del prefix[j + 1:]
+        for i in range(j, W.n):
+            a = m.alpha[i]
+            if a and (i, a) not in powers:
+                powers[i, a] = tuple(z**a for z in cols[i])
+            prefix.append(tuple(x * y for x, y in zip(prefix[-1], powers[i, a])) if a else prefix[-1])
+        rows.append(prefix[-1])
+        prev = m.alpha
     for r in rows:
         assert all(v >= 1 for v in r)  # labels are positive
-    return EvalMatrix(monomials=tuple(monomials), base=W, entries=rows)
+    return EvalMatrix(monomials=tuple(monomials), base=W, entries=tuple(rows))
 
 
 # -- exact rank --------------------------------------------------------------
@@ -158,8 +171,13 @@ def random_prime(bits: int = 62, seed: int = _PRIME_SEED) -> int:
             return cand
 
 
+MODULUS = random_prime()  # the default prime of every modular rank
+
+
 def rank_mod_p(rows, p: int) -> int:
-    """Gaussian elimination over GF(p)."""
+    """Gaussian elimination over GF(p), on the side with fewer rows."""
+    if rows and len(rows) > len(rows[0]):
+        rows = list(zip(*rows))
     mat = [[v % p for v in row] for row in rows]
     n_rows = len(mat)
     n_cols = len(mat[0]) if n_rows else 0
@@ -219,10 +237,9 @@ def rank_exact(M: EvalMatrix | list, prime: int | None = None) -> int:
     CertificateError.
     """
     rows = M.entries if isinstance(M, EvalMatrix) else M
-    rows = [list(r) for r in rows]
     if not rows or not rows[0]:
         return 0
-    p = prime if prime is not None else random_prime()
+    p = prime if prime is not None else MODULUS
     r_mod = rank_mod_p(rows, p)
     if r_mod == min(len(rows), len(rows[0])):
         return r_mod
@@ -327,11 +344,11 @@ class AuditReport:
     ell: int
     n: int
     n_samples: int
-    mu_value: Fraction | None
-    ceil_mu: int | None
+    mu_value: Fraction
+    ceil_mu: int
     d_ds: int | None
     d_nat: int | None
-    t_star: int | None
+    t_star: int
     spanning_ok: bool | None
     spanning_rank: int | None
     class_size: int
@@ -353,7 +370,7 @@ class AuditReport:
             "ell": self.ell,
             "n": self.n,
             "n_samples": self.n_samples,
-            "mu": None if self.mu_value is None else format_ratio(self.mu_value),
+            "mu": format_ratio(self.mu_value),
             "ceil_mu": self.ceil_mu,
             "d_ds": self.d_ds,
             "d_nat": self.d_nat,
@@ -371,9 +388,8 @@ class AuditReport:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def csv_row(self) -> list:
-        mu_num = self.mu_value.numerator if self.mu_value is not None else ""
-        mu_den = self.mu_value.denominator if self.mu_value is not None else ""
-        return [self.class_id, self.ell, mu_num, mu_den, self.ceil_mu,
+        return [self.class_id, self.ell, self.mu_value.numerator,
+                self.mu_value.denominator, self.ceil_mu,
                 self.d_ds, self.d_nat, self.t_star, self.spanning_ok, self.verdict]
 
     CSV_HEADER = ["class_id", "ell", "mu_num", "mu_den", "ceil_mu",
@@ -385,8 +401,7 @@ def class_id(H: HypothesisClass) -> str:
 
 
 def audit_theorem(H: HypothesisClass, ell: int, n_samples: int | None = None,
-                  matrix_budget: int = DEFAULT_MATRIX_BUDGET,
-                  prime_seed: int = _PRIME_SEED) -> AuditReport:
+                  matrix_budget: int = DEFAULT_MATRIX_BUDGET) -> AuditReport:
     """Audit the ceiling-of-density bound and its companions on one class.
 
     Verdicts: ceil(mu) <= d_DS, d_Nat <= d_DS, t_star == ceil(mu) on the
@@ -394,26 +409,29 @@ def audit_theorem(H: HypothesisClass, ell: int, n_samples: int | None = None,
     verdict marks the report FAIL: it would contradict the bound being
     audited or expose an implementation bug.  A spanning check past
     ``matrix_budget`` is skipped, and the report is marked non-authoritative
-    instead of guessing.
+    instead of guessing.  A DS witness that fails ``validate_witness`` raises
+    CertificateError.  One restriction table serves every search of the call.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
     ns = H.n if n_samples is None else n_samples
-    prime = random_prime(seed=prime_seed)
     cid = class_id(H)
+    table: dict = {}
 
-    mu_val, T_star, _F = mu_with_witness(H, ns, ell)
+    mu_val, T_star, _F = mu_with_witness(H, ns, ell, restrictions=table)
     ceil_mu = math.ceil(mu_val)
-    _sigma, t_star = min_max_orientation(build_oig(restrict(H, T_star)), ell)
+    _sigma, t_star = min_max_orientation(build_oig(restrict_via(H, T_star, table)), ell)
 
-    d_ds, _w = ds_dimension(H, ell)
-    d_nat, _wn = natarajan_dimension(H, ell)
+    d_ds, w_ds = ds_dimension(H, ell, restrictions=table)
+    if w_ds is not None and not validate_witness(H, w_ds):
+        raise CertificateError(f"DS witness on {w_ds.coords} fails its re-check")
+    d_nat, _wn = natarajan_dimension(H, ell, restrictions=table)
 
     authoritative = True
     spanning_ok = spanning_rank = None
     try:
         spanning_ok, spanning_rank, _size = check_spanning(
-            H, ell, d_ds, budget=matrix_budget, prime=prime)
+            H, ell, d_ds, budget=matrix_budget)
     except BudgetError:
         authoritative = False
 
@@ -429,6 +447,6 @@ def audit_theorem(H: HypothesisClass, ell: int, n_samples: int | None = None,
         class_id=cid, ell=ell, n=H.n, n_samples=ns,
         mu_value=mu_val, ceil_mu=ceil_mu, d_ds=d_ds, d_nat=d_nat,
         t_star=t_star, spanning_ok=spanning_ok, spanning_rank=spanning_rank,
-        class_size=len(H), modulus=prime, authoritative=authoritative,
+        class_size=len(H), modulus=MODULUS, authoritative=authoritative,
         verdicts=verdicts,
     )

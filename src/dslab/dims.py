@@ -14,7 +14,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .hclass import HypothesisClass, check_coords, restrict
+from .hclass import HypothesisClass, check_coords, restrict, restrict_via
 
 __all__ = [
     "ShatterWitness",
@@ -67,46 +67,51 @@ def ds_shatter_core(W: HypothesisClass, ell: int) -> HypothesisClass | None:
     return HypothesisClass(k=W.k, n=W.n, hyps=rows)
 
 
-def ds_dimension(H: HypothesisClass, ell: int) -> tuple[int, ShatterWitness | None]:
+def ds_dimension(H: HypothesisClass, ell: int, *,
+                 restrictions: dict | None = None) -> tuple[int, ShatterWitness | None]:
     """Largest d such that some d-coordinate set has a non-empty shatter core.
 
     Searches subset sizes from the top down and returns at the first success;
     d = 0 with no witness when no single coordinate is shattered.  Distinct
     coordinates suffice: on a repeated coordinate no member can have an
     i-neighbor (the off positions pin the repeated value), so any core over a
-    sequence with duplicates is empty.
+    sequence with duplicates is empty.  ``restrictions``: see
+    ``hclass.restrict_via``.
     """
-    for d in range(H.n, 0, -1):
-        for S in itertools.combinations(range(1, H.n + 1), d):
-            core = ds_shatter_core(restrict(H, S), ell)
-            if core is not None:
-                return d, ShatterWitness(coords=S, subfamily=core, kind="DS", ell=ell)
-    return 0, None
+    return _top_down(H, ell, "DS", lambda W: ds_shatter_core(W, ell), restrictions)
 
 
-def natarajan_dimension(H: HypothesisClass, ell: int) -> tuple[int, ShatterWitness | None]:
+def natarajan_dimension(H: HypothesisClass, ell: int, *,
+                        restrictions: dict | None = None) -> tuple[int, ShatterWitness | None]:
     """Largest d admitting label lists y_1..y_d of size ell+1 with the full
     product embedded in the restriction.
 
     Returns 0 when ell + 1 > k (no list of ell+1 distinct labels exists).
+    ``restrictions`` is as for ``ds_dimension``.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
     if ell + 1 > H.k:
         return 0, None
+    return _top_down(H, ell, "Natarajan", lambda W: _product_family(W, ell + 1), restrictions)
+
+
+def _top_down(H: HypothesisClass, ell: int, kind: str, probe,
+              restrictions: dict | None) -> tuple[int, ShatterWitness | None]:
+    """(d, witness) for the first coordinate set S, largest first and then
+    lexicographically, whose restriction ``probe`` maps to a family; (0, None)
+    when there is none."""
     for d in range(H.n, 0, -1):
         for S in itertools.combinations(range(1, H.n + 1), d):
-            W = restrict(H, S)
-            lists = _find_product(W, ell + 1)
-            if lists is not None:
-                rows = tuple(sorted(itertools.product(*lists)))
-                fam = HypothesisClass(k=W.k, n=W.n, hyps=rows)
-                return d, ShatterWitness(coords=S, subfamily=fam, kind="Natarajan", ell=ell)
+            fam = probe(restrict_via(H, S, restrictions))
+            if fam is not None:
+                return d, ShatterWitness(coords=S, subfamily=fam, kind=kind, ell=ell)
     return 0, None
 
 
-def _find_product(W: HypothesisClass, width: int) -> tuple[tuple[int, ...], ...] | None:
-    """First (lex order) choice of width-sized label lists whose product is in W."""
+def _product_family(W: HypothesisClass, width: int) -> HypothesisClass | None:
+    """The product of the first (lex order) choice of width-sized label lists
+    whose product is in W, as a class."""
     rows = set(W.hyps)
     prefixes: list[set[tuple[int, ...]]] = [set()] * (W.n + 1)
     prefixes[W.n] = rows
@@ -127,7 +132,9 @@ def _find_product(W: HypothesisClass, width: int) -> tuple[tuple[int, ...], ...]
 
     if any(len(c) < width for c in per_coord):
         return None
-    return extend(0, [], [()])
+    lists = extend(0, [], [()])
+    return None if lists is None else HypothesisClass(
+        k=W.k, n=W.n, hyps=tuple(sorted(itertools.product(*lists))))
 
 
 def vc_dimension(H: HypothesisClass) -> int:

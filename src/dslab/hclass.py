@@ -132,6 +132,17 @@ def restrict(H: HypothesisClass, coords: Sequence[int], allow_repeats: bool = Fa
     return HypothesisClass(k=H.k, n=len(cs), hyps=tuple(sorted(rows)))
 
 
+def restrict_via(H: HypothesisClass, coords: tuple[int, ...], memo: dict | None) -> HypothesisClass:
+    """``restrict(H, coords)`` through a caller-owned coords memo, which must
+    serve a single ``H``; ``memo=None`` restricts afresh."""
+    if memo is None:
+        return restrict(H, coords)
+    got = memo.get(coords)
+    if got is None:
+        got = memo[coords] = restrict(H, coords)
+    return got
+
+
 def gen_cube(k: int, ell: int, s: int, m: int) -> HypothesisClass:
     """Product class with ``s`` full-alphabet coordinates and ``m - s``
     coordinates restricted to the first ``ell`` labels.

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.sparse import csr_matrix  # noqa: F401  (unused; bench/tracing.py spans oig.csr_matrix)
 
 from .errors import BudgetError, CertificateError
-from .hclass import HypothesisClass, restrict
+from .hclass import HypothesisClass, restrict_via
 
 __all__ = [
     "EdgeGroup",
@@ -345,30 +345,48 @@ def _rows_to_class(W: HypothesisClass, rows) -> HypothesisClass:
     return HypothesisClass(k=W.k, n=W.n, hyps=tuple(W.hyps[v] for v in rows))
 
 
-def max_density_subfamily(W: HypothesisClass, ell: int) -> tuple[Fraction, HypothesisClass]:
+def max_density_subfamily(W: HypothesisClass, ell: int,
+                          graph: OneInclusionGraph | None = None) -> tuple[Fraction, HypothesisClass]:
     """Best ell-density over all non-empty subfamilies of ``W``, exact by min
     cuts, with the smallest, then lexicographically first, maximizer as
     witness."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    live = [g.members for g in build_oig(W).edges() if len(g) > ell]
+    G = graph if graph is not None else build_oig(W)
+    live = [g.members for g in G.edges() if len(g) > ell]
     if not live:
         return Fraction(0), _rows_to_class(W, (0,))
     val, rows = _densest_subfamily(live, len(W), ell)
     return val, _rows_to_class(W, rows)
 
 
-def _restrictions(H: HypothesisClass, n_samples: int) -> Iterator[tuple[tuple[int, ...], HypothesisClass]]:
-    """(T, H restricted to T) for every coordinate subset T of size 1 to
-    min(n_samples, n), by size, then lexicographically."""
+def _density_bound(G: OneInclusionGraph, ell: int) -> Fraction:
+    """max over rows v of the sum over live edges e at v of (|e| - ell)/|e|,
+    summed in integers over the lcm of the live edge sizes.  No subfamily of
+    G's base is denser: (x - ell)_+ <= x(|e| - ell)/|e| for 0 <= x <= |e|."""
+    live = [g.members for g in G.edges() if len(g) > ell]
+    lcm = math.lcm(*map(len, live))
+    per_row = [0] * G.n_vertices
+    for e in live:
+        w = (len(e) - ell) * (lcm // len(e))
+        for v in e:
+            per_row[v] += w
+    return Fraction(max(per_row), lcm)
+
+
+def _restrictions(H: HypothesisClass, n_samples: int,
+                  memo: dict | None = None) -> Iterator[tuple[tuple[int, ...], HypothesisClass]]:
+    """(T, H restricted to T via ``memo``) for every coordinate subset T of
+    size 1 to min(n_samples, n), by size, then lexicographically."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     for size in range(1, min(n_samples, H.n) + 1):
         for T in itertools.combinations(range(1, H.n + 1), size):
-            yield T, restrict(H, T)
+            yield T, restrict_via(H, T, memo)
 
 
-def mu_with_witness(H: HypothesisClass, n_samples: int, ell: int) -> tuple[Fraction, tuple[int, ...], HypothesisClass]:
+def mu_with_witness(H: HypothesisClass, n_samples: int, ell: int, *,
+                    restrictions: dict | None = None) -> tuple[Fraction, tuple[int, ...], HypothesisClass]:
     """Maximum ell-density over restrictions: value, coordinates, subfamily.
 
     Restrictions range over all non-empty coordinate subsets of size up to
@@ -376,11 +394,16 @@ def mu_with_witness(H: HypothesisClass, n_samples: int, ell: int) -> tuple[Fract
     plain subset: a repeated direction only carries singleton edges (its off
     positions already pin the repeated value), and extra context coordinates
     only refine edge groups.  Witness ties break toward smaller, then
-    lexicographically earlier, coordinate sets.
+    lexicographically earlier, coordinate sets, so a restriction whose
+    ``_density_bound`` is no better is skipped.  ``restrictions``: see
+    ``hclass.restrict_via``.
     """
     best = (Fraction(-1), (), None)
-    for T, W in _restrictions(H, n_samples):
-        val, F = max_density_subfamily(W, ell)
+    for T, W in _restrictions(H, n_samples, restrictions):
+        G = build_oig(W)
+        if best[2] is not None and _density_bound(G, ell) <= best[0]:
+            continue
+        val, F = max_density_subfamily(W, ell, graph=G)
         if val > best[0]:
             best = (val, T, F)
     return best

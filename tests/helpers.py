@@ -65,6 +65,22 @@ def brute_mu(H: HypothesisClass, n_samples: int, ell: int) -> Fraction:
     return best
 
 
+def unpruned_mu_with_witness(H: HypothesisClass, n_samples: int, ell: int):
+    """``mu_with_witness`` with neither a density bound nor a restriction
+    memo: every restriction goes through the min-cut search, and the best is
+    replaced only on a strict increase."""
+    from dslab.hclass import restrict
+    from dslab.oig import max_density_subfamily
+
+    best = (Fraction(-1), (), None)
+    for size in range(1, min(n_samples, H.n) + 1):
+        for T in combinations(range(1, H.n + 1), size):
+            val, F = max_density_subfamily(restrict(H, T), ell)
+            if val > best[0]:
+                best = (val, T, F)
+    return best
+
+
 def brute_min_max_outdegree(G, ell: int) -> int:
     """Exhaustive search over all orientations with full-size assignments."""
     edges = list(G.edges())

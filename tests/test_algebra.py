@@ -1,20 +1,23 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from helpers import fraction_rank, random_class
+from helpers import fraction_rank, random_class, unpruned_mu_with_witness
 import dslab.algebra as algebra
 from dslab.errors import BudgetError, CertificateError
-from dslab.hclass import HypothesisClass, gen_cube, gen_random
-from dslab.dims import ds_dimension
-from dslab.algebra import (audit_theorem, check_spanning, class_id,
+from dslab.hclass import HypothesisClass, gen_cube, gen_random, restrict
+from dslab.dims import ds_dimension, natarajan_dimension
+from dslab.algebra import (Monomial, audit_theorem, check_spanning, class_id,
                            direction_subspace_dim, eval_matrix, extract_basis,
                            in_direction_subspace, is_probable_prime,
                            monomial_set, random_prime, rank_bareiss,
                            rank_exact, rank_mod_p)
-from dslab.oig import density, mu_with_witness
+from dslab.oig import (_density_bound, build_oig, density, max_density_subfamily,
+                       mu_with_witness)
 
 
 def test_monomial_counts():
@@ -107,12 +110,79 @@ def test_rank_low_rank_products():
         assert rank_exact(mat) == expected
 
 
+@st.composite
+def int_matrices(draw, shape):
+    """Integer matrices with entries up to 10^30 in size, ``shape`` "tall"
+    (more rows than columns), "wide" or "square"; some rows are combinations
+    of the first two and some columns copies of the first, so ranks fall
+    short of full on both sides."""
+    short = draw(st.integers(1, 4))
+    long = short + draw(st.integers(1, 4))
+    n_rows, n_cols = {"tall": (long, short), "wide": (short, long),
+                      "square": (short, short)}[shape]
+    entry = st.integers(-10**30, 10**30) | st.integers(-2, 2)
+    rows = [draw(st.lists(entry, min_size=n_cols, max_size=n_cols)) for _ in range(n_rows)]
+    for r in range(2, n_rows):
+        if draw(st.booleans()):
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows[r] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    for c in range(1, n_cols):
+        if draw(st.booleans()):
+            for row in rows:
+                row[c] = row[0]
+    return rows
+
+
+@pytest.mark.parametrize("shape", ["tall", "wide", "square"])
+@given(data=st.data())
+def test_rank_paths_agree_on_every_shape(shape, data):
+    rows = data.draw(int_matrices(shape))
+    expected = fraction_rank(rows)
+    assert rank_bareiss(rows) == expected
+    assert rank_mod_p(rows, algebra.MODULUS) == expected
+    assert rank_exact(rows) == expected
+
+
+def test_rank_paths_on_empty_shapes():
+    for rows in ([], [[]], [[], []]):
+        assert rank_mod_p(rows, algebra.MODULUS) == rank_bareiss(rows) == 0
+        assert fraction_rank(rows) == rank_exact(rows) == 0
+
+
+@st.composite
+def classes_with_monomials(draw):
+    """A class over at most 3 coordinates and monomials in any order, with
+    repeats, and exponents up to 4."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3))
+    cube = list(itertools.product(range(1, k + 1), repeat=n))
+    rows = draw(st.sets(st.sampled_from(cube), min_size=1, max_size=min(8, len(cube))))
+    W = HypothesisClass(k=k, n=n, hyps=tuple(sorted(rows)))
+    alphas = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=12))
+    mons = [Monomial(alpha=a, heavy=sum(x >= 1 for x in a)) for a in alphas]
+    if draw(st.booleans()):  # a shuffled full monomial set
+        mons += draw(st.permutations(monomial_set(W, 1, n)))
+    return W, mons
+
+
+@example((HypothesisClass(k=4, n=1, hyps=((1,), (3,), (4,))),
+          [Monomial((2,), 1), Monomial((0,), 0), Monomial((1,), 1), Monomial((2,), 1)]))
+@example((gen_cube(3, 1, 2, 2), list(reversed(monomial_set(gen_cube(3, 1, 2, 2), 1, 2)))))
+@given(classes_with_monomials())
+def test_eval_matrix_matches_per_cell_oracle(case):
+    W, mons = case
+    M = eval_matrix(W, mons)
+    assert M.entries == tuple(tuple(m.evaluate(h) for h in W.hyps) for m in mons)
+    assert M.monomials == tuple(mons)
+
+
 def test_prime_generation():
     p = random_prime()
     assert p.bit_length() == 62 and is_probable_prime(p)
     assert random_prime(seed=1) == random_prime(seed=1)
     assert not is_probable_prime(561) and not is_probable_prime(1)
     assert is_probable_prime(2**61 - 1)
+    assert algebra.MODULUS == p == audit_theorem(gen_cube(2, 1, 2, 2), 1).modulus
 
 
 def test_spanning_full_support_always_true():
@@ -258,3 +328,31 @@ def test_audit_report_serialization():
 def test_class_id_stable():
     assert class_id(gen_cube(2, 1, 2, 2)) == class_id(gen_cube(2, 1, 2, 2))
     assert class_id(gen_cube(2, 1, 2, 2)) != class_id(gen_cube(2, 1, 1, 2))
+
+
+@st.composite
+def audit_cases(draw):
+    """A class with k <= 4, n <= 4 and at most 12 rows, an ell from 1 to 3
+    and a sample size from 1 to n."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    cube = list(itertools.product(range(1, k + 1), repeat=n))
+    rows = draw(st.sets(st.sampled_from(cube), min_size=1, max_size=min(12, len(cube))))
+    H = HypothesisClass(k=k, n=n, hyps=tuple(sorted(rows)))
+    return H, draw(st.integers(1, 3)), draw(st.integers(1, n))
+
+
+@given(audit_cases())
+def test_density_bound_and_restriction_memo_change_no_result(case):
+    H, ell, ns = case
+    memo: dict = {}
+    want = unpruned_mu_with_witness(H, ns, ell)
+    assert mu_with_witness(H, ns, ell) == want
+    assert mu_with_witness(H, ns, ell, restrictions=memo) == want
+    for T in memo:
+        W = restrict(H, T)
+        assert memo[T] == W
+        assert _density_bound(build_oig(W), ell) >= max_density_subfamily(W, ell)[0]
+    assert ds_dimension(H, ell, restrictions=memo) == ds_dimension(H, ell)
+    assert natarajan_dimension(H, ell, restrictions=memo) == natarajan_dimension(H, ell)
+    assert audit_theorem(H, ell, ns).to_json() == audit_theorem(H, ell, ns).to_json()

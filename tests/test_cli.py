@@ -1,17 +1,19 @@
+import dataclasses
 import gc
 import json
 import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from dslab import oig
+from dslab import algebra, oig
 from dslab.cli import EXIT_ERROR, EXIT_OK, EXIT_VERDICT_FAIL, main
 from dslab.errors import CertificateError
-from dslab.hclass import gen_cube, load_class, save_class
+from dslab.hclass import HypothesisClass, gen_cube, load_class, save_class
 
 
 @pytest.fixture()
@@ -103,6 +105,23 @@ def test_cut_not_denser_than_t_exits_two(square, capsys, monkeypatch):
     with pytest.raises(CertificateError, match="t=1"):
         oig.min_max_orientation(G, 1)
     code, out, err = run(capsys, "orient", "--class", square, "--ell", "1")
+    assert code == EXIT_VERDICT_FAIL and out == "" and "certificate" in err
+
+
+def test_cut_down_ds_witness_exits_two(square, capsys, monkeypatch):
+    # d_DS is certified from below by re-checking its witness: a witness cut
+    # down to one row has no i-neighbors, so the audit must refuse it
+    honest = algebra.ds_dimension
+
+    def cut_down(H, ell, **kw):
+        d, w = honest(H, ell, **kw)
+        one_row = HypothesisClass(k=w.subfamily.k, n=w.subfamily.n, hyps=w.subfamily.hyps[:1])
+        return d, dataclasses.replace(w, subfamily=one_row)
+
+    monkeypatch.setattr(algebra, "ds_dimension", cut_down)
+    with pytest.raises(CertificateError, match="DS witness"):
+        algebra.audit_theorem(load_class(square), 1)
+    code, out, err = run(capsys, "audit", "--class", square, "--ell", "1")
     assert code == EXIT_VERDICT_FAIL and out == "" and "certificate" in err
 
 
@@ -277,10 +296,11 @@ def test_verdict_fail_exit_code_mapping():
     # the honest path cannot produce FAIL (that would falsify the audited
     # bound), so check the mapping on a synthetic failed report
     from dslab.algebra import AuditReport
-    rep = AuditReport(class_id="x", ell=1, n=1, n_samples=1, mu_value=None,
-                      ceil_mu=None, d_ds=0, d_nat=0, t_star=None,
+    rep = AuditReport(class_id="x", ell=1, n=1, n_samples=1, mu_value=Fraction(0),
+                      ceil_mu=0, d_ds=0, d_nat=0, t_star=0,
                       spanning_ok=None, spanning_rank=None, class_size=1,
                       modulus=3, authoritative=True,
                       verdicts={"d_nat_le_d_ds": False})
     assert rep.verdict == "FAIL"
+    assert rep.to_dict()["mu"] == "0/1" and rep.csv_row()[2:5] == [0, 1, 0]
     assert (EXIT_VERDICT_FAIL if not rep.passed else EXIT_OK) == EXIT_VERDICT_FAIL
