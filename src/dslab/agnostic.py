@@ -44,6 +44,8 @@ __all__ = [
     "agnostic_pipeline",
 ]
 
+BOOST_BUDGET = 64  # weak-subsample tries per boosting round
+
 
 class CoverMember:
     """Union of one-inclusion predictions over stored subsamples.
@@ -135,7 +137,7 @@ def _boost_member(H: HypothesisClass, points: list[tuple[int, int]], d: int, j: 
 
 
 def build_list_cover(H: HypothesisClass, S1: Sequence[tuple[int, int]], d: int, j: int,
-                     budget: int = 64, ell: int = 1,
+                     budget: int = BOOST_BUDGET, ell: int = 1,
                      rng: np.random.Generator | None = None) -> ListCover:
     """Cover every hypothesis's consistent subsample with one member.
 
@@ -337,22 +339,20 @@ def _loss_of_predictor(predict, nu: Menu, S: list[tuple[int, int]]) -> Fraction:
 
 
 def agnostic_pipeline(H: HypothesisClass, D: SyntheticDistribution, ell: int,
-                      n1: int, T: int, n3: int, delta: float, seed: int,
-                      d_subsample: int | None = None, j_unions: int | None = None,
-                      boost_budget: int = 64) -> ExperimentReport:
+                      n1: int, T: int, n3: int, delta: float, seed: int) -> ExperimentReport:
     """Run cover -> menu -> inside-menu ERM and measure excess error exactly.
 
-    The stage constants default to d = 4 * max(1, d_DS) and
-    j = ceil(log2(n1)); both are engineering defaults recorded in the report,
-    not claimed values.
+    The stage constants are d = 4 * max(1, d_DS), j = ceil(log2(n1)) and
+    ``BOOST_BUDGET`` tries per boosting round; all are engineering choices
+    recorded in the report, not claimed values.
     """
     from .algebra import class_id  # local import to avoid a cycle
 
     if min(n1, T, n3) < 1:
         raise ValueError("sample sizes must be >= 1")
     d_ds, _w = ds_dimension(H, ell)
-    d = d_subsample if d_subsample is not None else 4 * max(1, d_ds)
-    j = j_unions if j_unions is not None else max(1, math.ceil(math.log2(max(2, n1))))
+    d = 4 * max(1, d_ds)
+    j = max(1, math.ceil(math.log2(max(2, n1))))
 
     rng_draw = np.random.default_rng([seed, 0])
     rng_boost = np.random.default_rng([seed, 1])
@@ -361,7 +361,7 @@ def agnostic_pipeline(H: HypothesisClass, D: SyntheticDistribution, ell: int,
     S2 = D.draw(rng_draw, T)
     S3 = D.draw(rng_draw, n3)
 
-    cover = build_list_cover(H, S1, d, j, budget=boost_budget, ell=ell, rng=rng_boost)
+    cover = build_list_cover(H, S1, d, j, ell=ell, rng=rng_boost)
     nu = mw_menu(cover, S2, rng=rng_mw)
     res = inside_menu_erm(H, nu, S3, ell)
 
@@ -392,7 +392,7 @@ def agnostic_pipeline(H: HypothesisClass, D: SyntheticDistribution, ell: int,
     return ExperimentReport(
         kind="agnostic", class_id=class_id(H), ell=ell, seed=seed,
         params={"n1": n1, "T": T, "n3": n3, "delta": delta,
-                "d_subsample": d, "j_unions": j, "boost_budget": boost_budget,
+                "d_subsample": d, "j_unions": j, "boost_budget": BOOST_BUDGET,
                 "stage_streams": {"draw": [seed, 0], "boost": [seed, 1],
                                   "mw": [seed, 2]}},
         results={"err": float(err_mu), "best_err": float(best_err),

@@ -171,7 +171,7 @@ def random_prime(bits: int = 62, seed: int = _PRIME_SEED) -> int:
             return cand
 
 
-MODULUS = random_prime()  # the default prime of every modular rank
+MODULUS = random_prime()  # the prime of rank_exact's modular pass
 
 
 def rank_mod_p(rows, p: int) -> int:
@@ -227,7 +227,7 @@ def rank_bareiss(rows) -> int:
     return rank
 
 
-def rank_exact(M: EvalMatrix | list, prime: int | None = None) -> int:
+def rank_exact(M: EvalMatrix | list) -> int:
     """True rank over the rationals.
 
     The modular rank can only undershoot (bad primes kill minors), so a
@@ -239,8 +239,7 @@ def rank_exact(M: EvalMatrix | list, prime: int | None = None) -> int:
     rows = M.entries if isinstance(M, EvalMatrix) else M
     if not rows or not rows[0]:
         return 0
-    p = prime if prime is not None else MODULUS
-    r_mod = rank_mod_p(rows, p)
+    r_mod = rank_mod_p(rows, MODULUS)
     if r_mod == min(len(rows), len(rows[0])):
         return r_mod
     r_exact = rank_bareiss(rows)
@@ -250,20 +249,18 @@ def rank_exact(M: EvalMatrix | list, prime: int | None = None) -> int:
 
 
 def check_spanning(W: HypothesisClass, ell: int, s: int,
-                   budget: int = DEFAULT_MATRIX_BUDGET,
-                   prime: int | None = None) -> tuple[bool, int, int]:
+                   budget: int = DEFAULT_MATRIX_BUDGET) -> tuple[bool, int, int]:
     """Do the bounded-support monomials span all functions on W?
 
     Returns (spans, rank, |W|); spans iff rank == |W|.
     """
     mons = monomial_set(W, ell, s, budget=budget)
     mat = eval_matrix(W, mons, budget=budget)
-    rank = rank_exact(mat, prime=prime)
+    rank = rank_exact(mat)
     return rank == len(W), rank, len(W)
 
 
-def direction_subspace_dim(W: HypothesisClass, i: int, ell: int,
-                           prime: int | None = None) -> int:
+def direction_subspace_dim(W: HypothesisClass, i: int, ell: int) -> int:
     """Dimension of the functions that are degree-(ell-1) polynomials in the
     i-th label on every direction-i edge.
 
@@ -284,7 +281,7 @@ def direction_subspace_dim(W: HypothesisClass, i: int, ell: int,
             for v, z in zip(g.members, zs):
                 row[v] = z**c
             stacked.append(row)
-    rank = rank_exact(stacked, prime=prime)
+    rank = rank_exact(stacked)
     if rank != formula:
         raise CertificateError(
             f"direction {i}: stacked Vandermonde rank {rank} != formula {formula}")
@@ -346,8 +343,8 @@ class AuditReport:
     n_samples: int
     mu_value: Fraction
     ceil_mu: int
-    d_ds: int | None
-    d_nat: int | None
+    d_ds: int
+    d_nat: int
     t_star: int
     spanning_ok: bool | None
     spanning_rank: int | None

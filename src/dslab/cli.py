@@ -15,7 +15,6 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,30 +30,18 @@ EXIT_ERROR = 1
 EXIT_VERDICT_FAIL = 2
 
 
-@dataclass
-class RunConfig:
-    command: str
-    args: dict
-
-    def to_dict(self) -> dict:
-        return {"command": self.command, "args": dict(sorted(self.args.items()))}
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; keep that for FAIL only
         self.print_usage(sys.stderr)
         raise SystemExit(EXIT_ERROR)
 
 
-def _default_seed(value):
-    if value is not None:
-        return int(value)
-    env = os.environ.get("DSLAB_SEED")
-    return int(env) if env else 0
-
-
-def _emit(payload: dict, cfg: RunConfig, out: str | None):
-    doc = {"config": cfg.to_dict(), "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
+def _emit(payload: dict, args, out: str | None):
+    """Write ``payload`` as JSON with the run configuration (every flag the
+    subcommand took that is not None) embedded."""
+    config = {"command": args.command,
+              "args": {k: v for k, v in vars(args).items() if k != "command" and v is not None}}
+    doc = {"config": config, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
     doc.update(payload)
     text = json.dumps(doc, sort_keys=True, indent=2)
     if out:
@@ -63,10 +50,19 @@ def _emit(payload: dict, cfg: RunConfig, out: str | None):
         print(text)
 
 
-def _csv_sink(out: str | None):
-    """Context manager over the CSV output: the ``out`` file, closed on every
-    path, or stdout, left open."""
-    return open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout)
+def _write_csv(out: str | None, header: list, items, row_of) -> list:
+    """Stream one CSV row per item to the ``out`` file, closed on every path,
+    or to stdout, left open.  Each row is flushed as it is written, so a
+    partial output stays valid CSV.  Returns the items written."""
+    written = []
+    with open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout) as sink:
+        writer = csv.writer(sink)
+        writer.writerow(header)
+        for item in items:
+            writer.writerow(row_of(item))
+            sink.flush()
+            written.append(item)
+    return written
 
 
 def _parse_kv(text: str) -> dict:
@@ -79,29 +75,31 @@ def _parse_kv(text: str) -> dict:
     return out
 
 
-def _cmd_gen(args, cfg) -> int:
+# Each handler takes the parsed args and the loaded class (None for the
+# subcommands without --class) and returns (payload, ok).  A payload of None
+# means the handler wrote its own output.
+
+def _gen(args, _H):
     if args.cube:
         kv = _parse_kv(args.cube)
         cls = gen_cube(kv["k"], kv["ell"], kv["s"], kv["m"])
     elif args.random:
         kv = _parse_kv(args.random)
-        cls = gen_random(kv["k"], kv["n"], kv["size"], _default_seed(args.seed))
+        cls = gen_random(kv["k"], kv["n"], kv["size"], args.seed)
     else:
-        print("gen: need --cube or --random", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("need --cube or --random")
     if args.output:
         save_class(cls, args.output)
-    _emit({"k": cls.k, "n": cls.n, "size": len(cls), "written": args.output}, cfg, None)
-    return EXIT_OK
+    # -o names the class file, so the report goes to stdout
+    _emit({"k": cls.k, "n": cls.n, "size": len(cls), "written": args.output}, args, None)
+    return None, True
 
 
-def _cmd_dims(args, cfg) -> int:
-    H = load_class(args.klass)
+def _dims(args, H):
     if args.validate_witness:
         w = dims.witness_from_json(Path(args.validate_witness).read_text())
         ok = dims.validate_witness(H, w)
-        _emit({"witness_valid": ok, "kind": w.kind, "ell": w.ell}, cfg, args.output)
-        return EXIT_OK if ok else EXIT_VERDICT_FAIL
+        return {"witness_valid": ok, "kind": w.kind, "ell": w.ell}, ok
     d_ds, w_ds = dims.ds_dimension(H, args.ell)
     d_nat, w_nat = dims.natarajan_dimension(H, args.ell)
     payload = {"ell": args.ell, "d_ds": d_ds, "d_nat": d_nat,
@@ -109,228 +107,173 @@ def _cmd_dims(args, cfg) -> int:
                "natarajan_witness": json.loads(dims.witness_to_json(w_nat)) if w_nat else None}
     if H.k == 2:
         payload["vc"] = dims.vc_dimension(H)
-    _emit(payload, cfg, args.output)
-    return EXIT_OK
+    return payload, True
 
 
-def _cmd_density(args, cfg) -> int:
-    H = load_class(args.klass)
-    val = oig.density(H, args.ell)
-    _emit({"ell": args.ell, "density": format_ratio(val)}, cfg, args.output)
-    return EXIT_OK
+def _density(args, H):
+    return {"ell": args.ell, "density": format_ratio(oig.density(H, args.ell))}, True
 
 
-def _cmd_mu(args, cfg) -> int:
-    H = load_class(args.klass)
+def _mu(args, H):
     n = args.n if args.n is not None else H.n
-    val = oig.mu(H, n, args.ell)
-    _emit({"ell": args.ell, "n": n, "mu": format_ratio(val)}, cfg, args.output)
-    return EXIT_OK
+    return {"ell": args.ell, "n": n, "mu": format_ratio(oig.mu(H, n, args.ell))}, True
 
 
-def _cmd_orient(args, cfg) -> int:
-    H = load_class(args.klass)
-    G = oig.build_oig(H)
-    sigma, t_star = oig.min_max_orientation(G, args.ell)
-    _emit({"ell": args.ell, "t_star": t_star,
-           "orientation": json.loads(oig.orientation_to_json(sigma))}, cfg, args.output)
-    return EXIT_OK
+def _orient(args, H):
+    sigma, t_star = oig.min_max_orientation(oig.build_oig(H), args.ell)
+    return {"ell": args.ell, "t_star": t_star,
+            "orientation": json.loads(oig.orientation_to_json(sigma))}, True
 
 
-def _cmd_span(args, cfg) -> int:
-    H = load_class(args.klass)
+def _span(args, H):
     s = args.s if args.s is not None else dims.ds_dimension(H, args.ell)[0]
     ok, rank, size = algebra.check_spanning(H, args.ell, s, budget=args.budget_matrix)
-    _emit({"ell": args.ell, "s": s, "spanning": ok, "rank": rank, "size": size},
-          cfg, args.output)
-    return EXIT_OK if ok else EXIT_VERDICT_FAIL
+    return {"ell": args.ell, "s": s, "spanning": ok, "rank": rank, "size": size}, ok
 
 
-def _audit_one(path_ell):
-    path, ell, n, matrix_budget = path_ell
-    H = load_class(path)
-    return path, algebra.audit_theorem(H, ell, n_samples=n, matrix_budget=matrix_budget)
+def _audit_one(job):
+    path, ell, n, matrix_budget = job
+    return algebra.audit_theorem(load_class(path), ell, n_samples=n, matrix_budget=matrix_budget)
 
 
-def _cmd_audit(args, cfg) -> int:
+def _audit(args, _H):
     target = Path(args.klass)
     ells = [int(e) for e in str(args.ell).split(",")]
     paths = sorted(target.glob("*.json")) if target.is_dir() else [target]
     jobs = [(str(p), ell, args.n, args.budget_matrix) for p in paths for ell in ells]
-
-    failed = False
-    if args.format == "csv" or (target.is_dir() and args.format != "json"):
-        with contextlib.ExitStack() as stack:
-            sink = stack.enter_context(_csv_sink(args.output))
-            writer = csv.writer(sink)
-            writer.writerow(algebra.AuditReport.CSV_HEADER)
-            if args.jobs <= 1:
-                runner = map(_audit_one, jobs)
-            else:
-                pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
-                runner = pool.map(_audit_one, jobs)
-            for _path, report in runner:
-                writer.writerow(report.csv_row())
-                sink.flush()  # partial outputs stay valid CSV
-                failed = failed or not report.passed
-    else:
-        reports = []
-        for job in jobs:
-            _path, report = _audit_one(job)
-            reports.append(report.to_dict())
-            failed = failed or not report.passed
-        _emit({"reports": reports}, cfg, args.output)
-    return EXIT_VERDICT_FAIL if failed else EXIT_OK
+    with contextlib.ExitStack() as stack:
+        run = map
+        if args.jobs > 1:
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs)).map
+        results = run(_audit_one, jobs)
+        if args.format == "csv":
+            payload = None
+            reports = _write_csv(args.output, algebra.AuditReport.CSV_HEADER, results,
+                                 algebra.AuditReport.csv_row)
+        else:
+            reports = list(results)
+            payload = {"reports": [report.to_dict() for report in reports]}
+    return payload, all(report.passed for report in reports)
 
 
-def _cmd_loo(args, cfg) -> int:
+def _loo(args, H):
     import numpy as np
 
-    H = load_class(args.klass)
     D = SyntheticDistribution.uniform_realizable(H, args.target)
-    rng = np.random.default_rng(_default_seed(args.seed))
-    sample = D.draw(rng, args.m)
+    sample = D.draw(np.random.default_rng(args.seed), args.m)
     m_n, t_star = loo_error(H, sample, args.ell)
     d_ds, _w = dims.ds_dimension(H, args.ell)
     ok = m_n <= t_star <= d_ds
-    _emit({"ell": args.ell, "m": args.m, "loo_error": m_n, "t_star": t_star,
-           "d_ds": d_ds, "bound_holds": ok}, cfg, args.output)
-    return EXIT_OK if ok else EXIT_VERDICT_FAIL
+    return {"ell": args.ell, "m": args.m, "loo_error": m_n, "t_star": t_star,
+            "d_ds": d_ds, "bound_holds": ok}, ok
 
 
-def _cmd_pac(args, cfg) -> int:
-    H = load_class(args.klass)
+def _pac(args, H):
     D = SyntheticDistribution.uniform_realizable(H, args.target)
-    ms = [int(v) for v in str(args.m).split(",")]
-    seed = _default_seed(args.seed)
-    rows = []
-    failed = False
-    for m in ms:
-        report = pac_experiment(H, D, args.ell, m, args.delta, args.trials, seed)
-        rows.append(report)
-        failed = failed or report.verdict != "PASS"
+    reports = [pac_experiment(H, D, args.ell, int(m), args.delta, args.trials, args.seed)
+               for m in str(args.m).split(",")]
+    ok = all(rep.verdict == "PASS" for rep in reports)
     if args.format == "csv":
-        with _csv_sink(args.output) as sink:
-            writer = csv.writer(sink)
-            writer.writerow(["m", "quantile_err", "bound", "verdict"])
-            for rep in rows:
-                writer.writerow([rep.params["m"], rep.results["quantile_err"],
-                                 rep.results["bound"], rep.verdict])
-    else:
-        _emit({"reports": [rep.to_dict() for rep in rows]}, cfg, args.output)
-    return EXIT_VERDICT_FAIL if failed else EXIT_OK
+        _write_csv(args.output, ["m", "quantile_err", "bound", "verdict"], reports,
+                   lambda rep: [rep.params["m"], rep.results["quantile_err"],
+                                rep.results["bound"], rep.verdict])
+        return None, ok
+    return {"reports": [rep.to_dict() for rep in reports]}, ok
 
 
-def _cmd_agnostic(args, cfg) -> int:
-    H = load_class(args.klass)
+def _agnostic(args, H):
     noise = Fraction(args.noise).limit_denominator(10**6)
     D = SyntheticDistribution.with_label_noise(H, args.target, noise)
     report = agnostic_pipeline(H, D, args.ell, args.n1, args.rounds, args.n3,
-                               args.delta, _default_seed(args.seed))
-    _emit({"report": report.to_dict()}, cfg, args.output)
-    return EXIT_OK
+                               args.delta, args.seed)
+    return {"report": report.to_dict()}, True
+
+
+# Each flag's argparse spec, keyed by the name the command table uses.
+FLAGS = {
+    "class": (("--class",), dict(dest="klass", required=True,
+                                 help="path to a class JSON file")),
+    "classes": (("--class",), dict(dest="klass", required=True,
+                                   help="a class JSON file or a directory of them")),
+    "ell": (("--ell",), dict(type=int, default=1, help="list size")),
+    "ells": (("--ell",), dict(type=str, default=1, help="list size or comma list")),
+    "seed": (("--seed",), dict(type=int, help="falls back to env DSLAB_SEED, then 0")),
+    "jobs": (("--jobs",), dict(type=int, default=1)),
+    "budget_matrix": (("--budget-matrix",), dict(type=int,
+                                                 default=algebra.DEFAULT_MATRIX_BUDGET)),
+    "format": (("--format",), dict(choices=["json", "csv"], default="json")),
+    "output": (("-o", "--output"), dict()),
+    "cube": (("--cube",), dict(help="k=..,ell=..,s=..,m=..")),
+    "random": (("--random",), dict(help="k=..,n=..,size=..")),
+    "validate_witness": (("--validate-witness",), dict()),
+    "n": (("--n",), dict(type=int)),
+    "s": (("--s",), dict(type=int)),
+    "m": (("--m",), dict(type=int, default=16)),
+    "ms": (("--m",), dict(default="200", help="sample size or comma list")),
+    "delta": (("--delta",), dict(type=float, default=0.1)),
+    "trials": (("--trials",), dict(type=int, default=50)),
+    "target": (("--target",), dict(type=int, default=0)),
+    "n1": (("--n1",), dict(type=int, default=100)),
+    "rounds": (("--rounds",), dict(type=int, default=100)),
+    "n3": (("--n3",), dict(type=int, default=200)),
+    "noise": (("--noise",), dict(type=float, default=0.0)),
+}
+
+# subcommand -> (help, handler, the flags the handler reads)
+COMMANDS = {
+    "gen": ("generate a class file", _gen, ("cube", "random", "seed", "output")),
+    "dims": ("DS/Natarajan (and VC) dimensions", _dims,
+             ("class", "ell", "validate_witness", "output")),
+    "density": ("exact list density", _density, ("class", "ell", "output")),
+    "mu": ("maximum density over restrictions", _mu, ("class", "ell", "n", "output")),
+    "orient": ("min-max outdegree orientation", _orient, ("class", "ell", "output")),
+    "span": ("monomial spanning check", _span,
+             ("class", "ell", "s", "budget_matrix", "output")),
+    "audit": ("full audit; accepts a file or directory", _audit,
+              ("classes", "ells", "n", "jobs", "budget_matrix", "format", "output")),
+    "loo": ("leave-one-out error check", _loo,
+            ("class", "ell", "seed", "m", "target", "output")),
+    "pac": ("Monte-Carlo error-bound experiment", _pac,
+            ("class", "ell", "seed", "ms", "delta", "trials", "target", "format", "output")),
+    "agnostic": ("cover/menu/ERM pipeline run", _agnostic,
+                 ("class", "ell", "seed", "n1", "rounds", "n3", "delta", "target", "noise",
+                  "output")),
+}
 
 
 def build_parser() -> _Parser:
     p = _Parser(prog="dslab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, klass=True, ell_type=int):
-        if klass:
-            sp.add_argument("--class", dest="klass", required=True,
-                            help="path to a class JSON file")
-        sp.add_argument("--ell", type=ell_type, default=1,
-                        help="list size (audit also takes a comma list)")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="falls back to env DSLAB_SEED, then 0")
-        sp.add_argument("--jobs", type=int, default=1)
-        sp.add_argument("--budget-matrix", type=int, default=algebra.DEFAULT_MATRIX_BUDGET)
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
-        sp.add_argument("-o", "--output", default=None)
-
-    sp = sub.add_parser("gen", help="generate a class file")
-    sp.add_argument("--cube", help="k=..,ell=..,s=..,m=..")
-    sp.add_argument("--random", help="k=..,n=..,size=..")
-    common(sp, klass=False)
-    sp.set_defaults(fn=_cmd_gen)
-
-    sp = sub.add_parser("dims", help="DS/Natarajan (and VC) dimensions")
-    common(sp)
-    sp.add_argument("--validate-witness", default=None)
-    sp.set_defaults(fn=_cmd_dims)
-
-    sp = sub.add_parser("density", help="exact list density")
-    common(sp)
-    sp.set_defaults(fn=_cmd_density)
-
-    sp = sub.add_parser("mu", help="maximum density over restrictions")
-    common(sp)
-    sp.add_argument("--n", type=int, default=None)
-    sp.set_defaults(fn=_cmd_mu)
-
-    sp = sub.add_parser("orient", help="min-max outdegree orientation")
-    common(sp)
-    sp.set_defaults(fn=_cmd_orient)
-
-    sp = sub.add_parser("span", help="monomial spanning check")
-    common(sp)
-    sp.add_argument("--s", type=int, default=None)
-    sp.set_defaults(fn=_cmd_span)
-
-    sp = sub.add_parser("audit", help="full audit; accepts a file or directory")
-    common(sp, ell_type=str)
-    sp.add_argument("--n", type=int, default=None)
-    sp.set_defaults(fn=_cmd_audit)
-
-    sp = sub.add_parser("loo", help="leave-one-out error check")
-    common(sp)
-    sp.add_argument("--m", type=int, default=16)
-    sp.add_argument("--target", type=int, default=0)
-    sp.set_defaults(fn=_cmd_loo)
-
-    sp = sub.add_parser("pac", help="Monte-Carlo error-bound experiment")
-    common(sp)
-    sp.add_argument("--m", default="200", help="sample size or comma list")
-    sp.add_argument("--delta", type=float, default=0.1)
-    sp.add_argument("--trials", type=int, default=50)
-    sp.add_argument("--target", type=int, default=0)
-    sp.set_defaults(fn=_cmd_pac)
-
-    sp = sub.add_parser("agnostic", help="cover/menu/ERM pipeline run")
-    common(sp)
-    sp.add_argument("--n1", type=int, default=100)
-    sp.add_argument("--rounds", type=int, default=100)
-    sp.add_argument("--n3", type=int, default=200)
-    sp.add_argument("--delta", type=float, default=0.1)
-    sp.add_argument("--target", type=int, default=0)
-    sp.add_argument("--noise", type=float, default=0.0)
-    sp.set_defaults(fn=_cmd_agnostic)
-
+    for name, (help_text, _handler, flags) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            names, spec = FLAGS[flag]
+            sp.add_argument(*names, **spec)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
-    if hasattr(args, "seed"):
-        args.seed = _default_seed(args.seed)  # resolve env fallback into provenance
-    cfg = RunConfig(command=args.command,
-                    args={k: v for k, v in vars(args).items()
-                          if k not in ("fn", "command") and v is not None})
+    _help, handler, flags = COMMANDS[args.command]
+    if "seed" in flags and args.seed is None:  # resolve the env fallback into provenance
+        args.seed = int(os.environ.get("DSLAB_SEED") or 0)
     try:
-        return args.fn(args, cfg)
+        H = load_class(args.klass) if "class" in flags else None
+        payload, ok = handler(args, H)
+        if payload is not None:
+            _emit(payload, args, args.output)
     except CertificateError as exc:
         print(f"dslab {args.command}: certificate failed: {exc}", file=sys.stderr)
         return EXIT_VERDICT_FAIL
     except (BudgetError, RealizabilityError, ValueError, OSError, KeyError) as exc:
         print(f"dslab {args.command}: {exc}", file=sys.stderr)
-        if isinstance(exc, BudgetError):
-            print("hint: raise --budget-matrix or shrink the input",
-                  file=sys.stderr)
+        if isinstance(exc, BudgetError) and "budget_matrix" in flags:
+            print("hint: raise --budget-matrix or shrink the input", file=sys.stderr)
         return EXIT_ERROR
+    return EXIT_OK if ok else EXIT_VERDICT_FAIL
 
 
 if __name__ == "__main__":

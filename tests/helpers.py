@@ -140,24 +140,21 @@ def scipy_flow_assignment(G, edges, ell: int, t: int):
     return picked
 
 
-def brute_has_valid_subfamily(W: HypothesisClass, ell: int) -> bool:
-    """Does any subfamily give every member >= ell i-neighbors everywhere?"""
+def is_valid_subfamily(F: HypothesisClass, ell: int) -> bool:
+    """Does every member of F have >= ell i-neighbors in F in every direction i?"""
+    return all(
+        sum(1 for g in F.hyps if g[i] != h[i] and g[:i] + g[i + 1:] == h[:i] + h[i + 1:]) >= ell
+        for h in F.hyps for i in range(F.n))
+
+
+def brute_largest_valid_subfamily(W: HypothesisClass, ell: int) -> HypothesisClass | None:
+    """Union of all valid subfamilies of W (see ``is_valid_subfamily``), or
+    None when there is none."""
+    union = set()
     for F in subclasses(W):
-        rows = set(F.hyps)
-        ok = True
-        for h in rows:
-            for i in range(F.n):
-                nbrs = sum(1 for g in rows
-                           if g != h and g[i] != h[i]
-                           and g[:i] + g[i + 1:] == h[:i] + h[i + 1:])
-                if nbrs < ell:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
+        if is_valid_subfamily(F, ell):
+            union.update(F.hyps)
+    return HypothesisClass(k=W.k, n=W.n, hyps=tuple(sorted(union))) if union else None
 
 
 def fraction_rank(rows) -> int:

@@ -230,7 +230,7 @@ def test_direction_subspace_matches_edge_formula():
 def test_direction_subspace_rank_mismatch_raises_certificate_error(monkeypatch):
     W = gen_cube(2, 1, 2, 2)
     formula = direction_subspace_dim(W, 1, 1)
-    monkeypatch.setattr(algebra, "rank_exact", lambda rows, prime=None: formula - 1)
+    monkeypatch.setattr(algebra, "rank_exact", lambda rows: formula - 1)
     with pytest.raises(CertificateError, match="Vandermonde"):
         direction_subspace_dim(W, 1, 1)
 

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from dslab import algebra, oig
+from concurrent.futures import ProcessPoolExecutor
+
+from dslab import algebra, cli, oig
 from dslab.cli import EXIT_ERROR, EXIT_OK, EXIT_VERDICT_FAIL, main
 from dslab.errors import CertificateError
 from dslab.hclass import HypothesisClass, gen_cube, load_class, save_class
@@ -236,6 +238,74 @@ def test_audit_batch_parallel_jobs(tmp_path, capsys):
     assert run(capsys, "audit", "--class", str(d), "--ell", "1",
                "--format", "csv", "-o", str(parallel), "--jobs", "2")[0] == EXIT_OK
     assert serial.read_text() == parallel.read_text()
+
+
+def test_audit_json_batch_honours_jobs(tmp_path, capsys, monkeypatch):
+    d = tmp_path / "classes"
+    d.mkdir()
+    for i, cls in enumerate([gen_cube(2, 1, 2, 2), gen_cube(3, 1, 1, 2),
+                             gen_cube(3, 1, 2, 2)]):
+        save_class(cls, d / f"c{i}.json")
+    pools = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    code, serial, _err = run(capsys, "audit", "--class", str(d), "--ell", "1,2")
+    assert code == EXIT_OK and not pools
+    code, parallel, _err = run(capsys, "audit", "--class", str(d), "--ell", "1,2",
+                               "--jobs", "2")
+    assert code == EXIT_OK and len(pools) == 1
+    assert json.loads(parallel)["reports"] == json.loads(serial)["reports"]
+    assert len(json.loads(serial)["reports"]) == 6
+
+
+CONFIG_KEYS = {
+    "gen": (["--cube", "k=3,ell=1,s=1,m=2"], {"cube", "seed"}),
+    "dims": ([], {"klass", "ell"}),
+    "density": ([], {"klass", "ell"}),
+    "mu": ([], {"klass", "ell"}),
+    "orient": ([], {"klass", "ell"}),
+    "span": ([], {"klass", "ell", "budget_matrix"}),
+    "audit": ([], {"klass", "ell", "jobs", "budget_matrix", "format"}),
+    "loo": ([], {"klass", "ell", "seed", "m", "target"}),
+    "pac": (["--m", "8", "--trials", "2"],
+            {"klass", "ell", "seed", "m", "delta", "trials", "target", "format"}),
+    "agnostic": (["--n1", "8", "--rounds", "4", "--n3", "8"],
+                 {"klass", "ell", "seed", "n1", "rounds", "n3", "delta", "target", "noise"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_KEYS))
+def test_config_args_hold_only_the_flags_a_subcommand_reads(command, square, capsys):
+    extra, keys = CONFIG_KEYS[command]
+    klass = [] if command == "gen" else ["--class", square]
+    code, out, _err = run(capsys, command, *klass, *extra)
+    assert code == EXIT_OK
+    assert set(json.loads(out)["config"]["args"]) == keys
+
+
+@pytest.mark.parametrize("command,unread", [
+    ("mu", ["--jobs", "2"]),
+    ("density", ["--budget-matrix", "5"]),
+    ("dims", ["--format", "csv"]),
+    ("gen", ["--ell", "2"]),
+    ("orient", ["--seed", "1"]),
+])
+def test_unread_flag_is_a_usage_error(command, unread, square, capsys):
+    base = ["--cube", "k=3,ell=1,s=1,m=2"] if command == "gen" else ["--class", square]
+    assert run(capsys, command, *base)[0] == EXIT_OK
+    code, out, err = run(capsys, command, *base, *unread)
+    assert code == EXIT_ERROR and out == "" and err.startswith("usage: dslab")
+
+
+def test_gen_size_limit_exits_one_without_budget_hint(capsys):
+    code, out, err = run(capsys, "gen", "--cube", "k=10,ell=1,s=7,m=7")
+    assert code == EXIT_ERROR and out == ""
+    assert "exceeds budget" in err and "--budget-matrix" not in err
 
 
 def test_config_embeds_resolved_seed(square, capsys, monkeypatch):

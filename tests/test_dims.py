@@ -2,8 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from helpers import brute_has_valid_subfamily, random_class
+from helpers import brute_largest_valid_subfamily, is_valid_subfamily, random_class
 from dslab.hclass import HypothesisClass, gen_cube, restrict
 from dslab.dims import (ds_dimension, ds_shatter_core, natarajan_dimension,
                         validate_witness, vc_dimension, witness_from_json,
@@ -18,7 +19,7 @@ def test_core_full_square():
 def test_core_square_minus_vertex_is_empty():
     W = HypothesisClass(k=2, n=2, hyps=((1, 1), (1, 2), (2, 1)))
     assert ds_shatter_core(W, 1) is None
-    assert not brute_has_valid_subfamily(W, 1)
+    assert brute_largest_valid_subfamily(W, 1) is None
 
 
 def test_core_triangle_ell2():
@@ -32,7 +33,38 @@ def test_core_agrees_with_brute_force_existence():
         W = random_class(rng, size_max=7)
         for ell in (1, 2):
             got = ds_shatter_core(W, ell)
-            assert (got is not None) == brute_has_valid_subfamily(W, ell)
+            assert (got is None) == (brute_largest_valid_subfamily(W, ell) is None)
+
+
+@st.composite
+def small_classes(draw):
+    """A class over at most 3 coordinates and 4 labels with at most 8 rows:
+    half the time a box (a product of per-coordinate label sets, with a
+    non-empty core when every side has two labels) plus stray rows,
+    otherwise rows drawn at random."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3))
+    cube = list(itertools.product(range(1, k + 1), repeat=n))
+    box = set()
+    if draw(st.booleans()):
+        side = st.sets(st.integers(1, k), min_size=min(2, k), max_size=3 if n == 1 else 2)
+        box = set(itertools.product(*[sorted(draw(side)) for _ in range(n)]))
+    extra = draw(st.sets(st.sampled_from(cube), min_size=min(1, 8 - len(box)),
+                         max_size=8 - len(box)))
+    return HypothesisClass(k=k, n=n, hyps=tuple(sorted(box | extra)))
+
+
+@example(HypothesisClass(k=4, n=2, hyps=((1, 1), (1, 2), (2, 1), (2, 2),
+                                         (3, 3), (3, 4), (4, 3), (4, 4))), 1)
+@example(HypothesisClass(k=3, n=2, hyps=((1, 1), (1, 2), (2, 1), (2, 2), (3, 3))), 1)
+@example(gen_cube(3, 2, 1, 1), 2)
+@given(W=small_classes(), ell=st.integers(1, 2))
+def test_core_is_the_largest_valid_subfamily(W, ell):
+    # the peeling fixed point is the union of every valid subfamily, and
+    # that union is itself valid
+    union = brute_largest_valid_subfamily(W, ell)
+    assert ds_shatter_core(W, ell) == union
+    assert union is None or is_valid_subfamily(union, ell)
 
 
 def test_core_is_order_independent():
