@@ -93,11 +93,10 @@ class ListCover:
 
 
 def _boost_member(H: HypothesisClass, points: list[tuple[int, int]], d: int, j: int,
-                  ell: int, rng: np.random.Generator, tries: int,
-                  memo: dict) -> CoverMember | None:
+                  ell: int, rng: np.random.Generator, memo: dict) -> CoverMember | None:
     """Boost one covering member for a realizable point set.
 
-    Maintains weights over the points; each round draws up to ``tries``
+    Maintains weights over the points; each round draws up to ``BOOST_BUDGET``
     weighted size-d subsamples until the trained predictor's weighted miss
     rate is at most 1/3, then halves the weights of points it covers.
     Returns None when some round finds no weak subsample.  Predictions go
@@ -111,7 +110,7 @@ def _boost_member(H: HypothesisClass, points: list[tuple[int, int]], d: int, j: 
     for _round in range(j):
         p = weights / weights.sum()
         found = None
-        for _attempt in range(tries):
+        for _attempt in range(BOOST_BUDGET):
             picks = rng.choice(len(points), size=d, p=p)
             sub = tuple(points[int(i)] for i in picks)
             state = _state_of(*_consolidate(sub, H))
@@ -137,14 +136,13 @@ def _boost_member(H: HypothesisClass, points: list[tuple[int, int]], d: int, j: 
 
 
 def build_list_cover(H: HypothesisClass, S1: Sequence[tuple[int, int]], d: int, j: int,
-                     budget: int = BOOST_BUDGET, ell: int = 1,
-                     rng: np.random.Generator | None = None) -> ListCover:
+                     ell: int = 1, rng: np.random.Generator | None = None) -> ListCover:
     """Cover every hypothesis's consistent subsample with one member.
 
     For each h, the points of S1 labeled consistently with h form a
     realizable set; a member is boosted for it and coverage is verified by
     direct membership checks.  Hypotheses whose member failed to cover (or
-    whose boosting found no weak subsample within ``budget`` tries per
+    whose boosting found no weak subsample within ``BOOST_BUDGET`` tries per
     round) are reported in ``uncovered``.
 
     One (state, x) -> ListPrediction memo is created per call and shared by
@@ -165,7 +163,7 @@ def build_list_cover(H: HypothesisClass, S1: Sequence[tuple[int, int]], d: int, 
     pairs = [(int(x), int(y)) for x, y in S1]
     for h_idx, h in enumerate(H.hyps):
         points = [(x, y) for x, y in pairs if h[x - 1] == y]
-        member = _boost_member(H, points, d, j, ell=ell, rng=rng, tries=budget, memo=memo)
+        member = _boost_member(H, points, d, j, ell=ell, rng=rng, memo=memo)
         if member is None:
             uncovered.append(h_idx)
             continue

@@ -50,18 +50,23 @@ def _emit(payload: dict, args, out: str | None):
         print(text)
 
 
-def _write_csv(out: str | None, header: list, items, row_of) -> list:
-    """Stream one CSV row per item to the ``out`` file, closed on every path,
-    or to stdout, left open.  Each row is flushed as it is written, so a
-    partial output stays valid CSV.  Returns the items written."""
+def _csv_sink(out: str | None):
+    """Context manager over the CSV output: the ``out`` file, closed on every
+    path, or stdout, left open."""
+    return open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout)
+
+
+def _write_csv(sink, header: list, items, row_of) -> list:
+    """Stream the header, then one CSV row per item, to the open ``sink``.
+    Each row is flushed as it is written, so a partial output stays valid
+    CSV.  Returns the items written."""
+    writer = csv.writer(sink)
+    writer.writerow(header)
     written = []
-    with open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout) as sink:
-        writer = csv.writer(sink)
-        writer.writerow(header)
-        for item in items:
-            writer.writerow(row_of(item))
-            sink.flush()
-            written.append(item)
+    for item in items:
+        writer.writerow(row_of(item))
+        sink.flush()
+        written.append(item)
     return written
 
 
@@ -75,9 +80,9 @@ def _parse_kv(text: str) -> dict:
     return out
 
 
-# Each handler takes the parsed args and the loaded class (None for the
-# subcommands without --class) and returns (payload, ok).  A payload of None
-# means the handler wrote its own output.
+# Each handler takes the parsed args and the loaded class (None where the
+# command table says main loads none) and returns (payload, ok).  A payload
+# of None means the handler wrote its own output.
 
 def _gen(args, _H):
     if args.cube:
@@ -142,13 +147,15 @@ def _audit(args, _H):
     paths = sorted(target.glob("*.json")) if target.is_dir() else [target]
     jobs = [(str(p), ell, args.n, args.budget_matrix) for p in paths for ell in ells]
     with contextlib.ExitStack() as stack:
+        # open the CSV output first, so a bad -o path fails before any audit runs
+        sink = stack.enter_context(_csv_sink(args.output)) if args.format == "csv" else None
         run = map
         if args.jobs > 1:
             run = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs)).map
         results = run(_audit_one, jobs)
-        if args.format == "csv":
+        if sink is not None:
             payload = None
-            reports = _write_csv(args.output, algebra.AuditReport.CSV_HEADER, results,
+            reports = _write_csv(sink, algebra.AuditReport.CSV_HEADER, results,
                                  algebra.AuditReport.csv_row)
         else:
             reports = list(results)
@@ -174,9 +181,10 @@ def _pac(args, H):
                for m in str(args.m).split(",")]
     ok = all(rep.verdict == "PASS" for rep in reports)
     if args.format == "csv":
-        _write_csv(args.output, ["m", "quantile_err", "bound", "verdict"], reports,
-                   lambda rep: [rep.params["m"], rep.results["quantile_err"],
-                                rep.results["bound"], rep.verdict])
+        with _csv_sink(args.output) as sink:
+            _write_csv(sink, ["m", "quantile_err", "bound", "verdict"], reports,
+                       lambda rep: [rep.params["m"], rep.results["quantile_err"],
+                                    rep.results["bound"], rep.verdict])
         return None, ok
     return {"reports": [rep.to_dict() for rep in reports]}, ok
 
@@ -192,9 +200,7 @@ def _agnostic(args, H):
 # Each flag's argparse spec, keyed by the name the command table uses.
 FLAGS = {
     "class": (("--class",), dict(dest="klass", required=True,
-                                 help="path to a class JSON file")),
-    "classes": (("--class",), dict(dest="klass", required=True,
-                                   help="a class JSON file or a directory of them")),
+                                 help="a class JSON file (audit: or a directory of them)")),
     "ell": (("--ell",), dict(type=int, default=1, help="list size")),
     "ells": (("--ell",), dict(type=str, default=1, help="list size or comma list")),
     "seed": (("--seed",), dict(type=int, help="falls back to env DSLAB_SEED, then 0")),
@@ -219,23 +225,24 @@ FLAGS = {
     "noise": (("--noise",), dict(type=float, default=0.0)),
 }
 
-# subcommand -> (help, handler, the flags the handler reads)
+# subcommand -> (help, handler, whether main loads --class for the handler,
+# the flags the handler reads)
 COMMANDS = {
-    "gen": ("generate a class file", _gen, ("cube", "random", "seed", "output")),
-    "dims": ("DS/Natarajan (and VC) dimensions", _dims,
+    "gen": ("generate a class file", _gen, False, ("cube", "random", "seed", "output")),
+    "dims": ("DS/Natarajan (and VC) dimensions", _dims, True,
              ("class", "ell", "validate_witness", "output")),
-    "density": ("exact list density", _density, ("class", "ell", "output")),
-    "mu": ("maximum density over restrictions", _mu, ("class", "ell", "n", "output")),
-    "orient": ("min-max outdegree orientation", _orient, ("class", "ell", "output")),
-    "span": ("monomial spanning check", _span,
+    "density": ("exact list density", _density, True, ("class", "ell", "output")),
+    "mu": ("maximum density over restrictions", _mu, True, ("class", "ell", "n", "output")),
+    "orient": ("min-max outdegree orientation", _orient, True, ("class", "ell", "output")),
+    "span": ("monomial spanning check", _span, True,
              ("class", "ell", "s", "budget_matrix", "output")),
-    "audit": ("full audit; accepts a file or directory", _audit,
-              ("classes", "ells", "n", "jobs", "budget_matrix", "format", "output")),
-    "loo": ("leave-one-out error check", _loo,
+    "audit": ("full audit; accepts a file or directory", _audit, False,
+              ("class", "ells", "n", "jobs", "budget_matrix", "format", "output")),
+    "loo": ("leave-one-out error check", _loo, True,
             ("class", "ell", "seed", "m", "target", "output")),
-    "pac": ("Monte-Carlo error-bound experiment", _pac,
+    "pac": ("Monte-Carlo error-bound experiment", _pac, True,
             ("class", "ell", "seed", "ms", "delta", "trials", "target", "format", "output")),
-    "agnostic": ("cover/menu/ERM pipeline run", _agnostic,
+    "agnostic": ("cover/menu/ERM pipeline run", _agnostic, True,
                  ("class", "ell", "seed", "n1", "rounds", "n3", "delta", "target", "noise",
                   "output")),
 }
@@ -244,7 +251,7 @@ COMMANDS = {
 def build_parser() -> _Parser:
     p = _Parser(prog="dslab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (help_text, _handler, flags) in COMMANDS.items():
+    for name, (help_text, _handler, _loads_class, flags) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         for flag in flags:
             names, spec = FLAGS[flag]
@@ -257,11 +264,11 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
-    _help, handler, flags = COMMANDS[args.command]
+    _help, handler, loads_class, flags = COMMANDS[args.command]
     if "seed" in flags and args.seed is None:  # resolve the env fallback into provenance
         args.seed = int(os.environ.get("DSLAB_SEED") or 0)
     try:
-        H = load_class(args.klass) if "class" in flags else None
+        H = load_class(args.klass) if loads_class else None
         payload, ok = handler(args, H)
         if payload is not None:
             _emit(payload, args, args.output)

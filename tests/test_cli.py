@@ -263,6 +263,25 @@ def test_audit_json_batch_honours_jobs(tmp_path, capsys, monkeypatch):
     assert len(json.loads(serial)["reports"]) == 6
 
 
+def test_audit_csv_bad_output_path_fails_before_any_audit(tmp_path, capsys, monkeypatch):
+    d = tmp_path / "classes"
+    d.mkdir()
+    for i, cls in enumerate([gen_cube(2, 1, 2, 2), gen_cube(3, 1, 1, 2)]):
+        save_class(cls, d / f"c{i}.json")
+    pools = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    code, out, err = run(capsys, "audit", "--class", str(d), "--ell", "1", "--jobs", "2",
+                         "--format", "csv", "-o", str(tmp_path / "missing" / "x.csv"))
+    assert code == EXIT_ERROR and "dslab audit:" in err
+    assert not pools and out == ""
+
+
 CONFIG_KEYS = {
     "gen": (["--cube", "k=3,ell=1,s=1,m=2"], {"cube", "seed"}),
     "dims": ([], {"klass", "ell"}),
