@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -92,6 +92,27 @@ class ListCover:
         return len(self.members)
 
 
+def _label_table(H: HypothesisClass, xs, labels_at) -> np.ndarray:
+    """Boolean table ``T[x, y]``: is y among ``labels_at(x)``?
+
+    Indexed by 1-based instance and label; ``labels_at`` is asked once per x
+    in ``xs``, and every other row (row 0 and column 0 too) stays False.
+    """
+    table = np.zeros((H.n + 1, H.k + 1), dtype=bool)
+    for x in xs:
+        table[x, list(labels_at(x))] = True
+    return table
+
+
+def _pair_arrays(H: HypothesisClass, pairs: Sequence[tuple[int, int]]):
+    """Instances and labels of ``pairs`` as two int arrays, checked to lie
+    in [1, n] x [1, k]."""
+    xy = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    if xy.size and ((xy.min(0) < 1).any() or (xy.max(0) > (H.n, H.k)).any()):
+        raise ValueError(f"sample points must lie in [1, {H.n}] x [1, {H.k}]")
+    return xy[:, 0], xy[:, 1]
+
+
 def _boost_member(H: HypothesisClass, points: list[tuple[int, int]], d: int, j: int,
                   ell: int, rng: np.random.Generator, memo: dict) -> CoverMember | None:
     """Boost one covering member for a realizable point set.
@@ -99,38 +120,35 @@ def _boost_member(H: HypothesisClass, points: list[tuple[int, int]], d: int, j: 
     Maintains weights over the points; each round draws up to ``BOOST_BUDGET``
     weighted size-d subsamples until the trained predictor's weighted miss
     rate is at most 1/3, then halves the weights of points it covers.
-    Returns None when some round finds no weak subsample.  Predictions go
-    through the cover's (state, x) ``memo``.
+    Returns None when some round finds no weak subsample.  Each attempt asks
+    the cover's (state, x) ``memo`` once per distinct x of the points.
     """
     if not points:
         return CoverMember(H, (), ell, memo)
+    px, py = _pair_arrays(H, points)
+    xs = np.unique(px).tolist()
     weights = np.ones(len(points))
+    covered = np.zeros(len(points), dtype=bool)
     subsamples: list[tuple[tuple[int, int], ...]] = []
-    preds: list[frozenset[int]] = []
     for _round in range(j):
         p = weights / weights.sum()
-        found = None
+        # Each weight is 2**-a with a <= j, so every sum below is exact in
+        # float64 and the 1/3 test decides as it would over the rationals.
+        total = weights.sum()
         for _attempt in range(BOOST_BUDGET):
             picks = rng.choice(len(points), size=d, p=p)
             sub = tuple(points[int(i)] for i in picks)
             state = _state_of(*_consolidate(sub, H))
-            per_point = [frozenset(_cached_predict(H, state, x, ell, memo).labels)
-                         for x, _y in points]
-            miss = sum(w for (x, y), w, pl in zip(points, weights, per_point)
-                       if y not in pl)
-            if miss <= weights.sum() / 3:
-                found = (sub, per_point)
+            table = _label_table(H, xs, lambda x: _cached_predict(H, state, x, ell, memo).labels)
+            hit = table[px, py]
+            if weights[~hit].sum() <= total / 3:
                 break
-        if found is None:
+        else:
             return None
-        sub, per_point = found
         subsamples.append(sub)
-        preds.append(per_point)
-        for idx, ((x, y), pl) in enumerate(zip(points, per_point)):
-            if y in pl:
-                weights[idx] /= 2
-        if all(any(y in pl[idx] for pl in preds)
-               for idx, (x, y) in enumerate(points)):
+        weights[hit] /= 2
+        covered |= hit
+        if covered.all():
             break  # everything already covered; no need for more rounds
     return CoverMember(H, tuple(subsamples), ell, memo)
 
@@ -167,8 +185,7 @@ def build_list_cover(H: HypothesisClass, S1: Sequence[tuple[int, int]], d: int, 
         if member is None:
             uncovered.append(h_idx)
             continue
-        covered = all(y in member.predict(x) for x, y in points)
-        if not covered:
+        if not all(y in member.predict(x) for x, y in set(points)):
             uncovered.append(h_idx)
             continue
         key = member.subsamples
@@ -224,7 +241,9 @@ def mw_menu(F: ListCover, S2: Sequence[tuple[int, int]],
     Round t samples a member proportionally to its weight, grants reward 1 to
     every member containing y_t when y_t is not yet in the union of earlier
     selections, and multiplies weights by exp(reward/2).  The menu is the
-    union over rounds 1..T-1.
+    union over rounds 1..T-1.  Rewards are read off a member table
+    ``C[m, x, y]`` and a running union table ``U[x, y]``, each member being
+    asked once per distinct x of S2.
     """
     if len(F) == 0:
         raise ValueError("cover must be non-empty")
@@ -232,31 +251,28 @@ def mw_menu(F: ListCover, S2: Sequence[tuple[int, int]],
         raise ValueError("need at least one round")
     if rng is None:
         rng = np.random.default_rng(0)
+    H = F.members[0].H
+    sx, sy = _pair_arrays(H, S2)
+    xs = np.unique(sx).tolist()
+    C = np.stack([_label_table(H, xs, member.predict) for member in F.members])
+    U = np.zeros_like(C[0])
     n_members = len(F.members)
     weights = np.ones(n_members)
     trace: list[tuple[int, int]] = []
     rewards: list[tuple[int, ...]] = []
     history: list[tuple[float, ...]] = []
-    selected: set[int] = set()
-    for t, (x, y) in enumerate(S2, start=1):
-        history.append(tuple(float(w) for w in weights))
+    for t, (x, y) in enumerate(zip(sx.tolist(), sy.tolist()), start=1):
+        history.append(tuple(weights.tolist()))
         p = weights / weights.sum()
         m_idx = int(rng.choice(n_members, p=p))
         trace.append((t, m_idx))
-        union_so_far = set()
-        for m in selected:
-            union_so_far.update(F.members[m].predict(x))
-        r = tuple(
-            1 if (y in F.members[m].predict(x) and y not in union_so_far) else 0
-            for m in range(n_members)
-        )
-        rewards.append(r)
-        for m in range(n_members):
-            if r[m]:
-                weights[m] *= math.exp(0.5)
-        selected.add(m_idx)
-    history.append(tuple(float(w) for w in weights))
-    assert np.all(weights > 0)
+        r = C[:, x, y] & ~U[x, y]
+        rewards.append(tuple(r.astype(int).tolist()))
+        weights[r] *= math.exp(0.5)
+        U |= C[m_idx]
+    history.append(tuple(weights.tolist()))
+    if not np.all(weights > 0):
+        raise CertificateError(f"menu weights left the positive reals: {weights.tolist()}")
     return Menu(cover=F, trace=tuple(trace), rewards=tuple(rewards),
                 weight_history=tuple(history))
 
@@ -271,11 +287,30 @@ class InsideMenuResult:
     predict: object = field(compare=False)  # callable x -> ListPrediction
 
 
-def _inside_loss_h(H: HypothesisClass, idx: int, nu: Menu,
-                   S: list[tuple[int, int]]) -> Fraction:
-    h = H.hyps[idx]
-    bad = sum(1 for x, y in S if y in nu.predict(x) and h[x - 1] != y)
-    return Fraction(bad, len(S))
+class _InsideMenuFit(NamedTuple):
+    in_menu: np.ndarray     # w[x, y]: points of S at (x, y) whose label the menu contains
+    bad: np.ndarray         # per hypothesis, the in-menu points of S it gets wrong
+    erm_index: int          # first hypothesis with the fewest
+    s_plus: list            # in-menu points h_S gets right, in sample order
+    consistent: np.ndarray  # per hypothesis: labels every S+ instance inside the menu
+
+
+def _fit_inside_menu(H: HypothesisClass, nu: Menu, S: list[tuple[int, int]]):
+    """The inside-menu ERM step on tables: the menu is asked once per
+    distinct x of S, and each loss is one integer count."""
+    sx, sy = _pair_arrays(H, S)
+    menu = _label_table(H, np.unique(sx).tolist(), nu.predict)
+    counts = np.zeros(menu.shape, dtype=np.int64)
+    np.add.at(counts, (sx, sy), 1)
+    in_menu = counts * menu
+    table = np.array(H.hyps, dtype=np.intp)  # |H| x n
+    bad = in_menu.sum() - in_menu[np.arange(1, H.n + 1), table].sum(axis=1)
+    erm_idx = int(np.argmin(bad))
+    kept = menu[sx, sy] & (table[erm_idx, sx - 1] == sy)
+    plus_xs = np.unique(sx[kept])
+    consistent = menu[plus_xs, table[:, plus_xs - 1]].all(axis=1)
+    return _InsideMenuFit(in_menu, bad, erm_idx,
+                          [pt for pt, keep in zip(S, kept.tolist()) if keep], consistent)
 
 
 def inside_menu_erm(H: HypothesisClass, nu: Menu, S3: Sequence[tuple[int, int]],
@@ -291,21 +326,19 @@ def inside_menu_erm(H: HypothesisClass, nu: Menu, S3: Sequence[tuple[int, int]],
     if not S3:
         raise ValueError("S3 must be non-empty")
     S = [(int(x), int(y)) for x, y in S3]
-    losses = [_inside_loss_h(H, idx, nu, S) for idx in range(len(H))]
-    erm_idx = min(range(len(H)), key=lambda i: (losses[i], i))
-    h_s = H.hyps[erm_idx]
-    s_plus = [(x, y) for x, y in S if y in nu.predict(x) and h_s[x - 1] == y]
+    fit = _fit_inside_menu(H, nu, S)
+    erm_idx, s_plus = fit.erm_index, fit.s_plus
+    erm_loss = Fraction(int(fit.bad[erm_idx]), len(S))
 
     if not s_plus:
         predict = lambda x: ListPrediction(())  # noqa: E731
-        result = InsideMenuResult(erm_index=erm_idx, erm_loss=losses[erm_idx],
-                                  predictor_loss=_loss_of_predictor(predict, nu, S),
-                                  n_plus=0, flagged=True, predict=predict)
-        return result
+        return InsideMenuResult(erm_index=erm_idx, erm_loss=erm_loss,
+                                predictor_loss=_loss_of_predictor(H, predict, fit.in_menu, len(S)),
+                                n_plus=0, flagged=True, predict=predict)
 
-    consistent = [i for i, h in enumerate(H.hyps)
-                  if all(h[x - 1] in nu.predict(x) for x, _y in s_plus)]
-    sub = HypothesisClass(k=H.k, n=H.n, hyps=tuple(H.hyps[i] for i in sorted(set(consistent) | {erm_idx})))
+    # h_S labels every S+ point inside the menu, so the subclass contains it
+    sub = HypothesisClass(k=H.k, n=H.n,
+                          hyps=tuple(h for h, keep in zip(H.hyps, fit.consistent) if keep))
     mem = {x: y for x, y in s_plus}
 
     if len(s_plus) >= 8:
@@ -322,18 +355,21 @@ def inside_menu_erm(H: HypothesisClass, nu: Menu, S3: Sequence[tuple[int, int]],
             inside = [mem[x]] + inside
         return ListPrediction(tuple(inside[:ell]))
 
-    pred_loss = _loss_of_predictor(predict, nu, S)
-    if pred_loss > min(losses):
+    pred_loss = _loss_of_predictor(H, predict, fit.in_menu, len(S))
+    if pred_loss > erm_loss:
         raise CertificateError(f"predictor inside-menu loss {pred_loss} exceeds "
-                               f"the ERM loss {min(losses)}")
-    return InsideMenuResult(erm_index=erm_idx, erm_loss=losses[erm_idx],
+                               f"the ERM loss {erm_loss}")
+    return InsideMenuResult(erm_index=erm_idx, erm_loss=erm_loss,
                             predictor_loss=pred_loss, n_plus=len(s_plus),
                             flagged=False, predict=predict)
 
 
-def _loss_of_predictor(predict, nu: Menu, S: list[tuple[int, int]]) -> Fraction:
-    bad = sum(1 for x, y in S if y in nu.predict(x) and y not in predict(x))
-    return Fraction(bad, len(S))
+def _loss_of_predictor(H: HypothesisClass, predict, in_menu: np.ndarray, m: int) -> Fraction:
+    """Inside-menu loss over the m sample points counted in ``in_menu``;
+    ``predict`` is asked once per instance that has an in-menu point."""
+    xs = np.flatnonzero(in_menu.any(axis=1)).tolist()
+    hits = _label_table(H, xs, lambda x: predict(x).labels)
+    return Fraction(int((in_menu * ~hits).sum()), m)
 
 
 def agnostic_pipeline(H: HypothesisClass, D: SyntheticDistribution, ell: int,

@@ -33,7 +33,7 @@ EXIT_VERDICT_FAIL = 2
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; keep that for FAIL only
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_ERROR)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def _emit(payload: dict, args, out: str | None):
@@ -145,6 +145,8 @@ def _audit(args, _H):
     target = Path(args.klass)
     ells = [int(e) for e in str(args.ell).split(",")]
     paths = sorted(target.glob("*.json")) if target.is_dir() else [target]
+    if not paths:  # an empty batch would print no report yet read as a PASS
+        raise ValueError(f"no *.json classes in {target}")
     jobs = [(str(p), ell, args.n, args.budget_matrix) for p in paths for ell in ells]
     with contextlib.ExitStack() as stack:
         # open the CSV output first, so a bad -o path fails before any audit runs
@@ -248,6 +250,14 @@ COMMANDS = {
 }
 
 
+def _env_seed() -> int:
+    text = os.environ.get("DSLAB_SEED") or "0"
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"DSLAB_SEED must be an integer, got {text!r}") from None
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="dslab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -265,9 +275,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
     _help, handler, loads_class, flags = COMMANDS[args.command]
-    if "seed" in flags and args.seed is None:  # resolve the env fallback into provenance
-        args.seed = int(os.environ.get("DSLAB_SEED") or 0)
     try:
+        if "seed" in flags and args.seed is None:  # resolve the env fallback into provenance
+            args.seed = _env_seed()
         H = load_class(args.klass) if loads_class else None
         payload, ok = handler(args, H)
         if payload is not None:

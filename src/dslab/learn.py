@@ -214,8 +214,11 @@ class PrefixVotePredictor:
             c, y = self._sample[t]
             running_labels[c] = y
             running_counts[c] = running_counts.get(c, 0) + 1
-            if self.t_start <= t + 1 <= n - 1:
+            # the sample is realizable, so a coordinate keeps its label: the
+            # state changes only when c is new or has just been seen twice
+            if running_counts[c] <= 2:
                 state = _state_of(running_labels, running_counts)
+            if self.t_start <= t + 1 <= n - 1:
                 self._state_by_t.append(state)
                 weights[state] = weights.get(state, 0) + 1
         self._weighted_states = sorted(weights.items())

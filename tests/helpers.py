@@ -184,3 +184,91 @@ def random_class(rng, k_max=4, n_max=4, size_max=12) -> HypothesisClass:
     n = int(rng.integers(1, n_max + 1))
     size = int(rng.integers(1, min(size_max, k**n) + 1))
     return gen_random(k, n, size, seed=int(rng.integers(0, 2**31)))
+
+
+# -- per-point oracles for the agnostic stages --------------------------------
+# Each asks a predictor or the menu at every sample point, as the stages did
+# before they ran on [x, y] tables, and keeps boosting's weights as Fractions.
+
+
+def per_point_boost_member(H: HypothesisClass, points, d: int, j: int, ell: int, rng):
+    """Subsamples ``agnostic._boost_member`` should choose for ``points``, or
+    None when some round finds no weak subsample.  Draws from ``rng`` as it
+    does: the float probabilities are the correctly rounded quotients of
+    the exact weights."""
+    import numpy as np
+    from dslab.agnostic import BOOST_BUDGET
+    from dslab.learn import oig_list_predict
+
+    if not points:
+        return ()
+    weights = [Fraction(1)] * len(points)
+    chosen = []
+    for _round in range(j):
+        total = sum(weights)
+        p = np.array([float(w / total) for w in weights])
+        for _attempt in range(BOOST_BUDGET):
+            picks = rng.choice(len(points), size=d, p=p)
+            sub = tuple(points[int(i)] for i in picks)
+            hits = [y in oig_list_predict(H, sub, x, ell) for x, y in points]
+            if sum(w for w, hit in zip(weights, hits) if not hit) <= total / 3:
+                break
+        else:
+            return None
+        chosen.append((sub, hits))
+        weights = [w / 2 if hit else w for w, hit in zip(weights, hits)]
+        if all(any(h[i] for _s, h in chosen) for i in range(len(points))):
+            break
+    return tuple(sub for sub, _hits in chosen)
+
+
+def per_point_mw_menu(F, S2, rng):
+    """(trace, rewards, weight_history) of ``agnostic.mw_menu``, with each
+    round's union rebuilt from the members selected before it."""
+    import math
+
+    import numpy as np
+
+    weights = np.ones(len(F.members))
+    trace, rewards, history, selected = [], [], [], []
+    for t, (x, y) in enumerate(S2, start=1):
+        history.append(tuple(float(w) for w in weights))
+        m_idx = int(rng.choice(len(weights), p=weights / weights.sum()))
+        trace.append((t, m_idx))
+        union = set()
+        for m in selected:
+            union.update(F.members[m].predict(x))
+        r = tuple(1 if y in member.predict(x) and y not in union else 0
+                  for member in F.members)
+        rewards.append(r)
+        for m, reward in enumerate(r):
+            if reward:
+                weights[m] *= math.exp(0.5)
+        selected.append(m_idx)
+    history.append(tuple(float(w) for w in weights))
+    return tuple(trace), tuple(rewards), tuple(history)
+
+
+def per_point_inside_menu(H: HypothesisClass, menu, S):
+    """Inside-menu losses of every hypothesis, the ERM index, S+ in sample
+    order and the menu-consistent hypothesis indices, point by point."""
+    losses = [Fraction(sum(1 for x, y in S if y in menu.predict(x) and h[x - 1] != y), len(S))
+              for h in H.hyps]
+    erm = min(range(len(H)), key=lambda i: (losses[i], i))
+    s_plus = [(x, y) for x, y in S if y in menu.predict(x) and H.hyps[erm][x - 1] == y]
+    consistent = [i for i, h in enumerate(H.hyps)
+                  if all(h[x - 1] in menu.predict(x) for x, _y in s_plus)]
+    return losses, erm, s_plus, consistent
+
+
+def per_point_predictor_loss(predict, menu, S) -> Fraction:
+    """Inside-menu loss of a list predictor, asking it at every point of S."""
+    return Fraction(sum(1 for x, y in S if y in menu.predict(x) and y not in predict(x)),
+                    len(S))
+
+
+def per_prefix_states(H: HypothesisClass, sample, t_start: int):
+    """The consolidated state of every prefix ``sample[:t]``, t_start <= t < len(sample)."""
+    from dslab.learn import _consolidate, _state_of
+
+    return [_state_of(*_consolidate(sample[:t], H)) for t in range(t_start, len(sample))]

@@ -1,14 +1,21 @@
 import hashlib
 import math
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
+import pytest
+from hypothesis import assume, given, strategies as st
 
-from helpers import random_class
+from helpers import (per_point_boost_member, per_point_inside_menu, per_point_mw_menu,
+                     per_point_predictor_loss, random_class)
+from dslab import agnostic
+from dslab.errors import BudgetError, CertificateError
 from dslab.hclass import HypothesisClass, gen_cube
-from dslab.learn import SyntheticDistribution, oig_list_predict
-from dslab.agnostic import (agnostic_pipeline, build_list_cover,
-                            inside_menu_erm, mw_menu)
+from dslab.learn import ListPrediction, SyntheticDistribution, oig_list_predict
+from dslab.agnostic import (_boost_member, _fit_inside_menu, agnostic_pipeline,
+                            build_list_cover, inside_menu_erm, mw_menu)
 
 
 def draw(D, seed, m):
@@ -272,3 +279,106 @@ def test_memoized_predictions_match_definitions():
             for _t, m in menu.trace[:-1]:
                 want.update(cover.members[m].predict(x))
             assert menu.predict(x) == want
+
+
+# -- the table-driven stages against per-point oracles --------------------------
+
+
+@st.composite
+def class_and_samples(draw, n_samples=3):
+    """A class with k <= 4 labels on n <= 4 coordinates, ell 1-2, and
+    ``n_samples`` samples of 4-24 (x, y) pairs, mostly labeled by one
+    hypothesis; with at most 16 distinct pairs, samples repeat points."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 4))
+    row = st.tuples(*[st.integers(1, k)] * n)
+    hyps = draw(st.lists(row, min_size=1, max_size=6, unique=True))
+    H = HypothesisClass(k=k, n=n, hyps=tuple(sorted(hyps)))
+    target = draw(st.sampled_from(H.hyps))
+    point = st.tuples(st.integers(1, n), st.integers(0, k))  # label 0: the target's
+    samples = [[(x, y or target[x - 1])
+                for x, y in draw(st.lists(point, min_size=4, max_size=24))]
+               for _ in range(n_samples)]
+    return H, draw(st.integers(1, 2)), samples
+
+
+def cover_and_menu(H, ell, S1, S2, seed):
+    try:
+        cover = build_list_cover(H, S1, d=3, j=3, ell=ell, rng=np.random.default_rng(seed))
+    except BudgetError:
+        assume(False)
+    return cover, mw_menu(cover, S2, rng=np.random.default_rng(seed + 1))
+
+
+@given(class_and_samples(n_samples=1), st.integers(0, 2**16), st.integers(1, 4),
+       st.integers(1, 4), st.sampled_from([1, 2, agnostic.BOOST_BUDGET]))
+def test_boost_member_matches_per_point_oracle(data, seed, d, j, budget):
+    # small budgets make rounds fail, so the None path is checked too
+    H, ell, (sample,) = data
+    for h in H.hyps:
+        points = [(x, y) for x, y in sample if h[x - 1] == y]
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        with mock.patch.object(agnostic, "BOOST_BUDGET", budget):
+            member = _boost_member(H, points, d, j, ell, rng, {})
+            want = per_point_boost_member(H, points, d, j, ell, oracle_rng)
+        assert (None if member is None else member.subsamples) == want
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_boost_member_stops_once_its_rounds_cover_every_point(monkeypatch):
+    # a scripted predictor: the subsample's one coordinate c covers c and c+1
+    # (mod 3), so round 1 covers two points and misses weight 1 <= 3/3, and
+    # round 2 must cover the third point (a miss of 1 > 2/3 is refused).  No
+    # round covers all three, but rounds 1 and 2 together do.
+    def predict(_H, state, x, _ell, _memo):
+        (c, _y, _once), = state
+        return ListPrediction((1,) if x in (c, c % 3 + 1) else ())
+
+    monkeypatch.setattr(agnostic, "_cached_predict", predict)
+    H = HypothesisClass(k=2, n=3, hyps=((1, 1, 1),))
+    points = [(1, 1), (2, 1), (3, 1)]
+    for seed in range(5):
+        member = _boost_member(H, points, 1, 4, 1, np.random.default_rng(seed), {})
+        assert len(member.subsamples) == 2
+        assert len({sub[0][0] for sub in member.subsamples}) == 2
+
+
+@given(class_and_samples(n_samples=2), st.integers(0, 2**16))
+def test_mw_menu_matches_per_point_oracle(data, seed):
+    H, ell, (S1, S2) = data
+    cover, menu = cover_and_menu(H, ell, S1, S2, seed)
+    want = per_point_mw_menu(cover, S2, np.random.default_rng(seed + 1))
+    assert (menu.trace, menu.rewards, menu.weight_history) == want
+    assert all(type(r) is int for rs in menu.rewards for r in rs)
+
+
+@given(class_and_samples(n_samples=3), st.integers(0, 2**16))
+def test_inside_menu_erm_matches_per_point_oracle(data, seed):
+    H, ell, (S1, S2, S3) = data
+    _cover, menu = cover_and_menu(H, ell, S1, S2, seed)
+    losses, erm, s_plus, consistent = per_point_inside_menu(H, menu, S3)
+    fit = _fit_inside_menu(H, menu, S3)
+    assert [Fraction(int(b), len(S3)) for b in fit.bad] == losses
+    assert fit.erm_index == erm and fit.s_plus == s_plus
+    assert np.flatnonzero(fit.consistent).tolist() == consistent
+    res = inside_menu_erm(H, menu, S3, ell)
+    assert (res.erm_index, res.erm_loss, res.n_plus) == (erm, losses[erm], len(s_plus))
+    assert res.predictor_loss == per_point_predictor_loss(res.predict, menu, S3)
+
+
+def test_mw_menu_rejects_points_outside_the_class_domain():
+    H = gen_cube(3, 1, 1, 2)
+    cover = build_list_cover(H, [(1, 1), (2, 2)], d=2, j=1, rng=np.random.default_rng(0))
+    for bad in ([(3, 1)], [(1, 4)], [(0, 1)]):
+        with pytest.raises(ValueError, match="sample points must lie in"):
+            mw_menu(cover, bad, rng=np.random.default_rng(0))
+
+
+def test_mw_menu_nonpositive_weight_raises_certificate_error(monkeypatch):
+    # a reward factor of 0 zeroes the rewarded weights; the positivity check
+    # is explicit code, so it holds under python -O too
+    H = gen_cube(3, 1, 1, 2)
+    cover = build_list_cover(H, [(1, 1), (2, 2)], d=2, j=1, rng=np.random.default_rng(0))
+    monkeypatch.setattr(agnostic, "math", SimpleNamespace(exp=lambda _x: 0.0))
+    with pytest.raises(CertificateError, match="menu weights"):
+        mw_menu(cover, [(1, 1), (2, 2), (1, 1)], rng=np.random.default_rng(0))

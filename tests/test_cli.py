@@ -319,6 +319,29 @@ def test_unread_flag_is_a_usage_error(command, unread, square, capsys):
     assert run(capsys, command, *base)[0] == EXIT_OK
     code, out, err = run(capsys, command, *base, *unread)
     assert code == EXIT_ERROR and out == "" and err.startswith("usage: dslab")
+    assert err.splitlines()[-1] == f"dslab: error: unrecognized arguments: {' '.join(unread)}"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_audit_of_a_directory_without_classes_exits_one(fmt, tmp_path, capsys):
+    d = tmp_path / "empty"
+    d.mkdir()
+    (d / "notes.txt").write_text("not a class")
+    out_file = tmp_path / "audits.csv"
+    code, out, err = run(capsys, "audit", "--class", str(d), "--ell", "1",
+                         "--format", fmt, "-o", str(out_file))
+    assert code == EXIT_ERROR and out == ""
+    assert err == f"dslab audit: no *.json classes in {d}\n"
+    assert not out_file.exists()
+
+
+def test_invalid_seed_env_is_a_one_line_error(square, capsys, monkeypatch):
+    monkeypatch.setenv("DSLAB_SEED", "abc")
+    code, out, err = run(capsys, "loo", "--class", square, "--m", "10")
+    assert code == EXIT_ERROR and out == ""
+    assert err == "dslab loo: DSLAB_SEED must be an integer, got 'abc'\n"
+    # a seed given on the command line never reads the variable
+    assert run(capsys, "loo", "--class", square, "--m", "10", "--seed", "3")[0] == EXIT_OK
 
 
 def test_gen_size_limit_exits_one_without_budget_hint(capsys):

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from helpers import random_class
+from helpers import per_prefix_states, random_class
 import dslab.learn as learn
 from dslab.errors import CertificateError, RealizabilityError
 from dslab.hclass import HypothesisClass, gen_cube, restrict
@@ -165,6 +166,22 @@ def test_prefix_vote_is_majority_of_prefix_predictions():
     for x in range(1, H.n + 1):
         lists = [pred.predict_prefix(t, x) for t in pred.prefix_lengths]
         assert pred.predict(x) == topk_vote(lists, 1)
+
+
+@given(st.integers(2, 4), st.integers(1, 4), st.data())
+def test_prefix_states_match_per_prefix_recomputation(k, n, data):
+    # the states are kept incrementally; each must equal the state of its
+    # prefix consolidated from scratch, and the weights must count them
+    rows = data.draw(st.lists(st.tuples(*[st.integers(1, k)] * n), min_size=1,
+                              max_size=6, unique=True))
+    H = HypothesisClass(k=k, n=n, hyps=tuple(sorted(rows)))
+    h = data.draw(st.sampled_from(H.hyps))
+    xs = data.draw(st.lists(st.integers(1, n), min_size=8, max_size=30))
+    sample = [(x, h[x - 1]) for x in xs]
+    pred = PrefixVotePredictor(H, sample, data.draw(st.integers(1, 2)))
+    want = per_prefix_states(H, sample, pred.t_start)
+    assert pred._state_by_t == want
+    assert pred._weighted_states == sorted((s, want.count(s)) for s in set(want))
 
 
 def test_prefix_vote_singleton_class_constant():
