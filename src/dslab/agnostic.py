@@ -29,7 +29,7 @@ import numpy as np
 from .dims import ds_dimension
 from .errors import BudgetError, CertificateError
 from .hclass import HypothesisClass
-from .learn import (ExperimentReport, ListPrediction, PrefixVotePredictor,
+from .learn import (CoordState, ExperimentReport, ListPrediction, PrefixVotePredictor,
                     SyntheticDistribution, _cached_predict, _consolidate,
                     _predict_from_state, _state_of)
 
@@ -50,8 +50,9 @@ BOOST_BUDGET = 64  # weak-subsample tries per boosting round
 class CoverMember:
     """Union of one-inclusion predictions over stored subsamples.
 
-    Each subsample is consolidated once, here, which also checks that it is
-    realizable.  Predictions are looked up in ``memo``, a (state, x) ->
+    ``states`` holds each subsample's consolidated ``CoordState``, in the
+    same order; ``_boost_member`` built them (and so checked realizability)
+    while it searched.  Predictions are looked up in ``memo``, a (state, x) ->
     ListPrediction dict; ``build_list_cover`` passes one memo to its boosting
     rounds and to every member it builds, so each distinct (state, x) is
     oriented once per cover.  Sharing is sound because a prediction depends
@@ -60,11 +61,11 @@ class CoverMember:
     """
 
     def __init__(self, H: HypothesisClass, subsamples: tuple[tuple[tuple[int, int], ...], ...],
-                 ell: int, memo: dict):
+                 states: tuple[CoordState, ...], ell: int, memo: dict):
         self.H = H
         self.subsamples = subsamples
         self.ell = ell
-        self._states = tuple(_state_of(*_consolidate(sub, H)) for sub in subsamples)
+        self._states = states
         self._memo = memo
         self._cache: dict[int, frozenset[int]] = {}
 
@@ -124,12 +125,13 @@ def _boost_member(H: HypothesisClass, points: list[tuple[int, int]], d: int, j: 
     the cover's (state, x) ``memo`` once per distinct x of the points.
     """
     if not points:
-        return CoverMember(H, (), ell, memo)
+        return CoverMember(H, (), (), ell, memo)
     px, py = _pair_arrays(H, points)
     xs = np.unique(px).tolist()
     weights = np.ones(len(points))
     covered = np.zeros(len(points), dtype=bool)
     subsamples: list[tuple[tuple[int, int], ...]] = []
+    states: list[CoordState] = []
     for _round in range(j):
         p = weights / weights.sum()
         # Each weight is 2**-a with a <= j, so every sum below is exact in
@@ -146,11 +148,12 @@ def _boost_member(H: HypothesisClass, points: list[tuple[int, int]], d: int, j: 
         else:
             return None
         subsamples.append(sub)
+        states.append(state)
         weights[hit] /= 2
         covered |= hit
         if covered.all():
             break  # everything already covered; no need for more rounds
-    return CoverMember(H, tuple(subsamples), ell, memo)
+    return CoverMember(H, tuple(subsamples), tuple(states), ell, memo)
 
 
 def build_list_cover(H: HypothesisClass, S1: Sequence[tuple[int, int]], d: int, j: int,

@@ -17,6 +17,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 from .dims import ds_dimension, natarajan_dimension, validate_witness
 from .errors import BudgetError, CertificateError
@@ -260,6 +261,16 @@ def check_spanning(W: HypothesisClass, ell: int, s: int,
     return rank == len(W), rank, len(W)
 
 
+def _edge_vandermondes(W: HypothesisClass, i: int,
+                       ell: int) -> Iterator[tuple[tuple[int, ...], list[list[int]]]]:
+    """Per direction-i edge of ``W``: its members, and their Vandermonde rows
+    [1, z, ..., z^(ell-1)] in member order, z a member's i-th label."""
+    if not 1 <= i <= W.n:
+        raise ValueError(f"direction {i} out of range [1, {W.n}]")
+    for g in build_oig(W).by_direction[i - 1]:
+        yield g.members, [[W.hyps[v][i - 1] ** c for c in range(ell)] for v in g.members]
+
+
 def direction_subspace_dim(W: HypothesisClass, i: int, ell: int) -> int:
     """Dimension of the functions that are degree-(ell-1) polynomials in the
     i-th label on every direction-i edge.
@@ -268,18 +279,13 @@ def direction_subspace_dim(W: HypothesisClass, i: int, ell: int) -> int:
     the independently computed rank of the stacked per-edge Vandermonde
     columns before being returned; a mismatch raises CertificateError.
     """
-    if not 1 <= i <= W.n:
-        raise ValueError(f"direction {i} out of range")
-    G = build_oig(W)
-    groups = G.by_direction[i - 1]
-    formula = sum(min(ell, len(g)) for g in groups)
-    stacked = []
-    for g in groups:
-        zs = [W.hyps[v][i - 1] for v in g.members]
-        for c in range(ell):
+    formula, stacked = 0, []
+    for members, vand in _edge_vandermondes(W, i, ell):
+        formula += min(ell, len(members))
+        for powers in zip(*vand):  # one stacked row per degree below ell
             row = [0] * len(W)
-            for v, z in zip(g.members, zs):
-                row[v] = z**c
+            for v, z in zip(members, powers):
+                row[v] = z
             stacked.append(row)
     rank = rank_exact(stacked)
     if rank != formula:
@@ -292,42 +298,32 @@ def extract_basis(W: HypothesisClass, ell: int, s: int,
                   budget: int = DEFAULT_MATRIX_BUDGET) -> tuple[list[Monomial], EvalMatrix]:
     """Greedy basis among the monomial evaluations, deterministic pivot order.
 
-    Scans monomials in enumeration order and keeps each one that is linearly
-    independent from those already kept (exact Fraction elimination).
+    Scans monomials in enumeration order and keeps each one whose row raises
+    the exact rank (``rank_exact``) of the rows already kept: the greedy over
+    the rationals.  A greedy over GF(p) alone could keep other rows when p
+    divides a minor, so the modular rank never decides on its own here.
     """
     mons = monomial_set(W, ell, s, budget=budget)
     mat = eval_matrix(W, mons, budget=budget)
     kept: list[int] = []
-    echelon: list[list[Fraction]] = []
-    pivots: list[int] = []
+    rows: list[tuple[int, ...]] = []
     for ridx, row in enumerate(mat.entries):
-        vec = [Fraction(v) for v in row]
-        for erow, pc in zip(echelon, pivots):
-            if vec[pc]:
-                f = vec[pc] / erow[pc]
-                vec = [a - f * b for a, b in zip(vec, erow)]
-        pc = next((c for c, v in enumerate(vec) if v), None)
-        if pc is not None:
-            kept.append(ridx)
-            echelon.append(vec)
-            pivots.append(pc)
         if len(kept) == len(W):
             break
+        if rank_exact(rows + [row]) > len(kept):
+            kept.append(ridx)
+            rows.append(row)
     basis = [mat.monomials[j] for j in kept]
-    rows = tuple(mat.entries[j] for j in kept)
-    return basis, EvalMatrix(monomials=tuple(basis), base=W, entries=rows)
+    return basis, EvalMatrix(monomials=tuple(basis), base=W, entries=tuple(rows))
 
 
 def in_direction_subspace(W: HypothesisClass, i: int, ell: int, values) -> bool:
     """Is the function (given as per-row values) a degree-(ell-1) polynomial
     in the i-th label on every direction-i edge?  Exact rank comparison of
     the per-edge Vandermonde system against its augmentation."""
-    G = build_oig(W)
-    for g in G.by_direction[i - 1]:
-        zs = [W.hyps[v][i - 1] for v in g.members]
-        vand = [[z**c for c in range(ell)] for z in zs]
-        aug = [row + [values[v]] for row, v in zip(vand, g.members)]
-        if rank_bareiss(aug) != rank_bareiss(vand):
+    for members, vand in _edge_vandermondes(W, i, ell):
+        aug = [row + [values[v]] for row, v in zip(vand, members)]
+        if rank_exact(aug) != rank_exact(vand):
             return False
     return True
 

@@ -47,20 +47,12 @@ class EdgeGroup:
     """One hyperedge: all vertices sharing ``key`` off ``direction``.
 
     ``direction`` is 0-based internally; ``members`` are ascending vertex
-    indices into the canonical row order of the base class; ``mask`` is the
-    same membership as a bitmask.
+    indices into the canonical row order of the base class.
     """
 
     direction: int
     key: tuple[int, ...]
     members: tuple[int, ...]
-
-    @property
-    def mask(self) -> int:
-        m = 0
-        for v in self.members:
-            m |= 1 << v
-        return m
 
     def __len__(self) -> int:
         return len(self.members)
@@ -100,6 +92,15 @@ class Orientation:
     assign: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]  # (dir, key, vertices)
 
 
+def _off_groups(W: HypothesisClass, i: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The rows of ``W`` grouped by their labels off coordinate i (0-based):
+    (key, ascending rows) per group, by ascending key."""
+    buckets: dict[tuple[int, ...], list[int]] = {}
+    for v, h in enumerate(W.hyps):
+        buckets.setdefault(h[:i] + h[i + 1:], []).append(v)
+    return [(key, tuple(vs)) for key, vs in sorted(buckets.items())]
+
+
 def build_oig(W: HypothesisClass, dead_dirs: Sequence[int] = ()) -> OneInclusionGraph:
     """Group the vertices of ``W`` into edges, one partition per direction.
 
@@ -116,23 +117,23 @@ def build_oig(W: HypothesisClass, dead_dirs: Sequence[int] = ()) -> OneInclusion
                 EdgeGroup(i, h[:i] + h[i + 1:], (v,)) for v, h in enumerate(W.hyps)
             )
         else:
-            buckets: dict[tuple[int, ...], list[int]] = {}
-            for v, h in enumerate(W.hyps):
-                buckets.setdefault(h[:i] + h[i + 1:], []).append(v)
-            groups = tuple(
-                EdgeGroup(i, key, tuple(vs)) for key, vs in sorted(buckets.items())
-            )
+            groups = tuple(EdgeGroup(i, key, vs) for key, vs in _off_groups(W, i))
         assert sum(len(g) for g in groups) == len(W)  # partition per direction
         dirs.append(groups)
     return OneInclusionGraph(base=W, by_direction=tuple(dirs))
 
 
-def density(W: HypothesisClass, ell: int, graph: OneInclusionGraph | None = None) -> Fraction:
-    """Exact ell-density of ``W``: average per-vertex edge oversize."""
+def _live_edges(W: HypothesisClass, ell: int) -> list[tuple[int, ...]]:
+    """The members of W's edges with more than ``ell`` rows, in the edge
+    order of ``build_oig(W)``: the only edges a density can see."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    G = graph if graph is not None else build_oig(W)
-    num = sum(max(len(g) - ell, 0) for g in G.edges())
+    return [vs for i in range(W.n) for _key, vs in _off_groups(W, i) if len(vs) > ell]
+
+
+def density(W: HypothesisClass, ell: int) -> Fraction:
+    """Exact ell-density of ``W``: average per-vertex edge oversize."""
+    num = sum(len(e) - ell for e in _live_edges(W, ell))
     val = Fraction(num, len(W))
     assert 0 <= val <= W.n
     return val
@@ -281,8 +282,11 @@ def _densest_subfamily(live: list[tuple[int, ...]], n_rows: int, ell: int) -> tu
     residual graph are strictly denser, and their density is the next lam.
     At the maximum, the smallest maximizer containing v is the set of
     vertices that reach v in the residual graph (none if the source does).
-    Both steps are checked, and a failure raises CertificateError.
+    Both steps are checked, and a failure raises CertificateError.  With no
+    live edge every F has density 0, and the answer is row 0 alone.
     """
+    if not live:
+        return Fraction(0), (0,)
     net = _Network(live, n_rows, ell)
     lam = Fraction(sum(len(e) - ell for e in live), n_rows)
     while True:
@@ -320,9 +324,9 @@ def _densest_subfamily(live: list[tuple[int, ...]], n_rows: int, ell: int) -> tu
     return lam, best
 
 
-def _best_subfamily_mask(group_masks: list[int], n_rows: int) -> Fraction:
+def _best_subfamily_mask(edges: list[tuple[int, ...]], n_rows: int) -> Fraction:
     """Best gross density over all non-empty vertex bitmasks: the sum of
-    |e & F| over edges with |e & F| > 1, per member of F.
+    |e & F| over ``edges`` with |e & F| > 1, per member of F.
 
     Enumerates all 2^n_rows bitmasks as uint32, so more than 22 rows raise
     BudgetError before anything is allocated.
@@ -331,8 +335,8 @@ def _best_subfamily_mask(group_masks: list[int], n_rows: int) -> Fraction:
         raise BudgetError(f"gross subfamily enumeration unsupported beyond 22 rows, got {n_rows}")
     arr = np.arange(1, 1 << n_rows, dtype=np.uint32)
     num = np.zeros(arr.shape[0], dtype=np.int64)
-    for g in group_masks:
-        cnt = np.bitwise_count(arr & np.uint32(g)).astype(np.int64)
+    for e in edges:
+        cnt = np.bitwise_count(arr & np.uint32(sum(1 << v for v in e))).astype(np.int64)
         num += np.where(cnt >= 2, cnt, 0)
     sizes = np.bitwise_count(arr).astype(np.int64)
     # max num/size: compare over the common denominator lcm(1..n_rows)
@@ -345,28 +349,21 @@ def _rows_to_class(W: HypothesisClass, rows) -> HypothesisClass:
     return HypothesisClass(k=W.k, n=W.n, hyps=tuple(W.hyps[v] for v in rows))
 
 
-def max_density_subfamily(W: HypothesisClass, ell: int,
-                          graph: OneInclusionGraph | None = None) -> tuple[Fraction, HypothesisClass]:
+def max_density_subfamily(W: HypothesisClass, ell: int) -> tuple[Fraction, HypothesisClass]:
     """Best ell-density over all non-empty subfamilies of ``W``, exact by min
     cuts, with the smallest, then lexicographically first, maximizer as
     witness."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    G = graph if graph is not None else build_oig(W)
-    live = [g.members for g in G.edges() if len(g) > ell]
-    if not live:
-        return Fraction(0), _rows_to_class(W, (0,))
-    val, rows = _densest_subfamily(live, len(W), ell)
+    val, rows = _densest_subfamily(_live_edges(W, ell), len(W), ell)
     return val, _rows_to_class(W, rows)
 
 
-def _density_bound(G: OneInclusionGraph, ell: int) -> Fraction:
-    """max over rows v of the sum over live edges e at v of (|e| - ell)/|e|,
-    summed in integers over the lcm of the live edge sizes.  No subfamily of
-    G's base is denser: (x - ell)_+ <= x(|e| - ell)/|e| for 0 <= x <= |e|."""
-    live = [g.members for g in G.edges() if len(g) > ell]
+def _density_bound(live: list[tuple[int, ...]], n_rows: int, ell: int) -> Fraction:
+    """max over rows v of the sum over ``live`` edges e at v of
+    (|e| - ell)/|e|, summed in integers over the lcm of the live edge sizes.
+    No subfamily of the ``n_rows`` rows is denser:
+    (x - ell)_+ <= x(|e| - ell)/|e| for 0 <= x <= |e|."""
     lcm = math.lcm(*map(len, live))
-    per_row = [0] * G.n_vertices
+    per_row = [0] * n_rows
     for e in live:
         w = (len(e) - ell) * (lcm // len(e))
         for v in e:
@@ -400,12 +397,12 @@ def mu_with_witness(H: HypothesisClass, n_samples: int, ell: int, *,
     """
     best = (Fraction(-1), (), None)
     for T, W in _restrictions(H, n_samples, restrictions):
-        G = build_oig(W)
-        if best[2] is not None and _density_bound(G, ell) <= best[0]:
+        live = _live_edges(W, ell)
+        if best[2] is not None and _density_bound(live, len(W), ell) <= best[0]:
             continue
-        val, F = max_density_subfamily(W, ell, graph=G)
+        val, rows = _densest_subfamily(live, len(W), ell)
         if val > best[0]:
-            best = (val, T, F)
+            best = (val, T, _rows_to_class(W, rows))
     return best
 
 
@@ -424,7 +421,7 @@ def mu_prime(H: HypothesisClass, n_samples: int) -> Fraction:
     """
     best = Fraction(0)
     for _T, W in _restrictions(H, n_samples):
-        live = [g.mask for g in build_oig(W).edges() if len(g) >= 2]
+        live = _live_edges(W, 1)
         if live:
             best = max(best, _best_subfamily_mask(live, len(W)))
     return best

@@ -13,7 +13,8 @@ from helpers import (per_point_boost_member, per_point_inside_menu, per_point_mw
 from dslab import agnostic
 from dslab.errors import BudgetError, CertificateError
 from dslab.hclass import HypothesisClass, gen_cube
-from dslab.learn import ListPrediction, SyntheticDistribution, oig_list_predict
+from dslab.learn import (ListPrediction, SyntheticDistribution, _consolidate, _state_of,
+                         oig_list_predict)
 from dslab.agnostic import (_boost_member, _fit_inside_menu, agnostic_pipeline,
                             build_list_cover, inside_menu_erm, mw_menu)
 
@@ -68,6 +69,27 @@ def test_cover_respects_member_list_bound():
         assert len(member.subsamples) <= j
         for x in range(1, H.n + 1):
             assert len(member.predict(x)) <= member.list_bound
+
+
+def test_cover_consolidates_each_boosting_attempt_once(monkeypatch):
+    # every attempt consolidates its subsample and fills one label table;
+    # a member keeps the states of its chosen subsamples, so building it
+    # consolidates nothing again
+    calls = {"_consolidate": 0, "_label_table": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(agnostic, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(agnostic, name, counted)
+    H = gen_cube(3, 1, 1, 3)
+    D = SyntheticDistribution.with_label_noise(H, target=0, noise=Fraction(1, 3))
+    cover = build_list_cover(H, draw(D, 5, 24), d=4, j=5, rng=np.random.default_rng(2))
+    assert sum(len(m.subsamples) for m in cover.members) > 0
+    assert calls["_consolidate"] == calls["_label_table"] > 0
+    monkeypatch.undo()
+    for member in cover.members:
+        assert member._states == tuple(_state_of(*_consolidate(sub, H))
+                                       for sub in member.subsamples)
 
 
 def test_mw_menu_weight_dynamics():

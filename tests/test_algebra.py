@@ -16,8 +16,8 @@ from dslab.algebra import (Monomial, audit_theorem, check_spanning, class_id,
                            in_direction_subspace, is_probable_prime,
                            monomial_set, random_prime, rank_bareiss,
                            rank_exact, rank_mod_p)
-from dslab.oig import (_density_bound, build_oig, density, max_density_subfamily,
-                       mu_with_witness)
+from dslab.oig import (_density_bound, _live_edges, build_oig, density,
+                       max_density_subfamily, mu_with_witness)
 
 
 def test_monomial_counts():
@@ -235,6 +235,18 @@ def test_direction_subspace_rank_mismatch_raises_certificate_error(monkeypatch):
         direction_subspace_dim(W, 1, 1)
 
 
+@pytest.mark.parametrize("where", ["below", "above"])
+@pytest.mark.parametrize("fn", [
+    lambda W, i: direction_subspace_dim(W, i, 1),
+    lambda W, i: in_direction_subspace(W, i, 1, [1, 2, 3]),
+], ids=["direction_subspace_dim", "in_direction_subspace"])
+def test_direction_out_of_range_raises_value_error(fn, where):
+    W = gen_cube(3, 1, 1, 2)  # n = 2, three rows
+    i = 0 if where == "below" else W.n + 1
+    with pytest.raises(ValueError, match=f"direction {i} out of range"):
+        fn(W, i)
+
+
 def test_low_degree_monomials_live_in_direction_subspace():
     rng = np.random.default_rng(35)
     for _ in range(10):
@@ -265,6 +277,21 @@ def test_basis_counting_inequality():
                 heavy = sum(1 for m in basis if m.alpha[i] >= ell)
                 oversize = sum(max(len(g) - ell, 0) for g in G.by_direction[i])
                 assert heavy >= oversize
+
+
+@given(st.integers(2, 4), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_extract_basis_keeps_the_rows_that_raise_the_rank(k, n, ell, data):
+    cube = list(itertools.product(range(1, k + 1), repeat=n))
+    rows = data.draw(st.sets(st.sampled_from(cube), min_size=1, max_size=min(14, len(cube))))
+    W = HypothesisClass(k=k, n=n, hyps=tuple(sorted(rows)))
+    for s in range(n + 1):
+        mons = monomial_set(W, ell, s)
+        full = eval_matrix(W, mons).entries
+        ranks = [fraction_rank(full[:j]) for j in range(len(full) + 1)]
+        want = [j for j in range(len(full)) if ranks[j + 1] > ranks[j]]
+        basis, mat = extract_basis(W, ell, s)
+        assert basis == [mons[j] for j in want]
+        assert mat.entries == tuple(full[j] for j in want)
 
 
 def test_extract_basis_is_deterministic_and_spans():
@@ -352,7 +379,9 @@ def test_density_bound_and_restriction_memo_change_no_result(case):
     for T in memo:
         W = restrict(H, T)
         assert memo[T] == W
-        assert _density_bound(build_oig(W), ell) >= max_density_subfamily(W, ell)[0]
+        live = _live_edges(W, ell)
+        assert live == [g.members for g in build_oig(W).edges() if len(g) > ell]
+        assert _density_bound(live, len(W), ell) >= max_density_subfamily(W, ell)[0]
     assert ds_dimension(H, ell, restrictions=memo) == ds_dimension(H, ell)
     assert natarajan_dimension(H, ell, restrictions=memo) == natarajan_dimension(H, ell)
     assert audit_theorem(H, ell, ns).to_json() == audit_theorem(H, ell, ns).to_json()

@@ -305,7 +305,8 @@ def test_orientation_all_edges_small():
 def check_orientation_oracle(G, ell):
     sigma, t = min_max_orientation(G, ell)
     assert t == brute_min_max_outdegree(G, ell)
-    assert t >= math.ceil(density(G.base, ell, graph=G))  # the search's start
+    dens = Fraction(sum(max(len(e) - ell, 0) for e in G.edges()), G.n_vertices)
+    assert t >= math.ceil(dens)  # the search's start
     assert max(outdegrees(G, sigma)) == t
 
 
