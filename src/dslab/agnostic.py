@@ -30,8 +30,8 @@ from .dims import ds_dimension
 from .errors import BudgetError, CertificateError
 from .hclass import HypothesisClass
 from .learn import (CoordState, ExperimentReport, ListPrediction, PrefixVotePredictor,
-                    SyntheticDistribution, _cached_predict, _consolidate,
-                    _predict_from_state, _state_of)
+                    SyntheticDistribution, _cached_predict, _consolidate, _label_table,
+                    _pair_arrays, _predict_from_state, _state_of)
 
 __all__ = [
     "CoverMember",
@@ -56,8 +56,8 @@ class CoverMember:
     ListPrediction dict; ``build_list_cover`` passes one memo to its boosting
     rounds and to every member it builds, so each distinct (state, x) is
     oriented once per cover.  Sharing is sound because a prediction depends
-    only on (H, state, x, ell) and one cover fixes H and ell.  The union at
-    each x is kept per member in ``_cache``.
+    only on (H, state, x, ell) and one cover fixes H and ell.  That memo is
+    the only cache: ``predict`` takes the union afresh on every call.
     """
 
     def __init__(self, H: HypothesisClass, subsamples: tuple[tuple[tuple[int, int], ...], ...],
@@ -67,20 +67,14 @@ class CoverMember:
         self.ell = ell
         self._states = states
         self._memo = memo
-        self._cache: dict[int, frozenset[int]] = {}
 
     @property
     def list_bound(self) -> int:
         return max(1, len(self.subsamples) * self.ell)
 
     def predict(self, x: int) -> frozenset[int]:
-        got = self._cache.get(x)
-        if got is None:
-            got = frozenset().union(*(
-                _cached_predict(self.H, state, x, self.ell, self._memo).labels
-                for state in self._states))
-            self._cache[x] = got
-        return got
+        return frozenset().union(*(_cached_predict(self.H, state, x, self.ell, self._memo).labels
+                                   for state in self._states))
 
 
 @dataclass(frozen=True)
@@ -91,27 +85,6 @@ class ListCover:
 
     def __len__(self) -> int:
         return len(self.members)
-
-
-def _label_table(H: HypothesisClass, xs, labels_at) -> np.ndarray:
-    """Boolean table ``T[x, y]``: is y among ``labels_at(x)``?
-
-    Indexed by 1-based instance and label; ``labels_at`` is asked once per x
-    in ``xs``, and every other row (row 0 and column 0 too) stays False.
-    """
-    table = np.zeros((H.n + 1, H.k + 1), dtype=bool)
-    for x in xs:
-        table[x, list(labels_at(x))] = True
-    return table
-
-
-def _pair_arrays(H: HypothesisClass, pairs: Sequence[tuple[int, int]]):
-    """Instances and labels of ``pairs`` as two int arrays, checked to lie
-    in [1, n] x [1, k]."""
-    xy = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-    if xy.size and ((xy.min(0) < 1).any() or (xy.max(0) > (H.n, H.k)).any()):
-        raise ValueError(f"sample points must lie in [1, {H.n}] x [1, {H.k}]")
-    return xy[:, 0], xy[:, 1]
 
 
 def _boost_member(H: HypothesisClass, points: list[tuple[int, int]], d: int, j: int,
@@ -209,26 +182,21 @@ class Menu:
     ``trace`` records (round, member index); only rounds 1..T-1 contribute to
     the menu.  ``weight_history`` stores each round's pre-update weight
     vector so the multiplicative update can be replayed and checked exactly.
-    The union at each x is taken once, over the distinct ``menu_members()``,
-    and kept in ``_memo``; the menu is immutable, so the union never changes.
+    ``predict`` takes the union over the distinct ``menu_members()`` on every
+    call; the members answer from their cover's (state, x) memo.
     """
 
     cover: ListCover = field(compare=False)
     trace: tuple[tuple[int, int], ...] = ()
     rewards: tuple[tuple[int, ...], ...] = ()
     weight_history: tuple[tuple[float, ...], ...] = ()
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def menu_members(self) -> tuple[int, ...]:
         return tuple(sorted({m for _t, m in self.trace[:-1]}))
 
     def predict(self, x: int) -> frozenset[int]:
-        got = self._memo.get(x)
-        if got is None:
-            got = frozenset().union(*(self.cover.members[m].predict(x)
-                                      for m in self.menu_members()))
-            self._memo[x] = got
-        return got
+        return frozenset().union(*(self.cover.members[m].predict(x)
+                                   for m in self.menu_members()))
 
     @property
     def list_bound(self) -> int:
@@ -353,7 +321,8 @@ def inside_menu_erm(H: HypothesisClass, nu: Menu, S3: Sequence[tuple[int, int]],
         base_predict = lambda x: _predict_from_state(sub, state, x, ell)  # noqa: E731
 
     def predict(x: int) -> ListPrediction:
-        inside = [lab for lab in base_predict(x).labels if lab in nu.predict(x)]
+        menu = nu.predict(x)
+        inside = [lab for lab in base_predict(x).labels if lab in menu]
         if x in mem and mem[x] not in inside:
             inside = [mem[x]] + inside
         return ListPrediction(tuple(inside[:ell]))
@@ -387,6 +356,8 @@ def agnostic_pipeline(H: HypothesisClass, D: SyntheticDistribution, ell: int,
 
     if min(n1, T, n3) < 1:
         raise ValueError("sample sizes must be >= 1")
+    sx, sy = _pair_arrays(H, D.support)
+    xs = np.unique(sx).tolist()
     d_ds, _w = ds_dimension(H, ell)
     d = 4 * max(1, d_ds)
     j = max(1, math.ceil(math.log2(max(2, n1))))
@@ -406,26 +377,24 @@ def agnostic_pipeline(H: HypothesisClass, D: SyntheticDistribution, ell: int,
     best_idx, best_err = D.best_hypothesis(H)
     excess = err_mu - best_err
 
+    # the decomposition terms are masses of masks over the support; the menu
+    # and mu_star are asked once per distinct instance, through [x, y] tables
+    menu = _label_table(H, xs, nu.predict)
     mu_star_idx = cover.member_of.get(best_idx)
     decomposition = {}
     if mu_star_idx is not None:
-        mu_star = cover.members[mu_star_idx]
-        term_nu = sum((w for (x, y), w in zip(D.support, D.weights)
-                       if H.hyps[best_idx][x - 1] == y and y not in nu.predict(x)),
-                      Fraction(0))
-        term1 = sum((w for (x, y), w in zip(D.support, D.weights)
-                     if H.hyps[best_idx][x - 1] == y and y not in mu_star.predict(x)),
-                    Fraction(0))
-        term2 = sum((w for (x, y), w in zip(D.support, D.weights)
-                     if y in mu_star.predict(x) and y not in nu.predict(x)),
-                    Fraction(0))
+        best = np.array(H.hyps[best_idx])[sx - 1] == sy
+        in_menu = menu[sx, sy]
+        in_mu_star = _label_table(H, xs, cover.members[mu_star_idx].predict)[sx, sy]
+        term_nu, term1, term2 = D._mass([best & ~in_menu, best & ~in_mu_star,
+                                         in_mu_star & ~in_menu])
         if term_nu > term1 + term2:
             raise CertificateError(f"decomposition fails: {term_nu} > {term1} + {term2}")
         decomposition = {"best_label_outside_menu": float(term_nu),
                          "best_label_outside_cover_member": float(term1),
                          "cover_member_outside_menu": float(term2)}
 
-    menu_sizes = sorted(len(nu.predict(x)) for x in sorted({x for x, _y in D.support}))
+    menu_sizes = sorted(menu[xs].sum(axis=1).tolist())
     return ExperimentReport(
         kind="agnostic", class_id=class_id(H), ell=ell, seed=seed,
         params={"n1": n1, "T": T, "n3": n3, "delta": delta,

@@ -13,12 +13,18 @@ occurs more than once in the projection tuple carries only singleton edges
 distinct coordinates with repeated ones marked dead.  Predictions therefore
 depend only on (H, state, x, ell), where the state (``CoordState``) records
 which coordinates were seen, their labels, and whether each was seen once or
-more -- which is what makes caching sound.  Each memo maps (state, x) to a
-prediction for one fixed (H, ell) and is owned by its caller:
-``PrefixVotePredictor``'s ``cache`` (``pac_experiment`` shares one across its
-trials), and the memo ``agnostic.build_list_cover`` creates per call for its
-boosting rounds and cover members.  ``agnostic.inside_menu_erm`` keeps a
-separate prefix-vote cache because it predicts over a subclass of H.
+more -- which is what makes caching sound.  The (state, x) memo of
+``_cached_predict`` is the one prediction cache: each memo serves one fixed
+(H, ell) and is owned by its caller -- ``PrefixVotePredictor``'s ``cache``
+(``pac_experiment`` shares one across its trials), and the memo
+``agnostic.build_list_cover`` creates per call for its boosting rounds and
+cover members, which the menu reads through the members.
+``agnostic.inside_menu_erm``'s prefix voter keeps its own memo because it
+predicts over a subclass of H.
+
+Probabilities under a ``SyntheticDistribution`` are exact: each is the mass
+of the support points a boolean mask marks, summed as integer numerators
+over the weights' common denominator.
 """
 
 from __future__ import annotations
@@ -47,9 +53,6 @@ __all__ = [
     "pac_experiment",
     "pac_error_bound",
 ]
-
-EXACT_SUPPORT_LIMIT = 100_000  # exact error evaluation above this falls back to sampling
-
 
 @dataclass(frozen=True)
 class ListPrediction:
@@ -93,6 +96,27 @@ CoordState = tuple[tuple[int, int, bool], ...]  # (coordinate, label, seen exact
 
 def _state_of(y_of: dict[int, int], counts: dict[int, int]) -> CoordState:
     return tuple((c, y_of[c], counts[c] == 1) for c in sorted(y_of))
+
+
+def _label_table(H: HypothesisClass, xs, labels_at) -> np.ndarray:
+    """Boolean table ``T[x, y]``: is y among ``labels_at(x)``?
+
+    Indexed by 1-based instance and label; ``labels_at`` is asked once per x
+    in ``xs``, and every other row (row 0 and column 0 too) stays False.
+    """
+    table = np.zeros((H.n + 1, H.k + 1), dtype=bool)
+    for x in xs:
+        table[x, list(labels_at(x))] = True
+    return table
+
+
+def _pair_arrays(H: HypothesisClass, pairs: Sequence[tuple[int, int]]):
+    """Instances and labels of ``pairs`` as two int arrays, checked to lie
+    in [1, n] x [1, k]."""
+    xy = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    if xy.size and ((xy.min(0) < 1).any() or (xy.max(0) > (H.n, H.k)).any()):
+        raise ValueError(f"sample points must lie in [1, {H.n}] x [1, {H.k}]")
+    return xy[:, 0], xy[:, 1]
 
 
 def _predict_from_state(H: HypothesisClass, state: CoordState, x: int, ell: int) -> ListPrediction:
@@ -163,6 +187,11 @@ def loo_error(H: HypothesisClass, sample: Sequence[tuple[int, int]],
     return m_n, t_star
 
 
+def _top_ell(counts: dict[int, int], ell: int) -> ListPrediction:
+    """The ell labels with the highest counts; ties favor smaller labels."""
+    return ListPrediction(tuple(sorted(counts, key=lambda lab: (-counts[lab], lab))[:ell]))
+
+
 def topk_vote(lists: Iterable[Iterable[int]], ell: int) -> ListPrediction:
     """Top-ell labels by occurrence count across lists; ties favor smaller labels.
 
@@ -178,8 +207,7 @@ def topk_vote(lists: Iterable[Iterable[int]], ell: int) -> ListPrediction:
             counts[lab] = counts.get(lab, 0) + 1
     if n_lists == 0:
         raise ValueError("need at least one list")
-    ranked = sorted(counts, key=lambda lab: (-counts[lab], lab))
-    return ListPrediction(tuple(ranked[:ell]))
+    return _top_ell(counts, ell)
 
 
 class PrefixVotePredictor:
@@ -241,8 +269,7 @@ class PrefixVotePredictor:
         for state, w in self._weighted_states:
             for lab in self._lookup(state, x).labels:
                 counts[lab] = counts.get(lab, 0) + w
-        ranked = sorted(counts, key=lambda lab: (-counts[lab], lab))
-        return ListPrediction(tuple(ranked[:self.ell]))
+        return _top_ell(counts, self.ell)
 
 
 # -- synthetic distributions and experiments ----------------------------------
@@ -275,11 +302,24 @@ class SyntheticDistribution:
     def realizable(self) -> bool:
         return self.target is not None
 
+    @staticmethod
+    def _target_and_instances(H: HypothesisClass, target: int,
+                              instances: Sequence[int] | None):
+        """The target's row and the instances (default: every coordinate),
+        checked to lie in [0, |H|) and [1, n]."""
+        if not 0 <= target < len(H):
+            raise ValueError(f"target {target} out of range [0, {len(H) - 1}]")
+        xs = tuple(instances) if instances is not None else tuple(range(1, H.n + 1))
+        if not xs:
+            raise ValueError("instances must be non-empty")
+        if not all(1 <= x <= H.n for x in xs):
+            raise ValueError(f"instances must lie in [1, {H.n}]")
+        return H.hyps[target], xs
+
     @classmethod
     def uniform_realizable(cls, H: HypothesisClass, target: int,
                            instances: Sequence[int] | None = None) -> "SyntheticDistribution":
-        h = H.hyps[target]
-        xs = tuple(instances) if instances is not None else tuple(range(1, H.n + 1))
+        h, xs = cls._target_and_instances(H, target, instances)
         w = Fraction(1, len(xs))
         return cls(support=tuple((x, h[x - 1]) for x in xs),
                    weights=(w,) * len(xs), target=target)
@@ -292,8 +332,7 @@ class SyntheticDistribution:
         noise = Fraction(noise)
         if not 0 <= noise <= 1:
             raise ValueError("noise must lie in [0, 1]")
-        h = H.hyps[target]
-        xs = tuple(instances) if instances is not None else tuple(range(1, H.n + 1))
+        h, xs = cls._target_and_instances(H, target, instances)
         wx = Fraction(1, len(xs))
         support, weights = [], []
         for x in xs:
@@ -311,46 +350,28 @@ class SyntheticDistribution:
         picks = rng.choice(len(self.support), size=m, p=p)
         return [self.support[int(i)] for i in picks]
 
+    def _mass(self, masks) -> list[Fraction]:
+        """Exact weight of the support points each row of a boolean
+        (rows, |support|) ``masks`` marks.  Integer numerators are summed over
+        the weights' common denominator as Python ints, so no denominator
+        can overflow."""
+        denom = math.lcm(*(w.denominator for w in self.weights))
+        nums = np.array([w.numerator * (denom // w.denominator) for w in self.weights],
+                        dtype=object)
+        return [Fraction(v, denom) for v in np.asarray(masks, dtype=bool) @ nums]
+
     def list_error(self, predict: Callable[[int], ListPrediction]) -> Fraction:
-        """Exact miss probability of a list predictor over the support."""
-        if len(self.support) > EXACT_SUPPORT_LIMIT:
-            raise ValueError("support too large for exact enumeration")
-        preds = {}
-        err = Fraction(0)
-        for (x, y), w in zip(self.support, self.weights):
-            if x not in preds:
-                preds[x] = predict(x)
-            if y not in preds[x]:
-                err += w
-        return err
-
-    def list_error_sampled(self, predict: Callable[[int], ListPrediction],
-                           rng: np.random.Generator,
-                           n_eval: int = 20_000) -> tuple[float, float]:
-        """Monte-Carlo miss estimate with its standard error, for supports
-        too large to enumerate."""
-        misses = 0
-        preds: dict[int, ListPrediction] = {}
-        for x, y in self.draw(rng, n_eval):
-            if x not in preds:
-                preds[x] = predict(x)
-            if y not in preds[x]:
-                misses += 1
-        p = misses / n_eval
-        return p, math.sqrt(p * (1 - p) / n_eval)
-
-    def hypothesis_error(self, H: HypothesisClass, idx: int) -> Fraction:
-        h = H.hyps[idx]
-        return sum((w for (x, y), w in zip(self.support, self.weights)
-                    if h[x - 1] != y), Fraction(0))
+        """Exact miss probability of a list predictor; ``predict`` is asked
+        once per distinct instance of the support."""
+        preds = {x: predict(x) for x in dict.fromkeys(x for x, _y in self.support)}
+        return self._mass([[y not in preds[x] for x, y in self.support]])[0]
 
     def best_hypothesis(self, H: HypothesisClass) -> tuple[int, Fraction]:
-        best_idx, best_err = 0, None
-        for idx in range(len(H)):
-            e = self.hypothesis_error(H, idx)
-            if best_err is None or e < best_err:
-                best_idx, best_err = idx, e
-        return best_idx, best_err
+        """The first hypothesis with the least error, and that error."""
+        sx, sy = _pair_arrays(H, self.support)
+        errs = self._mass(np.array(H.hyps, dtype=np.intp)[:, sx - 1] != sy)
+        best = errs.index(min(errs))
+        return best, errs[best]
 
 
 @dataclass(frozen=True)
@@ -386,10 +407,9 @@ def pac_experiment(H: HypothesisClass, D: SyntheticDistribution, ell: int,
     """Monte-Carlo check that prefix voting meets its error bound.
 
     Each trial draws m points, trains the prefix-vote predictor, and
-    evaluates its error -- exactly by support enumeration when the support is
-    small enough, otherwise by sampling with the standard error recorded.
-    The empirical (1 - delta)-quantile across trials is compared against the
-    bound.
+    evaluates its error exactly over the support.  The empirical
+    (1 - delta)-quantile across trials is compared against the bound, so
+    delta must lie in (0, 1).
     """
     from .algebra import class_id  # local import to avoid a cycle
 
@@ -397,34 +417,27 @@ def pac_experiment(H: HypothesisClass, D: SyntheticDistribution, ell: int,
         raise RealizabilityError("pac_experiment requires a realizable distribution")
     if m < 8:
         raise ValueError("need m >= 8 for prefix voting")
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    if trials < 1:
+        raise ValueError("need trials >= 1")
     d_ds, _w = ds_dimension(H, ell)
     bound = pac_error_bound(d_ds, ell, delta, m)
-    exact = len(D.support) <= EXACT_SUPPORT_LIMIT
     cache: dict = {}
     errors: list[float] = []
-    std_errs: list[float] = []
     for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        sample = D.draw(rng, m)
+        sample = D.draw(np.random.default_rng([seed, trial]), m)
         predictor = PrefixVotePredictor(H, sample, ell, cache=cache)
-        if exact:
-            errors.append(float(D.list_error(predictor.predict)))
-        else:
-            est, se = D.list_error_sampled(predictor.predict, rng)
-            errors.append(est)
-            std_errs.append(se)
+        errors.append(float(D.list_error(predictor.predict)))
     ordered = sorted(errors)
     q_idx = min(math.ceil((1 - delta) * trials), trials) - 1
     quantile = ordered[q_idx]
     verdict = "PASS" if quantile <= bound else "FAIL"
-    results = {"quantile_err": quantile, "bound": bound, "d_ds": d_ds,
-               "mean_err": sum(errors) / len(errors), "max_err": max(errors),
-               "error_mode": "exact" if exact else "sampled", "log_base": "e"}
-    if std_errs:
-        results["max_std_err"] = max(std_errs)
     return ExperimentReport(
         kind="pac", class_id=class_id(H), ell=ell, seed=seed,
         params={"m": m, "delta": delta, "trials": trials},
-        results=results,
+        results={"quantile_err": quantile, "bound": bound, "d_ds": d_ds,
+                 "mean_err": sum(errors) / len(errors), "max_err": max(errors),
+                 "error_mode": "exact", "log_base": "e"},
         verdict=verdict,
     )

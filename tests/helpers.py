@@ -272,3 +272,36 @@ def per_prefix_states(H: HypothesisClass, sample, t_start: int):
     from dslab.learn import _consolidate, _state_of
 
     return [_state_of(*_consolidate(sample[:t], H)) for t in range(t_start, len(sample))]
+
+
+# -- per-point oracles for exact evaluation over a distribution's support ------
+# The library sums masks over the support on one common denominator; these
+# add Fraction weights point by point, as evaluation did before.
+
+
+def per_point_list_error(D, predict) -> Fraction:
+    """Miss probability of a list predictor, asking it at every support point."""
+    return sum((w for (x, y), w in zip(D.support, D.weights) if y not in predict(x)),
+               Fraction(0))
+
+
+def per_point_best_hypothesis(D, H: HypothesisClass) -> tuple[int, Fraction]:
+    """The first hypothesis with the least error under D, and that error."""
+    best_idx, best_err = 0, None
+    for idx, h in enumerate(H.hyps):
+        e = sum((w for (x, y), w in zip(D.support, D.weights) if h[x - 1] != y), Fraction(0))
+        if best_err is None or e < best_err:
+            best_idx, best_err = idx, e
+    return best_idx, best_err
+
+
+def per_point_decomposition(D, best_h, menu_predict, member_predict):
+    """The agnostic pipeline's three decomposition terms: the best
+    hypothesis's label outside the menu, outside its cover member, and the
+    member's labels outside the menu."""
+    def mass(keep):
+        return sum((w for (x, y), w in zip(D.support, D.weights) if keep(x, y)), Fraction(0))
+
+    return (mass(lambda x, y: best_h[x - 1] == y and y not in menu_predict(x)),
+            mass(lambda x, y: best_h[x - 1] == y and y not in member_predict(x)),
+            mass(lambda x, y: y in member_predict(x) and y not in menu_predict(x)))

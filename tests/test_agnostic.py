@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -8,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from helpers import (per_point_boost_member, per_point_inside_menu, per_point_mw_menu,
-                     per_point_predictor_loss, random_class)
+from helpers import (per_point_best_hypothesis, per_point_boost_member,
+                     per_point_decomposition, per_point_inside_menu, per_point_list_error,
+                     per_point_mw_menu, per_point_predictor_loss, random_class)
 from dslab import agnostic
 from dslab.errors import BudgetError, CertificateError
-from dslab.hclass import HypothesisClass, gen_cube
+from dslab.hclass import HypothesisClass, gen_cube, gen_random
 from dslab.learn import (ListPrediction, SyntheticDistribution, _consolidate, _state_of,
                          oig_list_predict)
 from dslab.agnostic import (_boost_member, _fit_inside_menu, agnostic_pipeline,
@@ -281,8 +283,9 @@ def test_pipeline_reports_pinned_at_scale():
 
 
 def test_memoized_predictions_match_definitions():
-    # members and menus answer from memos; each must equal the union it
-    # stands for, recomputed here without any memo
+    # members answer from the cover's one (state, x) memo, and the menu
+    # through them; each must equal the union it stands for, recomputed here
+    # without any memo
     rng = np.random.default_rng(40)
     for trial in range(25):
         H = random_class(rng, size_max=8)
@@ -301,6 +304,61 @@ def test_memoized_predictions_match_definitions():
             for _t, m in menu.trace[:-1]:
                 want.update(cover.members[m].predict(x))
             assert menu.predict(x) == want
+
+
+def _pipeline_case(case):
+    """(H, D, ell, (n1, T, n3)).  Case 0 is a product class whose menu holds
+    the best labels; cases 1 and 2 are random classes with menus of two
+    rounds, where the decomposition terms are non-zero; case 3 puts every
+    weight over a prime denominator past 2**63."""
+    if case == 0:
+        H = gen_cube(3, 1, 2, 3)
+        return H, SyntheticDistribution.with_label_noise(H, 3, Fraction(1, 10)), 1, (30, 30, 40)
+    if case in (1, 2):
+        H = gen_random(4, 4, 6, seed=853233194) if case == 1 else gen_random(3, 3, 4, seed=1915754261)
+        D = SyntheticDistribution.with_label_noise(H, 5 if case == 1 else 0, Fraction(1, 3))
+        return H, D, 3 - case, (4, 3, 12)
+    H = gen_cube(3, 1, 1, 3)
+    P = 2**89 - 1
+    support = tuple((x, y) for x in range(1, H.n + 1) for y in range(1, H.k + 1))
+    r = random.Random(50)
+    weights = [Fraction(r.randrange(1, P // 16), P) for _ in support[1:]]
+    return H, SyntheticDistribution(support, tuple(weights) + (1 - sum(weights),)), 1, (4, 3, 12)
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_pipeline_evaluation_matches_per_point_oracles(case, monkeypatch):
+    # err, best_err, the decomposition terms and the menu sizes, recomputed
+    # point by point from the stages the pipeline built
+    H, D, ell, (n1, T, n3) = _pipeline_case(case)
+    stages = {}
+    for name in ("build_list_cover", "mw_menu", "inside_menu_erm"):
+        def kept(*args, _f=getattr(agnostic, name), _name=name, **kwargs):
+            stages[_name] = _f(*args, **kwargs)
+            return stages[_name]
+        monkeypatch.setattr(agnostic, name, kept)
+    res = agnostic_pipeline(H, D, ell=ell, n1=n1, T=T, n3=n3, delta=0.1, seed=case).results
+    cover, menu = stages["build_list_cover"], stages["mw_menu"]
+    err = per_point_list_error(D, stages["inside_menu_erm"].predict)
+    best_idx, best_err = per_point_best_hypothesis(D, H)
+    assert (res["err"], res["best_err"], res["excess_err"]) == (
+        float(err), float(best_err), float(err - best_err))
+    assert res["menu_list_sizes"] == sorted(len(menu.predict(x)) for x in {x for x, _ in D.support})
+    member = cover.member_of.get(best_idx)
+    assert member is not None
+    terms = per_point_decomposition(D, H.hyps[best_idx], menu.predict,
+                                    cover.members[member].predict)
+    assert res["decomposition"] == dict(zip(
+        ("best_label_outside_menu", "best_label_outside_cover_member",
+         "cover_member_outside_menu"), map(float, terms)))
+    assert (sum(t > 0 for t in terms) >= 2) == (case > 0)
+
+
+def test_pipeline_rejects_a_support_outside_the_class_domain():
+    H = gen_cube(3, 1, 1, 2)
+    D = SyntheticDistribution(support=((0, 1), (1, 1)), weights=(Fraction(1, 2),) * 2)
+    with pytest.raises(ValueError, match="sample points must lie in"):
+        agnostic_pipeline(H, D, ell=1, n1=8, T=8, n3=8, delta=0.1, seed=0)
 
 
 # -- the table-driven stages against per-point oracles --------------------------

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -172,18 +173,6 @@ def test_audit_single_class_passes(square, capsys):
     assert doc["reports"][0]["verdict"] == "PASS"
 
 
-def test_audit_embeds_config_and_reruns_identically(square, tmp_path, capsys):
-    out = tmp_path / "a.json"
-    assert run(capsys, "audit", "--class", square, "--ell", "1", "-o", str(out))[0] == EXIT_OK
-    first = json.loads(out.read_text())
-    assert run(capsys, "audit", "--class", square, "--ell", "1", "-o", str(out))[0] == EXIT_OK
-    second = json.loads(out.read_text())
-    first.pop("timestamp"), second.pop("timestamp")
-    assert first == second
-    assert first["config"]["command"] == "audit"
-    assert first["config"]["args"]["klass"] == square
-
-
 def test_audit_past_former_row_cap_exits_zero(tmp_path, capsys):
     from dslab.hclass import gen_random
     p = tmp_path / "wide.json"
@@ -305,6 +294,43 @@ def test_config_args_hold_only_the_flags_a_subcommand_reads(command, square, cap
     code, out, _err = run(capsys, command, *klass, *extra)
     assert code == EXIT_OK
     assert set(json.loads(out)["config"]["args"]) == keys
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_KEYS))
+def test_json_output_embeds_config_and_reruns_identically(command, square, tmp_path, capsys):
+    # two runs of one config print the same bytes apart from the timestamp;
+    # gen's -o names the class file, so its report is read from stdout
+    extra, _keys = CONFIG_KEYS[command]
+    out = tmp_path / "out.json"
+    klass = [] if command == "gen" else ["--class", square]
+    texts = []
+    for _run in range(2):
+        code, stdout, _err = run(capsys, command, *klass, *extra, "-o", str(out))
+        assert code == EXIT_OK
+        texts.append(stdout if command == "gen" else out.read_text())
+    first, second = (re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', t) for t in texts)
+    assert first == second
+    config = json.loads(first)["config"]
+    assert config["command"] == command
+    assert config["args"].get("klass") == (None if command == "gen" else square)
+
+
+@pytest.mark.parametrize("command", ["loo", "pac", "agnostic"])
+@pytest.mark.parametrize("target", ["-1", "size"])
+def test_target_outside_the_class_is_a_one_line_error(command, target, square, capsys):
+    size = len(load_class(square))
+    target = str(size) if target == "size" else target
+    code, out, err = run(capsys, command, "--class", square, "--target", target)
+    assert code == EXIT_ERROR and out == ""
+    assert err == f"dslab {command}: target {target} out of range [0, {size - 1}]\n"
+
+
+@pytest.mark.parametrize("delta", ["0", "1", "1.5", "-0.1"])
+def test_pac_delta_outside_the_open_unit_interval_is_a_one_line_error(delta, square, capsys):
+    code, out, err = run(capsys, "pac", "--class", square, "--delta", delta,
+                         "--m", "8", "--trials", "2")
+    assert code == EXIT_ERROR and out == ""
+    assert err == f"dslab pac: delta must lie in (0, 1), got {float(delta)}\n"
 
 
 @pytest.mark.parametrize("command,unread", [

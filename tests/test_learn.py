@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import per_prefix_states, random_class
+from helpers import (per_point_best_hypothesis, per_point_list_error, per_prefix_states,
+                     random_class)
 import dslab.learn as learn
 from dslab.errors import CertificateError, RealizabilityError
 from dslab.hclass import HypothesisClass, gen_cube, restrict
@@ -269,14 +270,78 @@ def test_pac_requires_realizable():
         pac_experiment(H, D, 1, m=16, delta=0.1, trials=2, seed=0)
 
 
-def test_pac_reports_error_mode_and_sampled_estimator():
+def test_pac_reports_error_mode():
     H = gen_cube(3, 1, 2, 4)
     D = SyntheticDistribution.uniform_realizable(H, 0)
     rep = pac_experiment(H, D, 1, m=16, delta=0.1, trials=4, seed=0)
     assert rep.results["error_mode"] == "exact"
 
-    # the sampled estimator agrees with exact enumeration within a few SEs
-    pred = PrefixVotePredictor(H, D.draw(np.random.default_rng(0), 16), 1)
-    exact = float(D.list_error(pred.predict))
-    est, se = D.list_error_sampled(pred.predict, np.random.default_rng(1), n_eval=4000)
-    assert abs(est - exact) <= max(4 * se, 0.02)
+
+def test_pac_rejects_delta_outside_the_open_unit_interval_and_no_trials():
+    H = gen_cube(3, 1, 2, 4)
+    D = SyntheticDistribution.uniform_realizable(H, 0)
+    for delta in (0, 1, 1.5, 3.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="delta must lie in"):
+            pac_experiment(H, D, 1, m=16, delta=delta, trials=4, seed=0)
+    with pytest.raises(ValueError, match="trials"):
+        pac_experiment(H, D, 1, m=16, delta=0.1, trials=0, seed=0)
+
+
+def test_distributions_reject_targets_and_instances_outside_the_class():
+    H = gen_cube(2, 1, 1, 3)  # 3 rows on 3 coordinates
+    for make in (SyntheticDistribution.uniform_realizable,
+                 lambda H, t, instances=None: SyntheticDistribution.with_label_noise(
+                     H, t, Fraction(1, 10), instances)):
+        for target in (-1, len(H)):
+            with pytest.raises(ValueError, match=f"target {target} out of range"):
+                make(H, target)
+        for instances in ([0, 1], [1, H.n + 1], []):
+            with pytest.raises(ValueError, match="instances"):
+                make(H, 0, instances=instances)
+    # a caller-built support is checked against the class when it is evaluated
+    for point in ((0, 1), (H.n + 1, 1), (1, 0), (1, H.k + 1)):
+        D = SyntheticDistribution(support=(point, (1, 1)),
+                                  weights=(Fraction(1, 2), Fraction(1, 2)))
+        with pytest.raises(ValueError, match="sample points must lie in"):
+            D.best_hypothesis(H)
+
+
+# denominators past 2**63, so that int64 numerators would overflow
+BIG_DENOMINATORS = (2**64 - 59, 2**89 - 1)
+
+
+@st.composite
+def class_and_distribution(draw):
+    """A class of 2-6 rows with k <= 4 labels on n <= 4 coordinates and a
+    distribution over 2-12 (x, y) pairs, repeats allowed.  Some draws weigh
+    the points equally, so hypotheses often tie; the rest put every weight
+    over one prime denominator past 2**63."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*[st.integers(1, k)] * n), min_size=2, max_size=6,
+                         unique=True))
+    H = HypothesisClass(k=k, n=n, hyps=tuple(sorted(rows)))
+    support = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, k)),
+                            min_size=2, max_size=12))
+    if draw(st.booleans()):
+        weights = [Fraction(1, len(support))] * len(support)
+    else:  # numerators below P/16, so the last weight stays positive
+        P = draw(st.sampled_from(BIG_DENOMINATORS))
+        weights = [Fraction(draw(st.integers(1, P // 16)), P) for _ in support[1:]]
+        weights.append(1 - sum(weights))
+    return H, SyntheticDistribution(support=tuple(support), weights=tuple(weights))
+
+
+@given(class_and_distribution(), st.data())
+def test_exact_evaluation_matches_per_point_oracles(case, data):
+    H, D = case
+    lists = data.draw(st.lists(st.frozensets(st.integers(1, H.k)), min_size=H.n, max_size=H.n))
+    asked = []
+
+    def predict(x):
+        asked.append(x)
+        return lists[x - 1]
+
+    assert D.list_error(predict) == per_point_list_error(D, lambda x: lists[x - 1])
+    assert sorted(asked) == sorted({x for x, _y in D.support})  # once per distinct x
+    assert D.best_hypothesis(H) == per_point_best_hypothesis(D, H)
