@@ -356,6 +356,8 @@ def agnostic_pipeline(H: HypothesisClass, D: SyntheticDistribution, ell: int,
 
     if min(n1, T, n3) < 1:
         raise ValueError("sample sizes must be >= 1")
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     sx, sy = _pair_arrays(H, D.support)
     xs = np.unique(sx).tolist()
     d_ds, _w = ds_dimension(H, ell)

@@ -4,7 +4,7 @@ Every class W over n coordinates carries a vector space of real functions on
 its rows.  The monomials w -> w_1^a_1 * ... * w_n^a_n with per-coordinate
 degree below the number of realized labels, and with at most s coordinates of
 degree >= ell, span that space whenever s is at least the ell-DS dimension of
-W.  Ranks are computed exactly: first modulo a random 62-bit prime, with a
+W.  Ranks are computed exactly: first modulo a fixed 62-bit prime, with a
 fraction-free integer elimination as the confirmation path whenever the
 modular answer is not already provably tight.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
@@ -33,8 +32,6 @@ __all__ = [
     "rank_exact",
     "rank_mod_p",
     "rank_bareiss",
-    "random_prime",
-    "is_probable_prime",
     "check_spanning",
     "direction_subspace_dim",
     "extract_basis",
@@ -44,7 +41,6 @@ __all__ = [
 ]
 
 DEFAULT_MATRIX_BUDGET = 2_000_000  # max matrix cells materialized per operation
-_PRIME_SEED = 0x5D5_1AB  # default stream for the modular-rank prime
 
 
 @dataclass(frozen=True)
@@ -131,48 +127,15 @@ def eval_matrix(W: HypothesisClass, monomials: list[Monomial],
             prefix.append(tuple(x * y for x, y in zip(prefix[-1], powers[i, a])) if a else prefix[-1])
         rows.append(prefix[-1])
         prev = m.alpha
-    for r in rows:
-        assert all(v >= 1 for v in r)  # labels are positive
     return EvalMatrix(monomials=tuple(monomials), base=W, entries=tuple(rows))
 
 
 # -- exact rank --------------------------------------------------------------
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # deterministic below 2^64
-
-
-def is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def random_prime(bits: int = 62, seed: int = _PRIME_SEED) -> int:
-    rng = random.Random(seed)
-    while True:
-        cand = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if is_probable_prime(cand):
-            return cand
-
-
-MODULUS = random_prime()  # the prime of rank_exact's modular pass
+# The prime of rank_exact's modular pass, reported as every audit's
+# ``modulus``.  Any 62-bit prime would serve; this one is the value audits
+# have always reported, so changing it changes their output.
+MODULUS = 3674014178492845169
 
 
 def rank_mod_p(rows, p: int) -> int:
@@ -203,14 +166,16 @@ def rank_mod_p(rows, p: int) -> int:
     return rank
 
 
-def rank_bareiss(rows) -> int:
-    """Fraction-free integer elimination; every division below is exact."""
+def _pivot_columns(rows) -> list[int]:
+    """Columns that are not combinations over Q of earlier columns, by
+    fraction-free integer elimination; every division below is exact."""
     mat = [list(map(int, row)) for row in rows]
     n_rows = len(mat)
     n_cols = len(mat[0]) if n_rows else 0
-    rank = 0
+    pivots: list[int] = []
     prev = 1
     for col in range(n_cols):
+        rank = len(pivots)
         piv = next((r for r in range(rank, n_rows) if mat[r][col]), None)
         if piv is None:
             continue
@@ -222,10 +187,15 @@ def rank_bareiss(rows) -> int:
             for c in range(col, n_cols):
                 row[c] = (pv * row[c] - f * mat[rank][c]) // prev
         prev = pv
-        rank += 1
-        if rank == n_rows:
+        pivots.append(col)
+        if len(pivots) == n_rows:
             break
-    return rank
+    return pivots
+
+
+def rank_bareiss(rows) -> int:
+    """Exact rank over the rationals: the number of pivot columns."""
+    return len(_pivot_columns(rows))
 
 
 def rank_exact(M: EvalMatrix | list) -> int:
@@ -298,23 +268,17 @@ def extract_basis(W: HypothesisClass, ell: int, s: int,
                   budget: int = DEFAULT_MATRIX_BUDGET) -> tuple[list[Monomial], EvalMatrix]:
     """Greedy basis among the monomial evaluations, deterministic pivot order.
 
-    Scans monomials in enumeration order and keeps each one whose row raises
-    the exact rank (``rank_exact``) of the rows already kept: the greedy over
-    the rationals.  A greedy over GF(p) alone could keep other rows when p
-    divides a minor, so the modular rank never decides on its own here.
+    Keeps each monomial, in enumeration order, whose row is not a combination
+    over the rationals of the rows before it: the pivot columns of one exact
+    elimination of the transposed evaluation matrix.  No modular rank
+    decides here, since p may divide a minor.
     """
     mons = monomial_set(W, ell, s, budget=budget)
     mat = eval_matrix(W, mons, budget=budget)
-    kept: list[int] = []
-    rows: list[tuple[int, ...]] = []
-    for ridx, row in enumerate(mat.entries):
-        if len(kept) == len(W):
-            break
-        if rank_exact(rows + [row]) > len(kept):
-            kept.append(ridx)
-            rows.append(row)
+    kept = _pivot_columns(list(zip(*mat.entries)))
     basis = [mat.monomials[j] for j in kept]
-    return basis, EvalMatrix(monomials=tuple(basis), base=W, entries=tuple(rows))
+    rows = tuple(mat.entries[j] for j in kept)
+    return basis, EvalMatrix(monomials=tuple(basis), base=W, entries=rows)
 
 
 def in_direction_subspace(W: HypothesisClass, i: int, ell: int, values) -> bool:

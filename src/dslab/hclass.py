@@ -124,8 +124,8 @@ def restrict(H: HypothesisClass, coords: Sequence[int], allow_repeats: bool = Fa
     """Project ``H`` onto the given coordinate sequence and deduplicate.
 
     ``k`` is unchanged and the new width equals ``len(coords)``.  Repeated
-    coordinates are rejected unless ``allow_repeats`` is set (learning code
-    projects onto samples, which may repeat instances).
+    coordinates are rejected unless ``allow_repeats`` is set (tests use it to
+    build the un-reduced graph of a sample with repeated instances).
     """
     cs = check_coords(H.n, coords, allow_repeats=allow_repeats)
     rows = {tuple(h[c - 1] for c in cs) for h in H.hyps}
@@ -195,9 +195,13 @@ def loads_class(text: str) -> HypothesisClass:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed class JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValueError("class JSON must be an object")
     for key in ("k", "n", "hyps"):
         if key not in obj:
             raise ValueError(f"class JSON missing key {key!r}")
+    if not isinstance(obj["hyps"], list) or not all(isinstance(h, list) for h in obj["hyps"]):
+        raise ValueError("class JSON 'hyps' must be a list of label lists")
     return make_class(int(obj["k"]), int(obj["n"]), obj["hyps"])
 
 

@@ -319,10 +319,7 @@ class SyntheticDistribution:
     @classmethod
     def uniform_realizable(cls, H: HypothesisClass, target: int,
                            instances: Sequence[int] | None = None) -> "SyntheticDistribution":
-        h, xs = cls._target_and_instances(H, target, instances)
-        w = Fraction(1, len(xs))
-        return cls(support=tuple((x, h[x - 1]) for x in xs),
-                   weights=(w,) * len(xs), target=target)
+        return cls.with_label_noise(H, target, 0, instances)
 
     @classmethod
     def with_label_noise(cls, H: HypothesisClass, target: int, noise: Fraction,

@@ -177,6 +177,21 @@ def fraction_rank(rows) -> int:
     return rank
 
 
+def is_prime(n: int) -> bool:
+    """Miller-Rabin over the twelve prime bases up to 37: exact below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x not in (1, n - 1) and all((x := x * x % n) != n - 1 for _ in range(r - 1)):
+            return False
+    return True
+
+
 def random_class(rng, k_max=4, n_max=4, size_max=12) -> HypothesisClass:
     from dslab.hclass import gen_random
 

@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from helpers import fraction_rank, random_class, unpruned_mu_with_witness
+from helpers import fraction_rank, is_prime, random_class, unpruned_mu_with_witness
 import dslab.algebra as algebra
 from dslab.errors import BudgetError, CertificateError
 from dslab.hclass import HypothesisClass, gen_cube, gen_random, restrict
 from dslab.dims import ds_dimension, natarajan_dimension
 from dslab.algebra import (Monomial, audit_theorem, check_spanning, class_id,
                            direction_subspace_dim, eval_matrix, extract_basis,
-                           in_direction_subspace, is_probable_prime,
-                           monomial_set, random_prime, rank_bareiss,
+                           in_direction_subspace, monomial_set, rank_bareiss,
                            rank_exact, rank_mod_p)
 from dslab.oig import (_density_bound, _live_edges, build_oig, density,
                        max_density_subfamily, mu_with_witness)
@@ -78,7 +77,7 @@ def test_rank_matches_fraction_oracle():
         expected = fraction_rank(mat)
         assert rank_bareiss(mat) == expected
         assert rank_exact(mat) == expected
-        assert rank_mod_p(mat, random_prime()) == expected
+        assert rank_mod_p(mat, algebra.MODULUS) == expected
 
 
 def test_rank_engineered_deficiency():
@@ -176,13 +175,14 @@ def test_eval_matrix_matches_per_cell_oracle(case):
     assert M.monomials == tuple(mons)
 
 
-def test_prime_generation():
-    p = random_prime()
-    assert p.bit_length() == 62 and is_probable_prime(p)
-    assert random_prime(seed=1) == random_prime(seed=1)
-    assert not is_probable_prime(561) and not is_probable_prime(1)
-    assert is_probable_prime(2**61 - 1)
-    assert algebra.MODULUS == p == audit_theorem(gen_cube(2, 1, 2, 2), 1).modulus
+def test_modulus_is_a_62_bit_prime():
+    p = algebra.MODULUS
+    assert p.bit_length() == 62 and is_prime(p)
+    assert p == audit_theorem(gen_cube(2, 1, 2, 2), 1).modulus
+    # the oracle itself: a Carmichael number, a strong pseudoprime to the
+    # bases 2, 3, 5 and 7 (151 * 751 * 28351), and a Mersenne prime
+    assert not is_prime(561) and not is_prime(3215031751) and not is_prime(1)
+    assert is_prime(2**61 - 1)
 
 
 def test_spanning_full_support_always_true():
@@ -292,6 +292,7 @@ def test_extract_basis_keeps_the_rows_that_raise_the_rank(k, n, ell, data):
         basis, mat = extract_basis(W, ell, s)
         assert basis == [mons[j] for j in want]
         assert mat.entries == tuple(full[j] for j in want)
+        assert check_spanning(W, ell, s) == (ranks[-1] == len(W), ranks[-1], len(W))
 
 
 def test_extract_basis_is_deterministic_and_spans():

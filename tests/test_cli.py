@@ -333,6 +333,24 @@ def test_pac_delta_outside_the_open_unit_interval_is_a_one_line_error(delta, squ
     assert err == f"dslab pac: delta must lie in (0, 1), got {float(delta)}\n"
 
 
+@pytest.mark.parametrize("delta", ["0", "1", "5", "-1"])
+def test_agnostic_delta_outside_the_open_unit_interval_is_a_one_line_error(delta, square, capsys):
+    code, out, err = run(capsys, "agnostic", "--class", square, "--delta", delta)
+    assert code == EXIT_ERROR and out == ""
+    assert err == f"dslab agnostic: delta must lie in (0, 1), got {float(delta)}\n"
+
+
+@pytest.mark.parametrize("text", ["5", '{"k":2,"n":2,"hyps":[1,2]}', '{"k":2,"n":2,"hyps":null}'])
+@pytest.mark.parametrize("command", ["dims", "audit"])
+def test_malformed_class_file_is_a_one_line_error(command, text, tmp_path, capsys):
+    # audit reads a directory of classes, dims a single file
+    (tmp_path / "bad.json").write_text(text)
+    target = tmp_path if command == "audit" else tmp_path / "bad.json"
+    code, out, err = run(capsys, command, "--class", str(target), "--ell", "1")
+    assert code == EXIT_ERROR and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"dslab {command}: class JSON ")
+
+
 @pytest.mark.parametrize("command,unread", [
     ("mu", ["--jobs", "2"]),
     ("density", ["--budget-matrix", "5"]),

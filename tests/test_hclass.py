@@ -38,6 +38,16 @@ def test_load_malformed_json():
         loads_class("{nope")
 
 
+@pytest.mark.parametrize("text, match", [
+    ("5", "must be an object"),
+    ('{"k":2,"n":2,"hyps":[1,2]}', "list of label lists"),
+    ('{"k":2,"n":2,"hyps":null}', "list of label lists"),
+])
+def test_load_rejects_json_of_the_wrong_shape(text, match):
+    with pytest.raises(ValueError, match=match):
+        loads_class(text)
+
+
 def test_roundtrip(tmp_path):
     H = gen_random(3, 3, 11, seed=5)
     p = tmp_path / "c.json"

@@ -221,6 +221,8 @@ def test_distribution_validation():
                               weights=(Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**15)))
     D = SyntheticDistribution.uniform_realizable(gen_cube(2, 1, 2, 2), 0)
     assert D.realizable and sum(D.weights) == 1
+    assert D.support == ((1, 1), (2, 1))
+    assert D == SyntheticDistribution.with_label_noise(gen_cube(2, 1, 2, 2), 0, 0)
 
 
 def test_noisy_distribution_weights():
