@@ -30,8 +30,8 @@ from .dims import ds_dimension
 from .errors import BudgetError, CertificateError
 from .hclass import HypothesisClass
 from .learn import (CoordState, ExperimentReport, ListPrediction, PrefixVotePredictor,
-                    SyntheticDistribution, _cached_predict, _consolidate, _label_table,
-                    _pair_arrays, _predict_from_state, _state_of)
+                    SyntheticDistribution, _cached_predict, _consolidate, _inverse_cdf,
+                    _label_table, _pair_arrays, _predict_from_state, _state_of)
 
 __all__ = [
     "CoverMember",
@@ -94,8 +94,9 @@ def _boost_member(H: HypothesisClass, points: list[tuple[int, int]], d: int, j: 
     Maintains weights over the points; each round draws up to ``BOOST_BUDGET``
     weighted size-d subsamples until the trained predictor's weighted miss
     rate is at most 1/3, then halves the weights of points it covers.
-    Returns None when some round finds no weak subsample.  Each attempt asks
-    the cover's (state, x) ``memo`` once per distinct x of the points.
+    Returns None when some round finds no weak subsample.  Subsamples invert
+    one ``learn._inverse_cdf`` per round.  Each attempt asks the cover's
+    (state, x) ``memo`` once per distinct x of the points.
     """
     if not points:
         return CoverMember(H, (), (), ell, memo)
@@ -106,12 +107,12 @@ def _boost_member(H: HypothesisClass, points: list[tuple[int, int]], d: int, j: 
     subsamples: list[tuple[tuple[int, int], ...]] = []
     states: list[CoordState] = []
     for _round in range(j):
-        p = weights / weights.sum()
+        cdf = _inverse_cdf(weights)
         # Each weight is 2**-a with a <= j, so every sum below is exact in
         # float64 and the 1/3 test decides as it would over the rationals.
         total = weights.sum()
         for _attempt in range(BOOST_BUDGET):
-            picks = rng.choice(len(points), size=d, p=p)
+            picks = cdf.searchsorted(rng.random(d), side="right")
             sub = tuple(points[int(i)] for i in picks)
             state = _state_of(*_consolidate(sub, H))
             table = _label_table(H, xs, lambda x: _cached_predict(H, state, x, ell, memo).labels)
@@ -214,7 +215,10 @@ def mw_menu(F: ListCover, S2: Sequence[tuple[int, int]],
     selections, and multiplies weights by exp(reward/2).  The menu is the
     union over rounds 1..T-1.  Rewards are read off a member table
     ``C[m, x, y]`` and a running union table ``U[x, y]``, each member being
-    asked once per distinct x of S2.
+    asked once per distinct x of S2; a member joins ``U`` on its first draw.
+    Members are drawn by inverting ``learn._inverse_cdf``.  Only a rewarded
+    round moves the weights, so only such a round rebuilds that CDF and the
+    ``weight_history`` row, and checks that every weight is still positive.
     """
     if len(F) == 0:
         raise ValueError("cover must be non-empty")
@@ -228,22 +232,30 @@ def mw_menu(F: ListCover, S2: Sequence[tuple[int, int]],
     C = np.stack([_label_table(H, xs, member.predict) for member in F.members])
     U = np.zeros_like(C[0])
     n_members = len(F.members)
+    drawn = np.zeros(n_members, dtype=bool)
     weights = np.ones(n_members)
+    cdf, row = _inverse_cdf(weights), tuple(weights.tolist())
+    no_reward = (0,) * n_members
     trace: list[tuple[int, int]] = []
     rewards: list[tuple[int, ...]] = []
     history: list[tuple[float, ...]] = []
     for t, (x, y) in enumerate(zip(sx.tolist(), sy.tolist()), start=1):
-        history.append(tuple(weights.tolist()))
-        p = weights / weights.sum()
-        m_idx = int(rng.choice(n_members, p=p))
+        history.append(row)
+        m_idx = int(cdf.searchsorted(rng.random(), side="right"))
         trace.append((t, m_idx))
-        r = C[:, x, y] & ~U[x, y]
-        rewards.append(tuple(r.astype(int).tolist()))
-        weights[r] *= math.exp(0.5)
-        U |= C[m_idx]
-    history.append(tuple(weights.tolist()))
-    if not np.all(weights > 0):
-        raise CertificateError(f"menu weights left the positive reals: {weights.tolist()}")
+        r = C[:, x, y]
+        if U[x, y] or not r.any():
+            rewards.append(no_reward)
+        else:
+            rewards.append(tuple(r.astype(int).tolist()))
+            weights[r] *= math.exp(0.5)
+            if not np.all(weights > 0):
+                raise CertificateError(f"menu weights left the positive reals: {weights.tolist()}")
+            cdf, row = _inverse_cdf(weights), tuple(weights.tolist())
+        if not drawn[m_idx]:
+            drawn[m_idx] = True
+            U |= C[m_idx]
+    history.append(row)
     return Menu(cover=F, trace=tuple(trace), rewards=tuple(rewards),
                 weight_history=tuple(history))
 

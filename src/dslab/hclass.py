@@ -190,7 +190,16 @@ def _decode(idx: int, k: int, n: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
+def _json_int(value, field: str) -> int:
+    """``value`` if it is a JSON integer; JSON true/false load as bools, which
+    Python counts as ints, so the type is compared exactly."""
+    if type(value) is not int:
+        raise ValueError(f"class JSON {field} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def loads_class(text: str) -> HypothesisClass:
+    """Parse class JSON; ``k``, ``n`` and every label must be JSON integers."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -202,7 +211,8 @@ def loads_class(text: str) -> HypothesisClass:
             raise ValueError(f"class JSON missing key {key!r}")
     if not isinstance(obj["hyps"], list) or not all(isinstance(h, list) for h in obj["hyps"]):
         raise ValueError("class JSON 'hyps' must be a list of label lists")
-    return make_class(int(obj["k"]), int(obj["n"]), obj["hyps"])
+    return make_class(_json_int(obj["k"], "'k'"), _json_int(obj["n"], "'n'"),
+                      [[_json_int(v, "label") for v in h] for h in obj["hyps"]])
 
 
 def load_class(path) -> HypothesisClass:

@@ -275,6 +275,20 @@ class PrefixVotePredictor:
 # -- synthetic distributions and experiments ----------------------------------
 
 
+def _inverse_cdf(weights: np.ndarray) -> np.ndarray:
+    """CDF of the non-negative float ``weights`` for inverse-CDF draws:
+    ``_inverse_cdf(w).searchsorted(rng.random(size), side="right")``.
+
+    These are the steps numpy 2.x ``Generator.choice(len(w), size, p=w / w.sum())``
+    takes once it has validated ``p``, so such a draw picks what that call
+    picks and leaves ``rng`` in the same state, without re-validating ``p``
+    on every draw.  Callers keep the CDF while their weights do not move.
+    """
+    cdf = np.cumsum(weights / weights.sum())
+    cdf /= cdf[-1]
+    return cdf
+
+
 @dataclass(frozen=True)
 class SyntheticDistribution:
     """Distribution over (instance, label) pairs with exact weights.
@@ -342,9 +356,8 @@ class SyntheticDistribution:
                    target=None if noise > 0 else target)
 
     def draw(self, rng: np.random.Generator, m: int) -> list[tuple[int, int]]:
-        p = np.array([float(w) for w in self.weights])
-        p /= p.sum()
-        picks = rng.choice(len(self.support), size=m, p=p)
+        cdf = _inverse_cdf(np.array([float(w) for w in self.weights]))
+        picks = cdf.searchsorted(rng.random(m), side="right")
         return [self.support[int(i)] for i in picks]
 
     def _mass(self, masks) -> list[Fraction]:

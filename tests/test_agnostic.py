@@ -382,12 +382,12 @@ def class_and_samples(draw, n_samples=3):
     return H, draw(st.integers(1, 2)), samples
 
 
-def cover_and_menu(H, ell, S1, S2, seed):
+def cover_and_menu(H, ell, S1, S2, seed, menu_rng=None):
     try:
         cover = build_list_cover(H, S1, d=3, j=3, ell=ell, rng=np.random.default_rng(seed))
     except BudgetError:
         assume(False)
-    return cover, mw_menu(cover, S2, rng=np.random.default_rng(seed + 1))
+    return cover, mw_menu(cover, S2, rng=menu_rng or np.random.default_rng(seed + 1))
 
 
 @given(class_and_samples(n_samples=1), st.integers(0, 2**16), st.integers(1, 4),
@@ -426,9 +426,11 @@ def test_boost_member_stops_once_its_rounds_cover_every_point(monkeypatch):
 @given(class_and_samples(n_samples=2), st.integers(0, 2**16))
 def test_mw_menu_matches_per_point_oracle(data, seed):
     H, ell, (S1, S2) = data
-    cover, menu = cover_and_menu(H, ell, S1, S2, seed)
-    want = per_point_mw_menu(cover, S2, np.random.default_rng(seed + 1))
+    rng, oracle_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    cover, menu = cover_and_menu(H, ell, S1, S2, seed, menu_rng=rng)
+    want = per_point_mw_menu(cover, S2, oracle_rng)
     assert (menu.trace, menu.rewards, menu.weight_history) == want
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
     assert all(type(r) is int for rs in menu.rewards for r in rs)
 
 

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import gc
 import json
@@ -157,6 +158,15 @@ def test_orientation_certificates_survive_python_O():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["no cover caught", "thin cut caught", "foreign cover caught"]
+
+
+def test_no_bare_assert_in_the_package():
+    # python -O strips asserts, so every check in src must be explicit code
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(oig.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_span_command(square, capsys):
@@ -340,7 +350,12 @@ def test_agnostic_delta_outside_the_open_unit_interval_is_a_one_line_error(delta
     assert err == f"dslab agnostic: delta must lie in (0, 1), got {float(delta)}\n"
 
 
-@pytest.mark.parametrize("text", ["5", '{"k":2,"n":2,"hyps":[1,2]}', '{"k":2,"n":2,"hyps":null}'])
+@pytest.mark.parametrize("text", ["5", '{"k":2,"n":2,"hyps":[1,2]}', '{"k":2,"n":2,"hyps":null}',
+                                  '{"k":null,"n":2,"hyps":[[1,1]]}',
+                                  '{"k":2,"n":[2],"hyps":[[1,1]]}',
+                                  '{"k":"2","n":2,"hyps":[[1,1]]}',
+                                  '{"k":2,"n":2,"hyps":[[1,2.7]]}',
+                                  '{"k":2,"n":2,"hyps":[[true,1]]}'])
 @pytest.mark.parametrize("command", ["dims", "audit"])
 def test_malformed_class_file_is_a_one_line_error(command, text, tmp_path, capsys):
     # audit reads a directory of classes, dims a single file

@@ -38,11 +38,16 @@ def test_load_malformed_json():
         loads_class("{nope")
 
 
+NOT_INTEGERS = ["null", "[2]", '"2"', "2.7", "true"]
+
+
 @pytest.mark.parametrize("text, match", [
     ("5", "must be an object"),
     ('{"k":2,"n":2,"hyps":[1,2]}', "list of label lists"),
     ('{"k":2,"n":2,"hyps":null}', "list of label lists"),
-])
+] + [(f'{{"k":{v},"n":2,"hyps":[[1,1]]}}', "'k' must be an integer") for v in NOT_INTEGERS]
+  + [(f'{{"k":2,"n":{v},"hyps":[[1,1]]}}', "'n' must be an integer") for v in NOT_INTEGERS]
+  + [(f'{{"k":2,"n":2,"hyps":[[1,{v}]]}}', "label must be an integer") for v in NOT_INTEGERS])
 def test_load_rejects_json_of_the_wrong_shape(text, match):
     with pytest.raises(ValueError, match=match):
         loads_class(text)

@@ -235,6 +235,50 @@ def test_noisy_distribution_weights():
     assert weights[(1, 2)] == Fraction(1, 10)
 
 
+def stage_weights(rng, n):
+    """A weight vector as the agnostic stages make one: repeated products of
+    exp(0.5) (the menu) or halvings 2**-a (boosting)."""
+    if rng.random() < 0.5:
+        return 2.0 ** -rng.integers(0, 12, n)
+    w = np.ones(n)
+    for _round in range(int(rng.integers(0, 30))):
+        w[rng.random(n) < 0.3] *= math.exp(0.5)
+    return w
+
+
+@pytest.mark.parametrize("size", [None, 1, 4, 16])
+def test_inverse_cdf_draw_matches_weighted_choice(size):
+    # lengths of 8 or more cross numpy's blocked pairwise sum
+    gen = np.random.default_rng(size or 0)
+    for n in range(1, 41):
+        for _ in range(4):
+            w = stage_weights(gen, n)
+            seed = int(gen.integers(2**32))
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _draw in range(5):
+                got = learn._inverse_cdf(w).searchsorted(rng.random(size), side="right")
+                want = oracle_rng.choice(n, size, p=w / w.sum())
+                assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_inverse_cdf_draw_matches_weighted_choice_on_cdf_boundaries():
+    # the weights put a CDF entry within a few ulps of the uniform the draw
+    # reads, where any other rounding of the CDF would flip some picks
+    gen = np.random.default_rng(1)
+    for n in (2, 3, 9, 17, 40):
+        for seed in range(40):
+            u = np.random.default_rng(seed).random()
+            w = stage_weights(gen, n)
+            k = int(gen.integers(1, n))
+            w[:k] *= u * w[k:].sum() / ((1 - u) * w[:k].sum())
+            for ulps in range(-6, 7):
+                v = w.copy()
+                v[k - 1] *= 1 + ulps * 2.0**-52
+                want = np.random.default_rng(seed).choice(n, p=v / v.sum())
+                assert learn._inverse_cdf(v).searchsorted(u, side="right") == want
+
+
 def test_best_hypothesis_exact():
     H = gen_cube(2, 1, 2, 2)
     D = SyntheticDistribution.with_label_noise(H, target=0, noise=Fraction(1, 4))
