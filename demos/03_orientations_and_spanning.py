@@ -37,6 +37,7 @@ for ell in (1, 2):
 # Per direction, functions that restrict to low-degree polynomials on every
 # edge form a subspace of dimension sum min(ell, |e|).
 mons = monomial_set(W, 1, W.n)
-print("monomials:", len(mons), "evaluation matrix:", eval_matrix(W, mons).shape)
+M = eval_matrix(W, mons)
+print("monomials:", len(mons), "evaluation matrix:", (len(M), len(W)))
 for i in range(1, W.n + 1):
     print(f"direction {i}: dim U_{i} =", direction_subspace_dim(W, i, 1))

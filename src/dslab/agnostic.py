@@ -28,7 +28,7 @@ import numpy as np
 
 from .dims import ds_dimension
 from .errors import BudgetError, CertificateError
-from .hclass import HypothesisClass
+from .hclass import HypothesisClass, class_id
 from .learn import (CoordState, ExperimentReport, ListPrediction, PrefixVotePredictor,
                     SyntheticDistribution, _cached_predict, _consolidate, _inverse_cdf,
                     _label_table, _pair_arrays, _predict_from_state, _state_of)
@@ -131,7 +131,7 @@ def _boost_member(H: HypothesisClass, points: list[tuple[int, int]], d: int, j: 
 
 
 def build_list_cover(H: HypothesisClass, S1: Sequence[tuple[int, int]], d: int, j: int,
-                     ell: int = 1, rng: np.random.Generator | None = None) -> ListCover:
+                     ell: int = 1, *, rng: np.random.Generator) -> ListCover:
     """Cover every hypothesis's consistent subsample with one member.
 
     For each h, the points of S1 labeled consistently with h form a
@@ -144,8 +144,6 @@ def build_list_cover(H: HypothesisClass, S1: Sequence[tuple[int, int]], d: int, 
     the boosting rounds and every member, so an orientation is computed once
     per distinct (state, x) of this cover; see ``CoverMember``.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     if d < 1 or j < 1:
         raise ValueError("need d >= 1 and j >= 1")
     if ell < 1:
@@ -206,8 +204,7 @@ class Menu:
         return sum(self.cover.members[m].list_bound for _t, m in self.trace[:-1])
 
 
-def mw_menu(F: ListCover, S2: Sequence[tuple[int, int]],
-            rng: np.random.Generator | None = None) -> Menu:
+def mw_menu(F: ListCover, S2: Sequence[tuple[int, int]], *, rng: np.random.Generator) -> Menu:
     """Multiplicative-weights menu construction over the second sample.
 
     Round t samples a member proportionally to its weight, grants reward 1 to
@@ -224,8 +221,6 @@ def mw_menu(F: ListCover, S2: Sequence[tuple[int, int]],
         raise ValueError("cover must be non-empty")
     if not S2:
         raise ValueError("need at least one round")
-    if rng is None:
-        rng = np.random.default_rng(0)
     H = F.members[0].H
     sx, sy = _pair_arrays(H, S2)
     xs = np.unique(sx).tolist()
@@ -364,8 +359,6 @@ def agnostic_pipeline(H: HypothesisClass, D: SyntheticDistribution, ell: int,
     ``BOOST_BUDGET`` tries per boosting round; all are engineering choices
     recorded in the report, not claimed values.
     """
-    from .algebra import class_id  # local import to avoid a cycle
-
     if min(n1, T, n3) < 1:
         raise ValueError("sample sizes must be >= 1")
     if not 0 < delta < 1:

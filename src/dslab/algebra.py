@@ -11,7 +11,6 @@ modular answer is not already provably tight.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -20,12 +19,10 @@ from typing import Iterator
 
 from .dims import ds_dimension, natarajan_dimension, validate_witness
 from .errors import BudgetError, CertificateError
-from .hclass import HypothesisClass, dumps_class, restrict_via
+from .hclass import HypothesisClass, class_id, restrict_via
 from .oig import build_oig, format_ratio, min_max_orientation, mu_with_witness
 
 __all__ = [
-    "Monomial",
-    "EvalMatrix",
     "AuditReport",
     "monomial_set",
     "eval_matrix",
@@ -43,35 +40,10 @@ __all__ = [
 DEFAULT_MATRIX_BUDGET = 2_000_000  # max matrix cells materialized per operation
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Exponent vector; ``heavy`` counts coordinates with exponent >= ell."""
-
-    alpha: tuple[int, ...]
-    heavy: int
-
-    def evaluate(self, row: tuple[int, ...]) -> int:
-        val = 1
-        for base, exp in zip(row, self.alpha):
-            if exp:
-                val *= base**exp
-        return val
-
-
-@dataclass(frozen=True)
-class EvalMatrix:
-    monomials: tuple[Monomial, ...]
-    base: HypothesisClass
-    entries: tuple[tuple[int, ...], ...]  # rows = monomials, cols = hypotheses
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.entries), len(self.base)
-
-
 def monomial_set(W: HypothesisClass, ell: int, s: int,
-                 budget: int = DEFAULT_MATRIX_BUDGET) -> list[Monomial]:
-    """All exponent vectors with a_i < k_i and at most s heavy coordinates.
+                 budget: int = DEFAULT_MATRIX_BUDGET) -> list[tuple[int, ...]]:
+    """All exponent tuples with a_i < k_i and at most s heavy coordinates
+    (a_i >= ell).
 
     k_i is the number of distinct labels realized at coordinate i; shrinking
     the degree bound per coordinate loses nothing because degree-(k_i - 1)
@@ -84,7 +56,7 @@ def monomial_set(W: HypothesisClass, ell: int, s: int,
         raise ValueError(f"need 0 <= s <= n, got s={s}")
     k_per = [len(W.labels_at(i + 1)) for i in range(W.n)]
     count = 0
-    out: list[Monomial] = []
+    out: list[tuple[int, ...]] = []
 
     def rec(i: int, heavy: int, alpha: list[int]):
         nonlocal count
@@ -92,7 +64,7 @@ def monomial_set(W: HypothesisClass, ell: int, s: int,
             count += 1
             if count > budget:
                 raise BudgetError(f"monomial enumeration exceeds budget {budget}")
-            out.append(Monomial(alpha=tuple(alpha), heavy=heavy))
+            out.append(tuple(alpha))
             return
         for a in range(k_per[i]):
             h = heavy + (1 if a >= ell else 0)
@@ -106,10 +78,10 @@ def monomial_set(W: HypothesisClass, ell: int, s: int,
     return out
 
 
-def eval_matrix(W: HypothesisClass, monomials: list[Monomial],
-                budget: int = DEFAULT_MATRIX_BUDGET) -> EvalMatrix:
-    """Exact integer evaluations; rows follow monomial order, columns the
-    canonical row order of ``W``."""
+def eval_matrix(W: HypothesisClass, monomials: list[tuple[int, ...]],
+                budget: int = DEFAULT_MATRIX_BUDGET) -> tuple[tuple[int, ...], ...]:
+    """Exact integer evaluations, one row per exponent tuple in
+    ``monomials``, columns in the canonical row order of ``W``."""
     cells = len(monomials) * len(W)
     if cells > budget:
         raise BudgetError(f"evaluation matrix of {cells} cells exceeds budget {budget}")
@@ -117,17 +89,17 @@ def eval_matrix(W: HypothesisClass, monomials: list[Monomial],
     # products over the exponent prefix shared with the previous row are kept.
     cols, powers = list(zip(*W.hyps)), {}  # powers[i, a]: cols[i] ** a, elementwise
     prefix, prev, rows = [(1,) * len(W)], (), []
-    for m in monomials:
-        j = next((i for i, (x, y) in enumerate(zip(prev, m.alpha)) if x != y), len(prev))
+    for alpha in monomials:
+        j = next((i for i, (x, y) in enumerate(zip(prev, alpha)) if x != y), len(prev))
         del prefix[j + 1:]
         for i in range(j, W.n):
-            a = m.alpha[i]
+            a = alpha[i]
             if a and (i, a) not in powers:
                 powers[i, a] = tuple(z**a for z in cols[i])
             prefix.append(tuple(x * y for x, y in zip(prefix[-1], powers[i, a])) if a else prefix[-1])
         rows.append(prefix[-1])
-        prev = m.alpha
-    return EvalMatrix(monomials=tuple(monomials), base=W, entries=tuple(rows))
+        prev = alpha
+    return tuple(rows)
 
 
 # -- exact rank --------------------------------------------------------------
@@ -198,8 +170,8 @@ def rank_bareiss(rows) -> int:
     return len(_pivot_columns(rows))
 
 
-def rank_exact(M: EvalMatrix | list) -> int:
-    """True rank over the rationals.
+def rank_exact(rows) -> int:
+    """True rank over the rationals of a sequence of integer rows.
 
     The modular rank can only undershoot (bad primes kill minors), so a
     modular result equal to min(rows, cols) is already certified.  Any
@@ -207,7 +179,6 @@ def rank_exact(M: EvalMatrix | list) -> int:
     exact and is returned; an exact rank below the modular one raises
     CertificateError.
     """
-    rows = M.entries if isinstance(M, EvalMatrix) else M
     if not rows or not rows[0]:
         return 0
     r_mod = rank_mod_p(rows, MODULUS)
@@ -225,9 +196,7 @@ def check_spanning(W: HypothesisClass, ell: int, s: int,
 
     Returns (spans, rank, |W|); spans iff rank == |W|.
     """
-    mons = monomial_set(W, ell, s, budget=budget)
-    mat = eval_matrix(W, mons, budget=budget)
-    rank = rank_exact(mat)
+    rank = rank_exact(eval_matrix(W, monomial_set(W, ell, s, budget=budget), budget=budget))
     return rank == len(W), rank, len(W)
 
 
@@ -264,9 +233,10 @@ def direction_subspace_dim(W: HypothesisClass, i: int, ell: int) -> int:
     return formula
 
 
-def extract_basis(W: HypothesisClass, ell: int, s: int,
-                  budget: int = DEFAULT_MATRIX_BUDGET) -> tuple[list[Monomial], EvalMatrix]:
-    """Greedy basis among the monomial evaluations, deterministic pivot order.
+def extract_basis(W: HypothesisClass, ell: int, s: int, budget: int = DEFAULT_MATRIX_BUDGET
+                  ) -> tuple[list[tuple[int, ...]], tuple[tuple[int, ...], ...]]:
+    """Greedy basis among the monomial evaluations, deterministic pivot order:
+    the kept exponent tuples and their evaluation rows.
 
     Keeps each monomial, in enumeration order, whose row is not a combination
     over the rationals of the rows before it: the pivot columns of one exact
@@ -274,11 +244,9 @@ def extract_basis(W: HypothesisClass, ell: int, s: int,
     decides here, since p may divide a minor.
     """
     mons = monomial_set(W, ell, s, budget=budget)
-    mat = eval_matrix(W, mons, budget=budget)
-    kept = _pivot_columns(list(zip(*mat.entries)))
-    basis = [mat.monomials[j] for j in kept]
-    rows = tuple(mat.entries[j] for j in kept)
-    return basis, EvalMatrix(monomials=tuple(basis), base=W, entries=rows)
+    rows = eval_matrix(W, mons, budget=budget)
+    kept = _pivot_columns(list(zip(*rows)))
+    return [mons[j] for j in kept], tuple(rows[j] for j in kept)
 
 
 def in_direction_subspace(W: HypothesisClass, i: int, ell: int, values) -> bool:
@@ -351,10 +319,6 @@ class AuditReport:
 
     CSV_HEADER = ["class_id", "ell", "mu_num", "mu_den", "ceil_mu",
                   "d_ds", "d_nat", "t_star", "spanning", "verdict"]
-
-
-def class_id(H: HypothesisClass) -> str:
-    return hashlib.sha256(dumps_class(H).encode()).hexdigest()[:16]
 
 
 def audit_theorem(H: HypothesisClass, ell: int, n_samples: int | None = None,

@@ -138,16 +138,12 @@ def _product_family(W: HypothesisClass, width: int) -> HypothesisClass | None:
 
 
 def vc_dimension(H: HypothesisClass) -> int:
-    """Exact VC dimension by subset enumeration; binary classes only."""
+    """Exact VC dimension; binary classes only.  With k = 2 the only label
+    list of width 2 is {1, 2}, so a set is Natarajan-shattered at ell = 1
+    exactly when the restriction is the full cube: VC shattering."""
     if H.k != 2:
         raise ValueError("vc_dimension requires k = 2")
-    for d in range(H.n, 0, -1):
-        full = 1 << d
-        for S in itertools.combinations(range(1, H.n + 1), d):
-            patterns = {tuple(h[c - 1] for c in S) for h in H.hyps}
-            if len(patterns) == full:
-                return d
-    return 0
+    return natarajan_dimension(H, 1)[0]
 
 
 def validate_witness(H: HypothesisClass, w: ShatterWitness) -> bool:

@@ -9,6 +9,7 @@ equal classes always serialize to identical bytes.  All public interfaces are
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -22,6 +23,7 @@ from .errors import BudgetError
 __all__ = [
     "HypothesisClass",
     "check_coords",
+    "class_id",
     "load_class",
     "loads_class",
     "save_class",
@@ -83,7 +85,7 @@ class HypothesisClass:
         return idx[v]
 
 
-def make_class(k: int, n: int, rows: Iterable[Sequence[int]], meta: dict | None = None) -> HypothesisClass:
+def make_class(k: int, n: int, rows: Iterable[Sequence[int]]) -> HypothesisClass:
     """Validate, deduplicate and canonicalize ``rows`` into a class.
 
     The number of dropped duplicate rows is recorded under
@@ -102,9 +104,7 @@ def make_class(k: int, n: int, rows: Iterable[Sequence[int]], meta: dict | None 
             dups += 1
         else:
             seen.add(t)
-    md = dict(meta or {})
-    md["duplicates_removed"] = dups
-    return HypothesisClass(k=k, n=n, hyps=tuple(sorted(seen)), meta=md)
+    return HypothesisClass(k=k, n=n, hyps=tuple(sorted(seen)), meta={"duplicates_removed": dups})
 
 
 def check_coords(n: int, coords: Sequence[int], allow_repeats: bool = False) -> tuple[int, ...]:
@@ -226,6 +226,11 @@ def load_class(path) -> HypothesisClass:
 def dumps_class(H: HypothesisClass) -> str:
     return json.dumps({"k": H.k, "n": H.n, "hyps": [list(h) for h in H.hyps]},
                       sort_keys=True, separators=(",", ":"))
+
+
+def class_id(H: HypothesisClass) -> str:
+    """The first 16 hex digits of the SHA-256 of ``dumps_class(H)``."""
+    return hashlib.sha256(dumps_class(H).encode()).hexdigest()[:16]
 
 
 def save_class(H: HypothesisClass, path) -> None:

@@ -39,7 +39,7 @@ import numpy as np
 
 from .dims import ds_dimension
 from .errors import CertificateError, RealizabilityError
-from .hclass import HypothesisClass, restrict
+from .hclass import HypothesisClass, class_id, restrict
 from .oig import build_oig, min_max_orientation, outdegrees
 
 __all__ = [
@@ -316,37 +316,24 @@ class SyntheticDistribution:
     def realizable(self) -> bool:
         return self.target is not None
 
-    @staticmethod
-    def _target_and_instances(H: HypothesisClass, target: int,
-                              instances: Sequence[int] | None):
-        """The target's row and the instances (default: every coordinate),
-        checked to lie in [0, |H|) and [1, n]."""
-        if not 0 <= target < len(H):
-            raise ValueError(f"target {target} out of range [0, {len(H) - 1}]")
-        xs = tuple(instances) if instances is not None else tuple(range(1, H.n + 1))
-        if not xs:
-            raise ValueError("instances must be non-empty")
-        if not all(1 <= x <= H.n for x in xs):
-            raise ValueError(f"instances must lie in [1, {H.n}]")
-        return H.hyps[target], xs
+    @classmethod
+    def uniform_realizable(cls, H: HypothesisClass, target: int) -> "SyntheticDistribution":
+        return cls.with_label_noise(H, target, 0)
 
     @classmethod
-    def uniform_realizable(cls, H: HypothesisClass, target: int,
-                           instances: Sequence[int] | None = None) -> "SyntheticDistribution":
-        return cls.with_label_noise(H, target, 0, instances)
-
-    @classmethod
-    def with_label_noise(cls, H: HypothesisClass, target: int, noise: Fraction,
-                         instances: Sequence[int] | None = None) -> "SyntheticDistribution":
-        """Uniform instances; the target label is flipped to uniform noise
-        with probability ``noise``."""
+    def with_label_noise(cls, H: HypothesisClass, target: int,
+                         noise: Fraction) -> "SyntheticDistribution":
+        """Uniform instances over every coordinate; the label of row
+        ``target`` (in [0, |H|)) is flipped to uniform noise with probability
+        ``noise``."""
         noise = Fraction(noise)
         if not 0 <= noise <= 1:
             raise ValueError("noise must lie in [0, 1]")
-        h, xs = cls._target_and_instances(H, target, instances)
-        wx = Fraction(1, len(xs))
+        if not 0 <= target < len(H):
+            raise ValueError(f"target {target} out of range [0, {len(H) - 1}]")
+        h, wx = H.hyps[target], Fraction(1, H.n)
         support, weights = [], []
-        for x in xs:
+        for x in range(1, H.n + 1):
             for y in range(1, H.k + 1):
                 w = wx * (noise / H.k + ((1 - noise) if y == h[x - 1] else 0))
                 if w > 0:
@@ -421,8 +408,6 @@ def pac_experiment(H: HypothesisClass, D: SyntheticDistribution, ell: int,
     (1 - delta)-quantile across trials is compared against the bound, so
     delta must lie in (0, 1).
     """
-    from .algebra import class_id  # local import to avoid a cycle
-
     if not D.realizable:
         raise RealizabilityError("pac_experiment requires a realizable distribution")
     if m < 8:

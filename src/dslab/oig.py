@@ -138,17 +138,16 @@ def density(W: HypothesisClass, ell: int) -> Fraction:
 
 # -- min cuts: exact subfamily search and orientation targets ----------------
 #
-# The edges of a subfamily F <= W are exactly W's edges intersected with F,
-# so every subfamily's density is a function of W's live edges (|e| > ell)
-# alone.  The excess f(F) = sum over live edges of (|e & F| - ell)_+ is
-# supermodular (a convex function of a modular one), so max f(F)/|F| is a
-# maximum-density subgraph problem (Goldberg 1984): Dinkelbach iteration over
-# min cuts solves it exactly in a few max-flows, and the final residual graph
-# holds every maximizer (Picard & Queyranne 1980).  The same network at an
-# integer lam = t, over all edges, decides whether an orientation of maximum
-# outdegree t exists, and its min cut is a subfamily denser than t when none
-# does.  One pure-Python Dinic serves both.  mu_prime's gross objective is
-# not supermodular and still enumerates all 2^|W| bitmasks.
+# The edges of a subfamily F <= W are W's edges intersected with F, so the
+# excess f(F) = sum over edges of (|e & F| - ell)_+ sees only edges with
+# |e| > ell.  f is supermodular (a convex function of a modular one), so
+# max f(F)/|F| is a maximum-density subgraph problem (Goldberg 1984), which
+# ``_cut_search`` solves by parametric min cuts.  Stepping lam to each cut's
+# exact ratio is Dinkelbach's iteration, whose final residual graph holds
+# every maximizer (Picard & Queyranne 1980): that gives mu.  Stepping to the
+# ceiling keeps lam an integer t, and the final flow is an orientation of
+# maximum outdegree t_star = ceil(mu) (Hakimi 1965).  mu_prime's gross
+# objective is not supermodular and still enumerates all 2^|W| bitmasks.
 
 
 class _Network:
@@ -269,35 +268,46 @@ def _excess(edges: Sequence[tuple[int, ...]], rows, ell: int) -> int:
     return sum(max(sum(v in rows for v in e) - ell, 0) for e in edges)
 
 
+def _cut_search(net: _Network, edges: Sequence[tuple[int, ...]], ell: int,
+                lam: Fraction, step) -> tuple[Fraction, list[int]]:
+    """The first lam, from ``lam`` up, at which one ``maximum_flow`` on
+    ``net`` saturates every sink arc, and that flow's residual capacities.
+
+    A flow that leaves a sink arc unsaturated is a min cut whose sink side F
+    (the rows that reach the sink in the residual graph) has
+    excess(F) > lam*|F| (``_excess`` over ``edges``).  The next lam is
+    ``step(excess(F), |F|)``; unless it is larger, the cut certifies nothing
+    and CertificateError is raised.
+    """
+    while True:
+        cap = net.capacities(lam.numerator, lam.denominator)
+        maximum_flow(net, cap)
+        if not any(cap[a] for a in net.sink_arcs):
+            return lam, cap
+        F = net.rows(_residual_reach(net, cap, net.sink, False))
+        nxt = step(_excess(edges, F, ell), len(F))
+        if nxt <= lam:
+            raise CertificateError(f"min cut at lam={lam} found no subfamily denser than lam")
+        lam = nxt
+
+
 def _densest_subfamily(live: list[tuple[int, ...]], n_rows: int, ell: int) -> tuple[Fraction, tuple[int, ...]]:
     """Exact max of f(F)/|F| over non-empty F, and its smallest, then
     lexicographically first, maximizer as ascending row indices.
 
-    The network is ``_Network`` on the live edges at lam = p/q, where
-    every live edge's source arc is q*ell.  All sink arcs saturate iff no F
-    has f(F) > lam*|F|.  Otherwise the vertices that reach the sink in the
-    residual graph are strictly denser, and their density is the next lam.
-    At the maximum, the smallest maximizer containing v is the set of
-    vertices that reach v in the residual graph (none if the source does).
-    Both steps are checked, and a failure raises CertificateError.  With no
-    live edge every F has density 0, and the answer is row 0 alone.
+    ``_cut_search`` on the live edges, from W's own density, stepping to each
+    cut's exact ratio.  At the maximum, the smallest maximizer containing v
+    is the set of vertices that reach v in the residual graph (none if the
+    source does, or if v's sink arc is 0); it is checked to reach the
+    maximum, or CertificateError.  With no live edge every F has density 0,
+    and the answer is row 0 alone.
     """
     if not live:
         return Fraction(0), (0,)
     net = _Network(live, n_rows, ell)
-    lam = Fraction(sum(len(e) - ell for e in live), n_rows)
-    while True:
-        p, q = lam.numerator, lam.denominator
-        cap = net.capacities(p, q)
-        sink_arcs = [a for a in net.sink_arcs if cap[a]]  # a row whose sink arc is 0 takes no part
-        maximum_flow(net, cap)
-        if not any(cap[a] for a in sink_arcs):
-            break
-        denser = net.rows(_residual_reach(net, cap, net.sink, False))
-        nxt = Fraction(_excess(live, denser, ell), len(denser))
-        if nxt <= lam:
-            raise CertificateError(f"min cut at density {lam} found no denser subfamily")
-        lam = nxt
+    start = Fraction(sum(len(e) - ell for e in live), n_rows)
+    lam, cap = _cut_search(net, live, ell, start, Fraction)
+    p, q = lam.numerator, lam.denominator
 
     # Maximizers are closed under union and non-empty intersection, so the
     # minimal ones are disjoint and each is the ancestor set of every member.
@@ -306,9 +316,9 @@ def _densest_subfamily(live: list[tuple[int, ...]], n_rows: int, ell: int) -> tu
     from_source = _residual_reach(net, cap, 0, True)
     row_nodes = range(net.n_edges + 1, net.sink)
     best, settled = None, set()
-    for a in sink_arcs:
+    for a in net.sink_arcs:
         u = net.head[a ^ 1]
-        if u in from_source or u in settled:
+        if net.coef[a][0] * q <= p or u in from_source or u in settled:
             continue
         anc = _residual_reach(net, cap, u, False).intersection(row_nodes)
         if anc <= _residual_reach(net, cap, u, True):
@@ -430,18 +440,16 @@ def mu_prime(H: HypothesisClass, n_samples: int) -> Fraction:
 def min_max_orientation(G: OneInclusionGraph, ell: int) -> tuple[Orientation, int]:
     """Orientation minimizing the maximum ell-outdegree, with optimal value.
 
-    A target t is tested by one max-flow on ``_Network`` over all of G's
-    edges, singletons included, at lam = t: each vertex's sink arc is
-    n_dirs - t.  All sink arcs saturate iff every vertex can be covered by
-    all but t of its edges, and then the flow is the orientation.  Otherwise
-    the vertices that reach the sink in the residual graph form a subfamily
-    F with excess(F) > t*|F| (``_excess`` over G's edges).  F's members carry
-    that much outdegree in every orientation, so no maximum is below
-    ceil(excess(F) / |F|), the next t.  The search starts at F = W.
+    ``_cut_search`` over all of G's edges, singletons included, stepping to
+    the ceiling of each cut's ratio, so lam stays an integer t and each
+    vertex's sink arc is n_dirs - t.  Each cut's F carries excess(F) > t*|F|
+    outdegree in every orientation, so no maximum is below the next t; the
+    search starts at F = W.  Once every sink arc saturates, each edge picks
+    the members its flow covers, padded in member order up to min(ell, |e|).
 
-    So t_star is certified minimal by its witness subfamily, and the padded
-    orientation is certified to reach it by its outdegrees.  Both checks are
-    arithmetic, independent of the flow; a failure raises CertificateError.
+    So t_star is certified minimal by its cuts, and the padded orientation
+    is certified to reach it by its outdegrees.  Both checks are arithmetic,
+    independent of the flow; a failure raises CertificateError.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -450,20 +458,18 @@ def min_max_orientation(G: OneInclusionGraph, ell: int) -> tuple[Orientation, in
         assign = tuple((e.direction, e.key, e.members) for e in edges)
         return Orientation(ell=ell, assign=assign), 0
 
+    def ceil_ratio(ex: int, size: int) -> Fraction:
+        return Fraction(-(-ex // size))
+
     members = [e.members for e in edges]
     net = _Network(members, G.n_vertices, ell)
-    ex, size = sum(max(len(e) - ell, 0) for e in members), G.n_vertices
-    while True:
-        t = -(-ex // size)  # ceil(excess(F) / |F|): no orientation does better
-        picked, F = _flow_assignment(net, t)
-        if picked is not None:
-            break
-        ex, size = _excess(members, F, ell), len(F)
-        if ex <= t * size:
-            raise CertificateError(f"min cut at t={t} found no subfamily denser than t")
+    start = ceil_ratio(sum(max(len(e) - ell, 0) for e in members), G.n_vertices)
+    lam, cap = _cut_search(net, members, ell, start, ceil_ratio)
+    t = int(lam)
 
-    assign = []
-    for e, got in zip(edges, picked):
+    first_row, assign = net.n_edges + 1, []
+    for j, e in enumerate(edges, 1):
+        got = {net.head[a] - first_row for a in net.adj[j] if not a & 1 and cap[a ^ 1]}
         want = min(ell, len(e))
         chosen = sorted(got)
         for v in e.members:  # pad deterministically up to the size bound
@@ -480,20 +486,6 @@ def min_max_orientation(G: OneInclusionGraph, ell: int) -> tuple[Orientation, in
     if worst > t:
         raise CertificateError(f"orientation with max outdegree {worst} > t_star={t}")
     return sigma, t
-
-
-def _flow_assignment(net: _Network, t: int) -> tuple[list[set[int]] | None, list[int] | None]:
-    """One max-flow at max outdegree t.  If t is achievable, the per-edge
-    sets of rows the flow covers, and None; otherwise None, and the rows
-    that reach the sink in the residual graph (a min cut's sink side)."""
-    cap = net.capacities(t)
-    maximum_flow(net, cap)
-    if any(cap[a] for a in net.sink_arcs):
-        return None, net.rows(_residual_reach(net, cap, net.sink, False))
-    first_row = net.n_edges + 1
-    picked = [{net.head[a] - first_row for a in net.adj[j] if not a & 1 and cap[a ^ 1]}
-              for j in range(1, first_row)]
-    return picked, None
 
 
 def outdegrees(G: OneInclusionGraph, sigma: Orientation) -> list[int]:

@@ -157,6 +157,24 @@ def brute_largest_valid_subfamily(W: HypothesisClass, ell: int) -> HypothesisCla
     return HypothesisClass(k=W.k, n=W.n, hyps=tuple(sorted(union))) if union else None
 
 
+def brute_vc(H: HypothesisClass) -> int:
+    """Largest d with some d coordinates on which H realizes all 2^d label
+    patterns; binary classes."""
+    for d in range(H.n, 0, -1):
+        for S in combinations(range(H.n), d):
+            if len({tuple(h[c] for c in S) for h in H.hyps}) == 1 << d:
+                return d
+    return 0
+
+
+def evaluate(alpha: tuple[int, ...], row: tuple[int, ...]) -> int:
+    """The monomial with exponent tuple ``alpha`` at ``row``, cell by cell."""
+    val = 1
+    for base, exp in zip(row, alpha):
+        val *= base**exp
+    return val
+
+
 def fraction_rank(rows) -> int:
     """Plain Gaussian elimination over exact rationals."""
     mat = [[Fraction(v) for v in row] for row in rows]

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from helpers import fraction_rank, is_prime, random_class, unpruned_mu_with_witness
+from helpers import evaluate, fraction_rank, is_prime, random_class, unpruned_mu_with_witness
 import dslab.algebra as algebra
 from dslab.errors import BudgetError, CertificateError
-from dslab.hclass import HypothesisClass, gen_cube, gen_random, restrict
+from dslab.hclass import HypothesisClass, class_id, gen_cube, gen_random, restrict
 from dslab.dims import ds_dimension, natarajan_dimension
-from dslab.algebra import (Monomial, audit_theorem, check_spanning, class_id,
+from dslab.algebra import (audit_theorem, check_spanning,
                            direction_subspace_dim, eval_matrix, extract_basis,
                            in_direction_subspace, monomial_set, rank_bareiss,
                            rank_exact, rank_mod_p)
@@ -21,8 +21,8 @@ from dslab.oig import (_density_bound, _live_edges, build_oig, density,
 
 def test_monomial_counts():
     W = HypothesisClass(k=2, n=1, hyps=((1,), (2,)))
-    assert [m.alpha for m in monomial_set(W, 1, 1)] == [(0,), (1,)]
-    assert [m.alpha for m in monomial_set(gen_cube(2, 1, 2, 2), 1, 0)] == [(0, 0)]
+    assert monomial_set(W, 1, 1) == [(0,), (1,)]
+    assert monomial_set(gen_cube(2, 1, 2, 2), 1, 0) == [(0, 0)]
     # entries <= 2 with at most one nonzero coordinate
     assert len(monomial_set(gen_cube(3, 1, 2, 2), 1, 1)) == 5
 
@@ -31,7 +31,7 @@ def test_monomial_reduced_alphabet():
     # second coordinate realizes a single label, so its degree is pinned to 0
     W = gen_cube(3, 1, 1, 2)
     mons = monomial_set(W, 1, 2)
-    assert all(m.alpha[1] == 0 for m in mons)
+    assert all(alpha[1] == 0 for alpha in mons)
     assert len(mons) == 3
 
 
@@ -42,17 +42,14 @@ def test_monomial_budget():
 
 def test_eval_matrix_vandermonde():
     W = HypothesisClass(k=2, n=1, hyps=((1,), (2,)))
-    M = eval_matrix(W, monomial_set(W, 1, 1))
-    assert M.entries == ((1, 1), (1, 2))
+    assert eval_matrix(W, monomial_set(W, 1, 1)) == ((1, 1), (1, 2))
 
 
 def test_eval_matrix_values():
     W = HypothesisClass(k=3, n=2, hyps=((2, 3),))
-    mons = [m for m in monomial_set(W, 1, 2)]
-    M = eval_matrix(W, mons)
-    assert M.entries[0] == (1,)  # all-zero exponent row evaluates to 1
-    from dslab.algebra import Monomial
-    assert Monomial(alpha=(1, 2), heavy=2).evaluate((2, 3)) == 18
+    M = eval_matrix(W, monomial_set(W, 1, 2))
+    assert M[0] == (1,)  # all-zero exponent row evaluates to 1
+    assert evaluate((1, 2), (2, 3)) == 18
 
 
 def test_rank_trivial_cases():
@@ -66,7 +63,7 @@ def test_full_cube_eval_matrix_has_full_rank(k, n):
     W = gen_cube(k, 1, n, n)
     mat = eval_matrix(W, monomial_set(W, 1, n))
     assert rank_exact(mat) == k**n
-    assert fraction_rank(mat.entries) == k**n
+    assert fraction_rank(mat) == k**n
 
 
 def test_rank_matches_fraction_oracle():
@@ -158,21 +155,18 @@ def classes_with_monomials(draw):
     rows = draw(st.sets(st.sampled_from(cube), min_size=1, max_size=min(8, len(cube))))
     W = HypothesisClass(k=k, n=n, hyps=tuple(sorted(rows)))
     alphas = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=12))
-    mons = [Monomial(alpha=a, heavy=sum(x >= 1 for x in a)) for a in alphas]
     if draw(st.booleans()):  # a shuffled full monomial set
-        mons += draw(st.permutations(monomial_set(W, 1, n)))
-    return W, mons
+        alphas += draw(st.permutations(monomial_set(W, 1, n)))
+    return W, alphas
 
 
 @example((HypothesisClass(k=4, n=1, hyps=((1,), (3,), (4,))),
-          [Monomial((2,), 1), Monomial((0,), 0), Monomial((1,), 1), Monomial((2,), 1)]))
+          [(2,), (0,), (1,), (2,)]))
 @example((gen_cube(3, 1, 2, 2), list(reversed(monomial_set(gen_cube(3, 1, 2, 2), 1, 2)))))
 @given(classes_with_monomials())
 def test_eval_matrix_matches_per_cell_oracle(case):
     W, mons = case
-    M = eval_matrix(W, mons)
-    assert M.entries == tuple(tuple(m.evaluate(h) for h in W.hyps) for m in mons)
-    assert M.monomials == tuple(mons)
+    assert eval_matrix(W, mons) == tuple(tuple(evaluate(m, h) for h in W.hyps) for m in mons)
 
 
 def test_modulus_is_a_62_bit_prime():
@@ -253,10 +247,9 @@ def test_low_degree_monomials_live_in_direction_subspace():
         W = random_class(rng, size_max=9)
         ell = int(rng.integers(1, 3))
         mons = monomial_set(W, ell, W.n)
-        mat = eval_matrix(W, mons)
-        for m, row in zip(mons, mat.entries):
+        for alpha, row in zip(mons, eval_matrix(W, mons)):
             for i in range(1, W.n + 1):
-                if m.alpha[i - 1] < ell:
+                if alpha[i - 1] < ell:
                     assert in_direction_subspace(W, i, ell, list(row))
 
 
@@ -268,13 +261,13 @@ def test_basis_counting_inequality():
         W = random_class(rng, size_max=9)
         for ell in (1, 2):
             s = ds_dimension(W, ell)[0]
-            basis, mat = extract_basis(W, ell, s)
+            basis, _rows = extract_basis(W, ell, s)
             if len(basis) < len(W):
                 continue  # spanning failed would be caught elsewhere
             from dslab.oig import build_oig
             G = build_oig(W)
             for i in range(W.n):
-                heavy = sum(1 for m in basis if m.alpha[i] >= ell)
+                heavy = sum(1 for alpha in basis if alpha[i] >= ell)
                 oversize = sum(max(len(g) - ell, 0) for g in G.by_direction[i])
                 assert heavy >= oversize
 
@@ -286,12 +279,12 @@ def test_extract_basis_keeps_the_rows_that_raise_the_rank(k, n, ell, data):
     W = HypothesisClass(k=k, n=n, hyps=tuple(sorted(rows)))
     for s in range(n + 1):
         mons = monomial_set(W, ell, s)
-        full = eval_matrix(W, mons).entries
+        full = eval_matrix(W, mons)
         ranks = [fraction_rank(full[:j]) for j in range(len(full) + 1)]
         want = [j for j in range(len(full)) if ranks[j + 1] > ranks[j]]
-        basis, mat = extract_basis(W, ell, s)
+        basis, kept = extract_basis(W, ell, s)
         assert basis == [mons[j] for j in want]
-        assert mat.entries == tuple(full[j] for j in want)
+        assert kept == tuple(full[j] for j in want)
         assert check_spanning(W, ell, s) == (ranks[-1] == len(W), ranks[-1], len(W))
 
 
@@ -299,7 +292,7 @@ def test_extract_basis_is_deterministic_and_spans():
     W = gen_cube(3, 1, 2, 2)
     b1, m1 = extract_basis(W, 1, 2)
     b2, m2 = extract_basis(W, 1, 2)
-    assert [m.alpha for m in b1] == [m.alpha for m in b2]
+    assert b1 == b2
     assert rank_exact(m1) == len(W)
 
 

@@ -84,17 +84,18 @@ def test_orient_command(square, capsys):
     assert len(doc["orientation"]["edges"]) == 4
 
 
+def saturate_without_flow(net, cap):
+    """A lying max-flow: every sink arc saturated, no edge covering a row."""
+    for a in net.sink_arcs:
+        cap[a] = 0
+
+
 def test_failed_minimality_certificate_exits_two(square, capsys, monkeypatch):
     # the square's t_star = 1 equals ceil(density), where the search starts,
     # so t = 1 is the only target it asks for; a flow that lies there (it
     # covers no vertex) must fail the outdegree check, not be returned
     G = oig.build_oig(load_class(square))
-    honest = oig._flow_assignment
-
-    def lying(net, t):
-        return ([set() for _ in range(net.n_edges)], None) if t == 1 else honest(net, t)
-
-    monkeypatch.setattr(oig, "_flow_assignment", lying)
+    monkeypatch.setattr(oig, "maximum_flow", saturate_without_flow)
     with pytest.raises(CertificateError, match="t_star=1"):
         oig.min_max_orientation(G, 1)
     code, out, err = run(capsys, "orient", "--class", square, "--ell", "1")
@@ -102,11 +103,11 @@ def test_failed_minimality_certificate_exits_two(square, capsys, monkeypatch):
 
 
 def test_cut_not_denser_than_t_exits_two(square, capsys, monkeypatch):
-    # a flow that calls t = 1 infeasible must show a subfamily of density
-    # above 1; the whole square has density exactly 1
+    # a flow that routes nothing calls t = 1 infeasible, and its cut is the
+    # whole square, whose density is exactly 1, not above it
     G = oig.build_oig(load_class(square))
-    monkeypatch.setattr(oig, "_flow_assignment", lambda net, t: (None, [0, 1, 2, 3]))
-    with pytest.raises(CertificateError, match="t=1"):
+    monkeypatch.setattr(oig, "maximum_flow", lambda net, cap: None)
+    with pytest.raises(CertificateError, match="lam=1"):
         oig.min_max_orientation(G, 1)
     code, out, err = run(capsys, "orient", "--class", square, "--ell", "1")
     assert code == EXIT_VERDICT_FAIL and out == "" and "certificate" in err
@@ -138,15 +139,28 @@ from dslab.hclass import gen_cube
 if not sys.flags.optimize:
     sys.exit(3)
 G = oig.build_oig(gen_cube(2, 1, 2, 2))
-lies = {"no cover": lambda net, t: ([set() for _ in range(net.n_edges)], None),
-        "thin cut": lambda net, t: (None, [0, 1, 2, 3]),
-        "foreign cover": lambda net, t: ([{9} for _ in range(net.n_edges)], None)}
+
+
+def no_cover(net, cap):
+    for a in net.sink_arcs:
+        cap[a] = 0
+
+
+def overfull_cover(net, cap):  # every edge covers all its members
+    no_cover(net, cap)
+    for j in range(1, net.n_edges + 1):
+        for a in net.adj[j]:
+            if not a & 1:
+                cap[a ^ 1] = 1
+
+
+lies = {"no cover": no_cover, "thin cut": lambda net, cap: None, "overfull cover": overfull_cover}
 for name, lie in lies.items():
-    oig._flow_assignment = lie
+    oig.maximum_flow = lie
     try:
         oig.min_max_orientation(G, 1)
-    except CertificateError:
-        print(name, "caught")
+    except CertificateError as exc:
+        print(name, "caught:", str(exc).split(":")[0])
 """
 
 
@@ -157,7 +171,10 @@ def test_orientation_certificates_survive_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", LYING_FLOWS], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["no cover caught", "thin cut caught", "foreign cover caught"]
+    assert proc.stdout.splitlines() == [
+        "no cover caught: orientation with max outdegree 2 > t_star=1",
+        "thin cut caught: min cut at lam=1 found no subfamily denser than lam",
+        "overfull cover caught: flow at t_star=1 is no orientation"]
 
 
 def test_no_bare_assert_in_the_package():
@@ -167,6 +184,25 @@ def test_no_bare_assert_in_the_package():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+FIRST_IMPORT = """
+import importlib, sys, types
+pkg = types.ModuleType("dslab")  # the package without its __init__
+pkg.__path__ = [sys.argv[1]]
+sys.modules["dslab"] = pkg
+importlib.import_module("dslab." + sys.argv[2])
+"""
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in Path(oig.__file__).parent.glob("*.py")
+                                          if p.stem != "__init__"))
+def test_each_module_imports_first_in_a_fresh_interpreter(module):
+    # dslab/__init__.py fixes one import order; loading each module first
+    # without it shows any import cycle that order would hide
+    proc = subprocess.run([sys.executable, "-c", FIRST_IMPORT, str(Path(oig.__file__).parent), module],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_span_command(square, capsys):

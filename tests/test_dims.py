@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from helpers import brute_largest_valid_subfamily, is_valid_subfamily, random_class
+from helpers import brute_largest_valid_subfamily, brute_vc, is_valid_subfamily, random_class
 from dslab.hclass import HypothesisClass, gen_cube, restrict
 from dslab.dims import (ds_dimension, ds_shatter_core, natarajan_dimension,
                         validate_witness, vc_dimension, witness_from_json,
@@ -169,6 +169,16 @@ def test_vc_examples():
     assert vc_dimension(HypothesisClass(k=2, n=2, hyps=((1, 2),))) == 0
     with pytest.raises(ValueError):
         vc_dimension(gen_cube(3, 1, 1, 2))
+
+
+def test_vc_matches_pattern_count_oracle():
+    # every binary class on at most 3 coordinates of at most 4 rows
+    for n in (1, 2, 3):
+        cube = list(itertools.product((1, 2), repeat=n))
+        for size in range(1, min(4, len(cube)) + 1):
+            for rows in itertools.combinations(cube, size):
+                H = HypothesisClass(k=2, n=n, hyps=rows)
+                assert vc_dimension(H) == brute_vc(H)
 
 
 def test_vc_equals_ds_at_ell_one_binary():

@@ -333,17 +333,13 @@ def test_pac_rejects_delta_outside_the_open_unit_interval_and_no_trials():
         pac_experiment(H, D, 1, m=16, delta=0.1, trials=0, seed=0)
 
 
-def test_distributions_reject_targets_and_instances_outside_the_class():
+def test_distributions_reject_targets_and_points_outside_the_class():
     H = gen_cube(2, 1, 1, 3)  # 3 rows on 3 coordinates
     for make in (SyntheticDistribution.uniform_realizable,
-                 lambda H, t, instances=None: SyntheticDistribution.with_label_noise(
-                     H, t, Fraction(1, 10), instances)):
+                 lambda H, t: SyntheticDistribution.with_label_noise(H, t, Fraction(1, 10))):
         for target in (-1, len(H)):
             with pytest.raises(ValueError, match=f"target {target} out of range"):
                 make(H, target)
-        for instances in ([0, 1], [1, H.n + 1], []):
-            with pytest.raises(ValueError, match="instances"):
-                make(H, 0, instances=instances)
     # a caller-built support is checked against the class when it is evaluated
     for point in ((0, 1), (H.n + 1, 1), (1, 0), (1, H.k + 1)):
         D = SyntheticDistribution(support=(point, (1, 1)),

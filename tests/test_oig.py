@@ -11,9 +11,9 @@ import dslab.oig as oig
 from helpers import (brute_max_density, brute_max_density_witness,
                      brute_min_max_outdegree, brute_mu, naive_density,
                      naive_edges, random_class, scipy_flow_assignment, subclasses)
-from dslab.errors import BudgetError
+from dslab.errors import BudgetError, CertificateError
 from dslab.hclass import HypothesisClass, gen_cube, gen_random, restrict
-from dslab.oig import (build_oig, density, format_ratio, max_density_subfamily,
+from dslab.oig import (Orientation, build_oig, density, format_ratio, max_density_subfamily,
                        min_max_orientation, mu, mu_prime, mu_with_witness,
                        orientation_to_json, outdegrees, parse_ratio)
 
@@ -381,12 +381,40 @@ def test_orientation_flow_matches_scipy_oracle(G, ell):
     edges = list(G.edges())
     members = [e.members for e in edges]
     net = oig._Network(members, G.n_vertices, ell)
+    first_row = net.n_edges + 1
     for t in range(G.n_directions + 1):
-        picked, cut = oig._flow_assignment(net, t)
+        cuts = []
+
+        def stay(ex, size):  # record the cut, and refuse to step past t
+            cuts.append((ex, size))
+            return Fraction(t)
+
+        try:
+            _lam, cap = oig._cut_search(net, members, ell, Fraction(t), stay)
+        except CertificateError:
+            (ex, size), = cuts  # the min cut's sink side is denser than t
+            assert ex > t * size
+            picked = None
+        else:
+            picked = [{net.head[a] - first_row for a in net.adj[j] if not a & 1 and cap[a ^ 1]}
+                      for j in range(1, first_row)]
         assert picked == scipy_flow_assignment(G, edges, ell, t)
-        if picked is None:  # the min cut's sink side is denser than t
-            assert oig._excess(members, cut, ell) > t * len(cut)
     check_orientation_oracle(G, ell)
+
+
+@pytest.mark.parametrize("search", ["density", "orientation"])
+def test_a_flow_that_routes_nothing_fails_the_cut_certificate(search, monkeypatch):
+    # with no flow every row with a positive sink arc reaches the sink, and
+    # that cut is never strictly denser than the lam that built it
+    monkeypatch.setattr(oig, "maximum_flow", lambda net, cap: None)
+    for seed in range(25):
+        H = gen_random(3, 3, 14, seed)
+        for ell in (1, 2):
+            with pytest.raises(CertificateError, match="found no subfamily denser"):
+                if search == "density":
+                    max_density_subfamily(H, ell)
+                else:
+                    min_max_orientation(build_oig(H), ell)
 
 
 def test_orientation_achieves_exactly_t_star():
@@ -401,7 +429,6 @@ def test_orientation_achieves_exactly_t_star():
 def test_outdegrees_manual():
     W = gen_cube(3, 2, 1, 1)
     G = build_oig(W)
-    from dslab.oig import Orientation
     sigma = Orientation(ell=1, assign=(((0), (), (0,)),))
     out = outdegrees(G, sigma)
     assert out == [0, 1, 1]
@@ -433,6 +460,18 @@ def test_max_outdegree_dominates_subfamily_density():
         _sigma, t = min_max_orientation(G, 1)
         for F in list(subclasses(W))[::7]:
             assert t >= naive_density(F, 1)
+
+
+def test_outdegrees_rejects_foreign_and_overfull_assignments():
+    # min_max_orientation turns these into CertificateError on a lying flow
+    G = build_oig(gen_cube(2, 1, 2, 2))
+    sigma, _t = min_max_orientation(G, 1)
+    d, key, _got = sigma.assign[0]
+    for chosen, message in (((9,), "non-member vertex"),
+                            (G.by_direction[d][0].members, "exceeds list size")):
+        bad = (d, key, chosen)
+        with pytest.raises(ValueError, match=message):
+            outdegrees(G, Orientation(ell=1, assign=(bad,) + sigma.assign[1:]))
 
 
 def test_orientation_mismatch_detected():
