@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix  # noqa: F401  (unused; bench/tracing.py spans oig.csr_matrix)
 
 from .errors import BudgetError, CertificateError
 from .hclass import HypothesisClass, restrict_via
@@ -40,6 +39,15 @@ __all__ = [
     "format_ratio",
     "parse_ratio",
 ]
+
+
+def __getattr__(name: str):
+    # only for bench/tracing.py's oig.csr_matrix span; goes when that span does
+    if name == "csr_matrix":
+        from scipy.sparse import csr_matrix
+        globals()[name] = csr_matrix
+        return csr_matrix
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -146,8 +154,11 @@ def density(W: HypothesisClass, ell: int) -> Fraction:
 # exact ratio is Dinkelbach's iteration, whose final residual graph holds
 # every maximizer (Picard & Queyranne 1980): that gives mu.  Stepping to the
 # ceiling keeps lam an integer t, and the final flow is an orientation of
-# maximum outdegree t_star = ceil(mu) (Hakimi 1965).  mu_prime's gross
-# objective is not supermodular and still enumerates all 2^|W| bitmasks.
+# maximum outdegree t_star = ceil(mu) (Hakimi 1965).  Either way the final
+# flow is checked as a fractional orientation, the LP dual of the density
+# (Charikar 2000), which bounds every F's density by lam without trusting
+# the flow code.  mu_prime's gross objective is not supermodular and still
+# enumerates all 2^|W| bitmasks.
 
 
 class _Network:
@@ -162,6 +173,7 @@ class _Network:
     v, and the last node the sink.  Arc a runs to ``head[a]``, arc a ^ 1 is
     its reverse, and ``adj[u]`` lists the arcs at u by ascending head, the
     order in which scipy's maximum_flow walks them, so both find the same flow.
+    So an edge's arcs to its members are its even arcs, in member order.
     """
 
     def __init__(self, edges: Sequence[tuple[int, ...]], n_rows: int, ell: int):
@@ -193,6 +205,12 @@ class _Network:
 
     def capacities(self, p: int, q: int = 1) -> list[int]:
         return [max(q * a - p * b, 0) for a, b in self.coef]
+
+    def member_flows(self, cap: list[int]) -> list[list[int]]:
+        """The flow from each edge to each of its members, in member order,
+        read off the reverse residual capacities ``cap``."""
+        return [[cap[a ^ 1] for a in self.adj[j] if not a & 1]
+                for j in range(1, self.n_edges + 1)]
 
     def rows(self, nodes) -> list[int]:
         """The rows among ``nodes``, ascending."""
@@ -268,22 +286,56 @@ def _excess(edges: Sequence[tuple[int, ...]], rows, ell: int) -> int:
     return sum(max(sum(v in rows for v in e) - ell, 0) for e in edges)
 
 
+def _check_fractional_orientation(edges: Sequence[tuple[int, ...]], ell: int,
+                                  lam: Fraction, flows: list[list[int]]) -> None:
+    """Certify that no F has excess(F) > lam*|F|, lam = p/q, by the LP dual
+    of the density (Charikar 2000): ``flows[j][i]`` = x(e, v) for the i-th
+    member v of the j-th edge e must satisfy, in integers,
+
+        0 <= x(e, v) <= q,
+        sum over v of x(e, v) <= q * min(ell, |e|)    per edge,
+        sum over e of x(e, v) >= q * d_v - p           per row,
+
+    d_v the number of ``edges`` at v.  Then each edge gives
+    q * (|e & F| - ell)_+ <= sum over v in e & F of (q - x(e, v)), and summing
+    over edges, q * excess(F) <= sum over v in F of (q * d_v - x_v) <= p * |F|.
+    Arithmetic on ``flows`` alone; a failure raises CertificateError.
+    """
+    p, q = lam.numerator, lam.denominator
+    if len(flows) != len(edges):
+        raise CertificateError(f"flow at lam={lam} covers {len(flows)} of {len(edges)} edges")
+    outdeg: dict[int, int] = {}  # q * d_v - x_v
+    for e, xs in zip(edges, flows):
+        if len(xs) != len(e) or min(xs) < 0 or max(xs) > q or sum(xs) > q * min(ell, len(e)):
+            raise CertificateError(f"flow at lam={lam} is no fractional orientation of edge {e}")
+        for v, x in zip(e, xs):
+            outdeg[v] = outdeg.get(v, 0) + q - x
+    for v, out in outdeg.items():
+        if out > p:
+            raise CertificateError(f"flow at lam={lam} leaves row {v} outdegree {Fraction(out, q)} > lam")
+
+
 def _cut_search(net: _Network, edges: Sequence[tuple[int, ...]], ell: int,
-                lam: Fraction, step) -> tuple[Fraction, list[int]]:
+                lam: Fraction, step) -> tuple[Fraction, list[int], list[list[int]]]:
     """The first lam, from ``lam`` up, at which one ``maximum_flow`` on
-    ``net`` saturates every sink arc, and that flow's residual capacities.
+    ``net`` saturates every sink arc; that flow's residual capacities; and its
+    edge-to-member flows (``_Network.member_flows``).
 
     A flow that leaves a sink arc unsaturated is a min cut whose sink side F
     (the rows that reach the sink in the residual graph) has
     excess(F) > lam*|F| (``_excess`` over ``edges``).  The next lam is
     ``step(excess(F), |F|)``; unless it is larger, the cut certifies nothing
-    and CertificateError is raised.
+    and CertificateError is raised.  The final flow must certify that no F
+    is denser than lam (``_check_fractional_orientation``), so lam is exact
+    from both sides.
     """
     while True:
         cap = net.capacities(lam.numerator, lam.denominator)
         maximum_flow(net, cap)
         if not any(cap[a] for a in net.sink_arcs):
-            return lam, cap
+            flows = net.member_flows(cap)
+            _check_fractional_orientation(edges, ell, lam, flows)
+            return lam, cap, flows
         F = net.rows(_residual_reach(net, cap, net.sink, False))
         nxt = step(_excess(edges, F, ell), len(F))
         if nxt <= lam:
@@ -306,7 +358,7 @@ def _densest_subfamily(live: list[tuple[int, ...]], n_rows: int, ell: int) -> tu
         return Fraction(0), (0,)
     net = _Network(live, n_rows, ell)
     start = Fraction(sum(len(e) - ell for e in live), n_rows)
-    lam, cap = _cut_search(net, live, ell, start, Fraction)
+    lam, cap, _flows = _cut_search(net, live, ell, start, Fraction)
     p, q = lam.numerator, lam.denominator
 
     # Maximizers are closed under union and non-empty intersection, so the
@@ -448,8 +500,9 @@ def min_max_orientation(G: OneInclusionGraph, ell: int) -> tuple[Orientation, in
     the members its flow covers, padded in member order up to min(ell, |e|).
 
     So t_star is certified minimal by its cuts, and the padded orientation
-    is certified to reach it by its outdegrees.  Both checks are arithmetic,
-    independent of the flow; a failure raises CertificateError.
+    is certified to reach it by its outdegrees (after the final flow passed
+    as a fractional orientation).  The checks are arithmetic, independent of
+    the flow; a failure raises CertificateError.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -464,12 +517,12 @@ def min_max_orientation(G: OneInclusionGraph, ell: int) -> tuple[Orientation, in
     members = [e.members for e in edges]
     net = _Network(members, G.n_vertices, ell)
     start = ceil_ratio(sum(max(len(e) - ell, 0) for e in members), G.n_vertices)
-    lam, cap = _cut_search(net, members, ell, start, ceil_ratio)
+    lam, _cap, flows = _cut_search(net, members, ell, start, ceil_ratio)
     t = int(lam)
 
-    first_row, assign = net.n_edges + 1, []
-    for j, e in enumerate(edges, 1):
-        got = {net.head[a] - first_row for a in net.adj[j] if not a & 1 and cap[a ^ 1]}
+    assign = []
+    for e, xs in zip(edges, flows):
+        got = {v for v, x in zip(e.members, xs) if x}
         want = min(ell, len(e))
         chosen = sorted(got)
         for v in e.members:  # pad deterministically up to the size bound

@@ -93,10 +93,11 @@ def saturate_without_flow(net, cap):
 def test_failed_minimality_certificate_exits_two(square, capsys, monkeypatch):
     # the square's t_star = 1 equals ceil(density), where the search starts,
     # so t = 1 is the only target it asks for; a flow that lies there (it
-    # covers no vertex) must fail the outdegree check, not be returned
+    # covers no vertex) leaves each row both its edges as outdegree, and
+    # must fail the fractional-orientation check, not be returned
     G = oig.build_oig(load_class(square))
     monkeypatch.setattr(oig, "maximum_flow", saturate_without_flow)
-    with pytest.raises(CertificateError, match="t_star=1"):
+    with pytest.raises(CertificateError, match=r"lam=1 leaves row 0 outdegree 2 > lam"):
         oig.min_max_orientation(G, 1)
     code, out, err = run(capsys, "orient", "--class", square, "--ell", "1")
     assert code == EXIT_VERDICT_FAIL and out == "" and "certificate" in err
@@ -133,12 +134,14 @@ def test_cut_down_ds_witness_exits_two(square, capsys, monkeypatch):
 LYING_FLOWS = """
 import sys
 from dslab import oig
+from dslab.algebra import audit_theorem
 from dslab.errors import CertificateError
-from dslab.hclass import gen_cube
+from dslab.hclass import gen_cube, gen_random
 
 if not sys.flags.optimize:
     sys.exit(3)
 G = oig.build_oig(gen_cube(2, 1, 2, 2))
+honest = oig.maximum_flow
 
 
 def no_cover(net, cap):
@@ -154,27 +157,45 @@ def overfull_cover(net, cap):  # every edge covers all its members
                 cap[a ^ 1] = 1
 
 
+def zeroed_residual(net, cap):  # a real flow that then claims every sink arc full
+    honest(net, cap)
+    no_cover(net, cap)
+
+
 lies = {"no cover": no_cover, "thin cut": lambda net, cap: None, "overfull cover": overfull_cover}
 for name, lie in lies.items():
     oig.maximum_flow = lie
     try:
         oig.min_max_orientation(G, 1)
     except CertificateError as exc:
-        print(name, "caught:", str(exc).split(":")[0])
+        print(name, "caught:", exc)
+
+# on this class the lie once passed every other check, reporting mu = 9/7 for 3/2
+H = gen_random(3, 3, 14, seed=60)
+oig.maximum_flow = zeroed_residual
+for name, run in {"density": lambda: oig.max_density_subfamily(H, 1),
+                  "audit": lambda: audit_theorem(H, 1)}.items():
+    try:
+        print(name, "returned", run())
+    except CertificateError as exc:
+        print(name, "caught:", exc)
 """
 
 
 def test_orientation_certificates_survive_python_O():
-    # python -O strips asserts; the orientation certificates must not be asserts
+    # python -O strips asserts; the orientation and density certificates
+    # must not be asserts
     src = Path(oig.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-O", "-c", LYING_FLOWS], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "no cover caught: orientation with max outdegree 2 > t_star=1",
+        "no cover caught: flow at lam=1 leaves row 0 outdegree 2 > lam",
         "thin cut caught: min cut at lam=1 found no subfamily denser than lam",
-        "overfull cover caught: flow at t_star=1 is no orientation"]
+        "overfull cover caught: flow at lam=1 is no fractional orientation of edge (0, 2)",
+        "density caught: flow at lam=9/7 leaves row 12 outdegree 3 > lam",
+        "audit caught: flow at lam=9/7 leaves row 12 outdegree 3 > lam"]
 
 
 def test_no_bare_assert_in_the_package():
@@ -201,6 +222,44 @@ def test_each_module_imports_first_in_a_fresh_interpreter(module):
     # dslab/__init__.py fixes one import order; loading each module first
     # without it shows any import cycle that order would hide
     proc = subprocess.run([sys.executable, "-c", FIRST_IMPORT, str(Path(oig.__file__).parent), module],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+FOOTPRINT = """
+import sys
+import dslab, dslab.cli
+assert "scipy.sparse" not in sys.modules, "importing dslab loaded scipy.sparse"
+import scipy.sparse
+assert dslab.oig.csr_matrix is scipy.sparse.csr_matrix
+try:
+    dslab.oig.no_such_name
+except AttributeError:
+    pass
+else:
+    raise SystemExit("dslab.oig.no_such_name resolved")
+"""
+
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now fails
+from dslab import agnostic_pipeline, audit_theorem, gen_cube
+from dslab.learn import SyntheticDistribution
+assert audit_theorem(gen_cube(2, 1, 2, 2), 1).verdict == "PASS"
+H = gen_cube(3, 1, 2, 3)
+D = SyntheticDistribution.uniform_realizable(H, 1)
+rep = agnostic_pipeline(H, D, ell=1, n1=16, T=16, n3=32, delta=0.1, seed=0)
+assert rep.results["excess_err"] == 0.0
+"""
+
+
+@pytest.mark.parametrize("script", [FOOTPRINT, WITHOUT_SCIPY], ids=["footprint", "without_scipy"])
+def test_the_runtime_does_not_import_scipy(script):
+    # scipy is a test and bench dependency only: dslab resolves
+    # oig.csr_matrix on first access, for the benchmark tracer, and runs
+    # with scipy blocked
+    src = Path(oig.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 

@@ -11,6 +11,7 @@ import dslab.oig as oig
 from helpers import (brute_max_density, brute_max_density_witness,
                      brute_min_max_outdegree, brute_mu, naive_density,
                      naive_edges, random_class, scipy_flow_assignment, subclasses)
+from dslab.algebra import audit_theorem
 from dslab.errors import BudgetError, CertificateError
 from dslab.hclass import HypothesisClass, gen_cube, gen_random, restrict
 from dslab.oig import (Orientation, build_oig, density, format_ratio, max_density_subfamily,
@@ -390,7 +391,7 @@ def test_orientation_flow_matches_scipy_oracle(G, ell):
             return Fraction(t)
 
         try:
-            _lam, cap = oig._cut_search(net, members, ell, Fraction(t), stay)
+            _lam, cap, _flows = oig._cut_search(net, members, ell, Fraction(t), stay)
         except CertificateError:
             (ex, size), = cuts  # the min cut's sink side is denser than t
             assert ex > t * size
@@ -415,6 +416,52 @@ def test_a_flow_that_routes_nothing_fails_the_cut_certificate(search, monkeypatc
                     max_density_subfamily(H, ell)
                 else:
                     min_max_orientation(build_oig(H), ell)
+
+
+@pytest.mark.parametrize("search", ["density", "orientation", "audit"])
+def test_a_flow_with_zeroed_sink_residuals_is_caught_or_harmless(search, monkeypatch):
+    # a real flow that then claims every sink arc saturated: its cuts still
+    # rise, so only the fractional-orientation check can see that it stopped
+    # below mu (e.g. 9/7 for 3/2 at seed 60, ell 1)
+    run = {"density": max_density_subfamily,
+           "orientation": lambda H, ell: min_max_orientation(build_oig(H), ell),
+           "audit": audit_theorem}[search]
+    honest = oig.maximum_flow
+
+    def zeroed(net, cap):
+        honest(net, cap)
+        for a in net.sink_arcs:
+            cap[a] = 0
+
+    for seed in range(200):
+        H = gen_random(3, 3, 14, seed)
+        for ell in (1, 2):
+            want = run(H, ell)
+            monkeypatch.setattr(oig, "maximum_flow", zeroed)
+            try:
+                assert run(H, ell) == want
+            except CertificateError as exc:
+                assert "fractional orientation" in str(exc) or "outdegree" in str(exc)
+            monkeypatch.setattr(oig, "maximum_flow", honest)
+
+
+@pytest.mark.parametrize("flows, lam, fails", [
+    ([[1, 1, 1]], Fraction(2, 3), None),
+    ([[2, 1, 0]], Fraction(2, 3), "leaves row 2 outdegree 1 > lam"),
+    ([[2, 2, 1]], Fraction(2, 3), "no fractional orientation"),
+    ([[4, -1, 0]], Fraction(2, 3), "no fractional orientation"),
+    ([[1, 1]], Fraction(2, 3), "no fractional orientation"),
+    ([], Fraction(2, 3), "covers 0 of 1 edges"),
+    ([[0, 0, 0]], Fraction(1, 2), "outdegree 1 > lam"),
+])
+def test_fractional_orientation_certificate(flows, lam, fails):
+    # one edge of three rows at ell 1 has density 2/3; at lam = 2/3 the one
+    # certificate gives each row a third of the edge's one pick
+    if fails is None:
+        oig._check_fractional_orientation([(0, 1, 2)], 1, lam, flows)
+    else:
+        with pytest.raises(CertificateError, match=fails):
+            oig._check_fractional_orientation([(0, 1, 2)], 1, lam, flows)
 
 
 def test_orientation_achieves_exactly_t_star():
