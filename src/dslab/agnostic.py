@@ -29,9 +29,9 @@ import numpy as np
 from .dims import ds_dimension
 from .errors import BudgetError, CertificateError
 from .hclass import HypothesisClass, class_id
-from .learn import (CoordState, ExperimentReport, ListPrediction, PrefixVotePredictor,
-                    SyntheticDistribution, _cached_predict, _consolidate, _inverse_cdf,
-                    _label_table, _pair_arrays, _predict_from_state, _state_of)
+from .learn import (CoordState, ExperimentReport, ListPrediction, PredictionTable,
+                    PrefixVotePredictor, SyntheticDistribution, _consolidate, _inverse_cdf,
+                    _label_table, _pair_arrays, _state_of)
 
 __all__ = [
     "CoverMember",
@@ -52,29 +52,23 @@ class CoverMember:
 
     ``states`` holds each subsample's consolidated ``CoordState``, in the
     same order; ``_boost_member`` built them (and so checked realizability)
-    while it searched.  Predictions are looked up in ``memo``, a (state, x) ->
-    ListPrediction dict; ``build_list_cover`` passes one memo to its boosting
-    rounds and to every member it builds, so each distinct (state, x) is
-    oriented once per cover.  Sharing is sound because a prediction depends
-    only on (H, state, x, ell) and one cover fixes H and ell.  That memo is
-    the only cache: ``predict`` takes the union afresh on every call.
+    while it searched.  Predictions come from ``table``, the cover's one
+    ``PredictionTable``; ``predict`` takes the union afresh on every call.
     """
 
-    def __init__(self, H: HypothesisClass, subsamples: tuple[tuple[tuple[int, int], ...], ...],
-                 states: tuple[CoordState, ...], ell: int, memo: dict):
-        self.H = H
+    def __init__(self, subsamples: tuple[tuple[tuple[int, int], ...], ...],
+                 states: tuple[CoordState, ...], table: PredictionTable):
         self.subsamples = subsamples
-        self.ell = ell
+        self.table = table
         self._states = states
-        self._memo = memo
 
     @property
     def list_bound(self) -> int:
-        return max(1, len(self.subsamples) * self.ell)
+        return max(1, len(self.subsamples) * self.table.ell)
 
     def predict(self, x: int) -> frozenset[int]:
-        return frozenset().union(*(_cached_predict(self.H, state, x, self.ell, self._memo).labels
-                                   for state in self._states))
+        lookup = self.table.predict
+        return frozenset().union(*(lookup(state, x).labels for state in self._states))
 
 
 @dataclass(frozen=True)
@@ -87,8 +81,8 @@ class ListCover:
         return len(self.members)
 
 
-def _boost_member(H: HypothesisClass, points: list[tuple[int, int]], d: int, j: int,
-                  ell: int, rng: np.random.Generator, memo: dict) -> CoverMember | None:
+def _boost_member(table: PredictionTable, points: list[tuple[int, int]], d: int, j: int,
+                  rng: np.random.Generator) -> CoverMember | None:
     """Boost one covering member for a realizable point set.
 
     Maintains weights over the points; each round draws up to ``BOOST_BUDGET``
@@ -96,10 +90,11 @@ def _boost_member(H: HypothesisClass, points: list[tuple[int, int]], d: int, j: 
     rate is at most 1/3, then halves the weights of points it covers.
     Returns None when some round finds no weak subsample.  Subsamples invert
     one ``learn._inverse_cdf`` per round.  Each attempt asks the cover's
-    (state, x) ``memo`` once per distinct x of the points.
+    ``table`` once per distinct x of the points.
     """
     if not points:
-        return CoverMember(H, (), (), ell, memo)
+        return CoverMember((), (), table)
+    H = table.H
     px, py = _pair_arrays(H, points)
     xs = np.unique(px).tolist()
     weights = np.ones(len(points))
@@ -115,8 +110,7 @@ def _boost_member(H: HypothesisClass, points: list[tuple[int, int]], d: int, j: 
             picks = cdf.searchsorted(rng.random(d), side="right")
             sub = tuple(points[int(i)] for i in picks)
             state = _state_of(*_consolidate(sub, H))
-            table = _label_table(H, xs, lambda x: _cached_predict(H, state, x, ell, memo).labels)
-            hit = table[px, py]
+            hit = _label_table(H, xs, lambda x: table.predict(state, x).labels)[px, py]
             if weights[~hit].sum() <= total / 3:
                 break
         else:
@@ -127,7 +121,7 @@ def _boost_member(H: HypothesisClass, points: list[tuple[int, int]], d: int, j: 
         covered |= hit
         if covered.all():
             break  # everything already covered; no need for more rounds
-    return CoverMember(H, tuple(subsamples), tuple(states), ell, memo)
+    return CoverMember(tuple(subsamples), tuple(states), table)
 
 
 def build_list_cover(H: HypothesisClass, S1: Sequence[tuple[int, int]], d: int, j: int,
@@ -138,17 +132,12 @@ def build_list_cover(H: HypothesisClass, S1: Sequence[tuple[int, int]], d: int, 
     realizable set; a member is boosted for it and coverage is verified by
     direct membership checks.  Hypotheses whose member failed to cover (or
     whose boosting found no weak subsample within ``BOOST_BUDGET`` tries per
-    round) are reported in ``uncovered``.
-
-    One (state, x) -> ListPrediction memo is created per call and shared by
-    the boosting rounds and every member, so an orientation is computed once
-    per distinct (state, x) of this cover; see ``CoverMember``.
+    round) are reported in ``uncovered``.  One ``PredictionTable`` per call
+    serves the boosting rounds and every member.
     """
     if d < 1 or j < 1:
         raise ValueError("need d >= 1 and j >= 1")
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    memo: dict = {}
+    table = PredictionTable(H, ell)
     members: list[CoverMember] = []
     by_subsamples: dict[tuple, int] = {}
     member_of: dict[int, int] = {}
@@ -156,7 +145,7 @@ def build_list_cover(H: HypothesisClass, S1: Sequence[tuple[int, int]], d: int, 
     pairs = [(int(x), int(y)) for x, y in S1]
     for h_idx, h in enumerate(H.hyps):
         points = [(x, y) for x, y in pairs if h[x - 1] == y]
-        member = _boost_member(H, points, d, j, ell=ell, rng=rng, memo=memo)
+        member = _boost_member(table, points, d, j, rng)
         if member is None:
             uncovered.append(h_idx)
             continue
@@ -182,7 +171,7 @@ class Menu:
     the menu.  ``weight_history`` stores each round's pre-update weight
     vector so the multiplicative update can be replayed and checked exactly.
     ``predict`` takes the union over the distinct ``menu_members()`` on every
-    call; the members answer from their cover's (state, x) memo.
+    call; the members answer from their cover's ``PredictionTable``.
     """
 
     cover: ListCover = field(compare=False)
@@ -221,7 +210,7 @@ def mw_menu(F: ListCover, S2: Sequence[tuple[int, int]], *, rng: np.random.Gener
         raise ValueError("cover must be non-empty")
     if not S2:
         raise ValueError("need at least one round")
-    H = F.members[0].H
+    H = F.members[0].table.H
     sx, sy = _pair_arrays(H, S2)
     xs = np.unique(sx).tolist()
     C = np.stack([_label_table(H, xs, member.predict) for member in F.members])
@@ -319,13 +308,12 @@ def inside_menu_erm(H: HypothesisClass, nu: Menu, S3: Sequence[tuple[int, int]],
                           hyps=tuple(h for h, keep in zip(H.hyps, fit.consistent) if keep))
     mem = {x: y for x, y in s_plus}
 
+    table = PredictionTable(sub, ell)
     if len(s_plus) >= 8:
-        base = PrefixVotePredictor(sub, s_plus, ell)
-        base_predict = base.predict
+        base_predict = PrefixVotePredictor(sub, s_plus, ell, cache=table).predict
     else:
-        y_of, counts = _consolidate(s_plus, sub)
-        state = _state_of(y_of, counts)
-        base_predict = lambda x: _predict_from_state(sub, state, x, ell)  # noqa: E731
+        state = _state_of(*_consolidate(s_plus, sub))
+        base_predict = lambda x: table.predict(state, x)  # noqa: E731
 
     def predict(x: int) -> ListPrediction:
         menu = nu.predict(x)

@@ -19,7 +19,7 @@ from typing import Iterator
 
 from .dims import ds_dimension, natarajan_dimension, validate_witness
 from .errors import BudgetError, CertificateError
-from .hclass import HypothesisClass, class_id, restrict_via
+from .hclass import HypothesisClass, Restrictions, class_id
 from .oig import build_oig, format_ratio, min_max_orientation, mu_with_witness
 
 __all__ = [
@@ -337,11 +337,11 @@ def audit_theorem(H: HypothesisClass, ell: int, n_samples: int | None = None,
         raise ValueError("ell must be >= 1")
     ns = H.n if n_samples is None else n_samples
     cid = class_id(H)
-    table: dict = {}
+    table = Restrictions(H)
 
     mu_val, T_star, _F = mu_with_witness(H, ns, ell, restrictions=table)
     ceil_mu = math.ceil(mu_val)
-    _sigma, t_star = min_max_orientation(build_oig(restrict_via(H, T_star, table)), ell)
+    _sigma, t_star = min_max_orientation(build_oig(table[T_star]), ell)
 
     d_ds, w_ds = ds_dimension(H, ell, restrictions=table)
     if w_ds is not None and not validate_witness(H, w_ds):

@@ -14,7 +14,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .hclass import HypothesisClass, check_coords, restrict, restrict_via
+from .hclass import HypothesisClass, Restrictions, check_coords, restrict
 
 __all__ = [
     "ShatterWitness",
@@ -68,7 +68,7 @@ def ds_shatter_core(W: HypothesisClass, ell: int) -> HypothesisClass | None:
 
 
 def ds_dimension(H: HypothesisClass, ell: int, *,
-                 restrictions: dict | None = None) -> tuple[int, ShatterWitness | None]:
+                 restrictions: Restrictions | None = None) -> tuple[int, ShatterWitness | None]:
     """Largest d such that some d-coordinate set has a non-empty shatter core.
 
     Searches subset sizes from the top down and returns at the first success;
@@ -76,13 +76,13 @@ def ds_dimension(H: HypothesisClass, ell: int, *,
     coordinates suffice: on a repeated coordinate no member can have an
     i-neighbor (the off positions pin the repeated value), so any core over a
     sequence with duplicates is empty.  ``restrictions``: see
-    ``hclass.restrict_via``.
+    ``hclass.Restrictions.lookup``.
     """
     return _top_down(H, ell, "DS", lambda W: ds_shatter_core(W, ell), restrictions)
 
 
 def natarajan_dimension(H: HypothesisClass, ell: int, *,
-                        restrictions: dict | None = None) -> tuple[int, ShatterWitness | None]:
+                        restrictions: Restrictions | None = None) -> tuple[int, ShatterWitness | None]:
     """Largest d admitting label lists y_1..y_d of size ell+1 with the full
     product embedded in the restriction.
 
@@ -97,13 +97,14 @@ def natarajan_dimension(H: HypothesisClass, ell: int, *,
 
 
 def _top_down(H: HypothesisClass, ell: int, kind: str, probe,
-              restrictions: dict | None) -> tuple[int, ShatterWitness | None]:
+              restrictions: Restrictions | None) -> tuple[int, ShatterWitness | None]:
     """(d, witness) for the first coordinate set S, largest first and then
     lexicographically, whose restriction ``probe`` maps to a family; (0, None)
     when there is none."""
+    restricted = Restrictions.lookup(H, restrictions)
     for d in range(H.n, 0, -1):
         for S in itertools.combinations(range(1, H.n + 1), d):
-            fam = probe(restrict_via(H, S, restrictions))
+            fam = probe(restricted(S))
             if fam is not None:
                 return d, ShatterWitness(coords=S, subfamily=fam, kind=kind, ell=ell)
     return 0, None

@@ -30,6 +30,7 @@ __all__ = [
     "dumps_class",
     "to_csv",
     "restrict",
+    "Restrictions",
     "gen_cube",
     "gen_random",
 ]
@@ -62,7 +63,7 @@ class HypothesisClass:
             if len(h) != self.n:
                 raise ValueError(f"ragged row: expected length {self.n}, got {len(h)}")
             if not all(1 <= v <= self.k for v in h):
-                raise ValueError(f"label out of range in {h}")
+                raise ValueError(f"label out of range in {h}: labels lie in [1, {self.k}]")
         if any(a >= b for a, b in zip(self.hyps, self.hyps[1:])):
             raise ValueError("rows must be strictly ascending (canonical order)")
 
@@ -86,25 +87,15 @@ class HypothesisClass:
 
 
 def make_class(k: int, n: int, rows: Iterable[Sequence[int]]) -> HypothesisClass:
-    """Validate, deduplicate and canonicalize ``rows`` into a class.
+    """Deduplicate and canonicalize ``rows`` into a class, which checks them.
 
     The number of dropped duplicate rows is recorded under
     ``meta["duplicates_removed"]``.
     """
-    seen = set()
-    dups = 0
-    for row in rows:
-        t = tuple(int(v) for v in row)
-        if len(t) != n:
-            raise ValueError(f"ragged row: expected length {n}, got {len(t)}")
-        for v in t:
-            if not 1 <= v <= k:
-                raise ValueError(f"label out of range: {v} not in [1, {k}]")
-        if t in seen:
-            dups += 1
-        else:
-            seen.add(t)
-    return HypothesisClass(k=k, n=n, hyps=tuple(sorted(seen)), meta={"duplicates_removed": dups})
+    rows = [tuple(int(v) for v in row) for row in rows]
+    distinct = set(rows)
+    return HypothesisClass(k=k, n=n, hyps=tuple(sorted(distinct)),
+                           meta={"duplicates_removed": len(rows) - len(distinct)})
 
 
 def check_coords(n: int, coords: Sequence[int], allow_repeats: bool = False) -> tuple[int, ...]:
@@ -132,15 +123,28 @@ def restrict(H: HypothesisClass, coords: Sequence[int], allow_repeats: bool = Fa
     return HypothesisClass(k=H.k, n=len(cs), hyps=tuple(sorted(rows)))
 
 
-def restrict_via(H: HypothesisClass, coords: tuple[int, ...], memo: dict | None) -> HypothesisClass:
-    """``restrict(H, coords)`` through a caller-owned coords memo, which must
-    serve a single ``H``; ``memo=None`` restricts afresh."""
-    if memo is None:
-        return restrict(H, coords)
-    got = memo.get(coords)
-    if got is None:
-        got = memo[coords] = restrict(H, coords)
-    return got
+class Restrictions(dict):
+    """The restrictions of one class ``H``, keyed by coordinate tuple; a
+    missing key is filled by ``restrict(H, coords)``."""
+
+    def __init__(self, H: HypothesisClass):
+        super().__init__()
+        self.H = H
+
+    def __missing__(self, coords: tuple[int, ...]) -> HypothesisClass:
+        got = self[coords] = restrict(self.H, coords)
+        return got
+
+    @staticmethod
+    def lookup(H: HypothesisClass, table: Restrictions | None):
+        """coords -> ``restrict(H, coords)``, read and filled through
+        ``table`` once it is checked to hold ``H``'s restrictions (else
+        ValueError); with no table, restricted afresh."""
+        if table is None:
+            return lambda coords: restrict(H, coords)
+        if table.H != H:
+            raise ValueError("restriction table was filled for another class")
+        return table.__getitem__
 
 
 def gen_cube(k: int, ell: int, s: int, m: int) -> HypothesisClass:

@@ -13,14 +13,8 @@ occurs more than once in the projection tuple carries only singleton edges
 distinct coordinates with repeated ones marked dead.  Predictions therefore
 depend only on (H, state, x, ell), where the state (``CoordState``) records
 which coordinates were seen, their labels, and whether each was seen once or
-more -- which is what makes caching sound.  The (state, x) memo of
-``_cached_predict`` is the one prediction cache: each memo serves one fixed
-(H, ell) and is owned by its caller -- ``PrefixVotePredictor``'s ``cache``
-(``pac_experiment`` shares one across its trials), and the memo
-``agnostic.build_list_cover`` creates per call for its boosting rounds and
-cover members, which the menu reads through the members.
-``agnostic.inside_menu_erm``'s prefix voter keeps its own memo because it
-predicts over a subclass of H.
+more -- which is what makes caching sound.  The one prediction cache is a
+``PredictionTable``, which binds its (state, x) memo to the (H, ell) it serves.
 
 Probabilities under a ``SyntheticDistribution`` are exact: each is the mass
 of the support points a boolean mask marks, summed as integer numerators
@@ -49,6 +43,7 @@ __all__ = [
     "oig_list_predict",
     "loo_error",
     "topk_vote",
+    "PredictionTable",
     "PrefixVotePredictor",
     "pac_experiment",
     "pac_error_bound",
@@ -138,18 +133,27 @@ def _predict_from_state(H: HypothesisClass, state: CoordState, x: int, ell: int)
     raise RealizabilityError("no edge matches the training labels")
 
 
-def _cached_predict(H: HypothesisClass, state: CoordState, x: int, ell: int,
-                    cache: dict) -> ListPrediction:
-    """``_predict_from_state`` through a caller-owned (state, x) memo.
+class PredictionTable:
+    """``_predict_from_state`` answers for one (H, ell), memoized by (state, x).
 
-    One memo must serve a single (H, ell): a prediction depends only on
-    (H, state, x, ell), so within that pair the key fixes the answer.
+    A prediction depends only on (H, state, x, ell), so within one table the
+    key fixes the answer; users that share a table check its ``H`` and
+    ``ell`` against their own.
     """
-    key = (state, x)
-    got = cache.get(key)
-    if got is None:
-        got = cache[key] = _predict_from_state(H, state, x, ell)
-    return got
+
+    def __init__(self, H: HypothesisClass, ell: int):
+        if ell < 1:
+            raise ValueError("ell must be >= 1")
+        self.H = H
+        self.ell = ell
+        self._known: dict[tuple[CoordState, int], ListPrediction] = {}
+
+    def predict(self, state: CoordState, x: int) -> ListPrediction:
+        key = (state, x)
+        got = self._known.get(key)
+        if got is None:
+            got = self._known[key] = _predict_from_state(self.H, state, x, self.ell)
+        return got
 
 
 def oig_list_predict(H: HypothesisClass, train: Sequence[tuple[int, int]],
@@ -215,22 +219,22 @@ class PrefixVotePredictor:
 
     Prefix lengths run from ceil(n/4) to n-1.  Consecutive prefixes almost
     always consolidate to the same state, so states are grouped with
-    multiplicities and predictions are memoized in ``cache`` (shareable
-    across predictors for the same class and list size).
+    multiplicities and predictions are looked up in ``cache``, a
+    ``PredictionTable`` for this (H, ell) that predictors may share.
     """
 
     def __init__(self, H: HypothesisClass, sample: Sequence[tuple[int, int]],
-                 ell: int, cache: dict | None = None):
+                 ell: int, cache: PredictionTable | None = None):
         n = len(sample)
         if n < 8:
             raise ValueError("prefix voting needs a sample of size >= 8")
-        if ell < 1:
-            raise ValueError("ell must be >= 1")
-        y_of, _counts = _consolidate(sample, H)  # realizability of the full sample
-        self.H = H
+        table = PredictionTable(H, ell) if cache is None else cache
+        if table.ell != ell or table.H != H:
+            raise ValueError("prediction table serves another class or list size")
+        _consolidate(sample, H)  # realizability of the full sample
         self.ell = ell
         self.n = n
-        self._cache = cache if cache is not None else {}
+        self._table = table
         self._sample = [(int(c), int(y)) for c, y in sample]
         self.t_start = math.ceil(n / 4)
 
@@ -251,14 +255,11 @@ class PrefixVotePredictor:
                 weights[state] = weights.get(state, 0) + 1
         self._weighted_states = sorted(weights.items())
 
-    def _lookup(self, state: CoordState, x: int) -> ListPrediction:
-        return _cached_predict(self.H, state, x, self.ell, self._cache)
-
     def predict_prefix(self, t: int, x: int) -> ListPrediction:
         """Prediction of the predictor trained on the first ``t`` points."""
         if not self.t_start <= t <= self.n - 1:
             raise ValueError(f"prefix length {t} outside [{self.t_start}, {self.n - 1}]")
-        return self._lookup(self._state_by_t[t - self.t_start], x)
+        return self._table.predict(self._state_by_t[t - self.t_start], x)
 
     @property
     def prefix_lengths(self) -> range:
@@ -267,7 +268,7 @@ class PrefixVotePredictor:
     def predict(self, x: int) -> ListPrediction:
         counts: dict[int, int] = {}
         for state, w in self._weighted_states:
-            for lab in self._lookup(state, x).labels:
+            for lab in self._table.predict(state, x).labels:
                 counts[lab] = counts.get(lab, 0) + w
         return _top_ell(counts, self.ell)
 
@@ -418,11 +419,11 @@ def pac_experiment(H: HypothesisClass, D: SyntheticDistribution, ell: int,
         raise ValueError("need trials >= 1")
     d_ds, _w = ds_dimension(H, ell)
     bound = pac_error_bound(d_ds, ell, delta, m)
-    cache: dict = {}
+    table = PredictionTable(H, ell)
     errors: list[float] = []
     for trial in range(trials):
         sample = D.draw(np.random.default_rng([seed, trial]), m)
-        predictor = PrefixVotePredictor(H, sample, ell, cache=cache)
+        predictor = PrefixVotePredictor(H, sample, ell, cache=table)
         errors.append(float(D.list_error(predictor.predict)))
     ordered = sorted(errors)
     q_idx = min(math.ceil((1 - delta) * trials), trials) - 1

@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetError, CertificateError
-from .hclass import HypothesisClass, restrict_via
+from .hclass import HypothesisClass, Restrictions
 
 __all__ = [
     "EdgeGroup",
@@ -431,18 +431,19 @@ def _density_bound(live: list[tuple[int, ...]], n_rows: int, ell: int) -> Fracti
 
 
 def _restrictions(H: HypothesisClass, n_samples: int,
-                  memo: dict | None = None) -> Iterator[tuple[tuple[int, ...], HypothesisClass]]:
-    """(T, H restricted to T via ``memo``) for every coordinate subset T of
+                  table: Restrictions | None = None) -> Iterator[tuple[tuple[int, ...], HypothesisClass]]:
+    """(T, H restricted to T via ``table``) for every coordinate subset T of
     size 1 to min(n_samples, n), by size, then lexicographically."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    restricted = Restrictions.lookup(H, table)
     for size in range(1, min(n_samples, H.n) + 1):
         for T in itertools.combinations(range(1, H.n + 1), size):
-            yield T, restrict_via(H, T, memo)
+            yield T, restricted(T)
 
 
 def mu_with_witness(H: HypothesisClass, n_samples: int, ell: int, *,
-                    restrictions: dict | None = None) -> tuple[Fraction, tuple[int, ...], HypothesisClass]:
+                    restrictions: Restrictions | None = None) -> tuple[Fraction, tuple[int, ...], HypothesisClass]:
     """Maximum ell-density over restrictions: value, coordinates, subfamily.
 
     Restrictions range over all non-empty coordinate subsets of size up to
@@ -452,7 +453,7 @@ def mu_with_witness(H: HypothesisClass, n_samples: int, ell: int, *,
     only refine edge groups.  Witness ties break toward smaller, then
     lexicographically earlier, coordinate sets, so a restriction whose
     ``_density_bound`` is no better is skipped.  ``restrictions``: see
-    ``hclass.restrict_via``.
+    ``hclass.Restrictions.lookup``.
     """
     best = (Fraction(-1), (), None)
     for T, W in _restrictions(H, n_samples, restrictions):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -12,11 +13,11 @@ from hypothesis import assume, given, strategies as st
 from helpers import (per_point_best_hypothesis, per_point_boost_member,
                      per_point_decomposition, per_point_inside_menu, per_point_list_error,
                      per_point_mw_menu, per_point_predictor_loss, random_class)
-from dslab import agnostic
+from dslab import agnostic, cli
 from dslab.errors import BudgetError, CertificateError
-from dslab.hclass import HypothesisClass, gen_cube, gen_random
-from dslab.learn import (ListPrediction, SyntheticDistribution, _consolidate, _state_of,
-                         oig_list_predict)
+from dslab.hclass import HypothesisClass, gen_cube, gen_random, save_class
+from dslab.learn import (ListPrediction, PredictionTable, SyntheticDistribution, _consolidate,
+                         _state_of, oig_list_predict)
 from dslab.agnostic import (_boost_member, _fit_inside_menu, agnostic_pipeline,
                             build_list_cover, inside_menu_erm, mw_menu)
 
@@ -399,26 +400,29 @@ def test_boost_member_matches_per_point_oracle(data, seed, d, j, budget):
         points = [(x, y) for x, y in sample if h[x - 1] == y]
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         with mock.patch.object(agnostic, "BOOST_BUDGET", budget):
-            member = _boost_member(H, points, d, j, ell, rng, {})
+            member = _boost_member(PredictionTable(H, ell), points, d, j, rng)
             want = per_point_boost_member(H, points, d, j, ell, oracle_rng)
         assert (None if member is None else member.subsamples) == want
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
-def test_boost_member_stops_once_its_rounds_cover_every_point(monkeypatch):
-    # a scripted predictor: the subsample's one coordinate c covers c and c+1
-    # (mod 3), so round 1 covers two points and misses weight 1 <= 3/3, and
-    # round 2 must cover the third point (a miss of 1 > 2/3 is refused).  No
-    # round covers all three, but rounds 1 and 2 together do.
-    def predict(_H, state, x, _ell, _memo):
+class _ScriptedTable(PredictionTable):
+    """The subsample's one coordinate c covers c and c+1 (mod 3)."""
+
+    def predict(self, state, x):
         (c, _y, _once), = state
         return ListPrediction((1,) if x in (c, c % 3 + 1) else ())
 
-    monkeypatch.setattr(agnostic, "_cached_predict", predict)
+
+def test_boost_member_stops_once_its_rounds_cover_every_point():
+    # with the scripted table, round 1 covers two points and misses weight
+    # 1 <= 3/3, and round 2 must cover the third point (a miss of 1 > 2/3 is
+    # refused).  No round covers all three, but rounds 1 and 2 together do.
     H = HypothesisClass(k=2, n=3, hyps=((1, 1, 1),))
+    table = _ScriptedTable(H, 1)
     points = [(1, 1), (2, 1), (3, 1)]
     for seed in range(5):
-        member = _boost_member(H, points, 1, 4, 1, np.random.default_rng(seed), {})
+        member = _boost_member(table, points, 1, 4, np.random.default_rng(seed))
         assert len(member.subsamples) == 2
         assert len({sub[0][0] for sub in member.subsamples}) == 2
 
@@ -464,3 +468,33 @@ def test_mw_menu_nonpositive_weight_raises_certificate_error(monkeypatch):
     monkeypatch.setattr(agnostic, "math", SimpleNamespace(exp=lambda _x: 0.0))
     with pytest.raises(CertificateError, match="menu weights"):
         mw_menu(cover, [(1, 1), (2, 2), (1, 1)], rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("lie", ["inside_menu_loss", "decomposition"])
+def test_failed_pipeline_certificate_raises_and_exits_two(lie, tmp_path, capsys, monkeypatch):
+    # each check is explicit code, so a lie it catches fails the run under
+    # python -O too: a predictor loss above the ERM's, or masses that break
+    # term_nu <= term1 + term2 (the square has 4 rows, so only the
+    # decomposition asks _mass for 3 masses at once)
+    H = gen_cube(2, 1, 2, 2)
+    if lie == "inside_menu_loss":
+        monkeypatch.setattr(agnostic, "_loss_of_predictor", lambda *_args: Fraction(2))
+        match = "predictor inside-menu loss 2 exceeds the ERM loss"
+    else:
+        honest = SyntheticDistribution._mass
+
+        def lying(self, masks):
+            got = honest(self, masks)
+            return [Fraction(1), Fraction(0), Fraction(0)] if len(got) == 3 else got
+
+        monkeypatch.setattr(SyntheticDistribution, "_mass", lying)
+        match = r"decomposition fails: 1 > 0 \+ 0"
+    D = SyntheticDistribution.with_label_noise(H, 0, Fraction(1, 10))
+    with pytest.raises(CertificateError, match=match):
+        agnostic_pipeline(H, D, ell=1, n1=30, T=30, n3=40, delta=0.1, seed=0)
+    path = tmp_path / "square.json"
+    save_class(H, path)
+    code = cli.main(["agnostic", "--class", str(path), "--noise", "0.1"])
+    out = capsys.readouterr()
+    assert code == cli.EXIT_VERDICT_FAIL == 2
+    assert out.out == "" and re.search(f"certificate failed: {match}", out.err)

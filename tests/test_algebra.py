@@ -9,7 +9,7 @@ from hypothesis import example, given, strategies as st
 from helpers import evaluate, fraction_rank, is_prime, random_class, unpruned_mu_with_witness
 import dslab.algebra as algebra
 from dslab.errors import BudgetError, CertificateError
-from dslab.hclass import HypothesisClass, class_id, gen_cube, gen_random, restrict
+from dslab.hclass import HypothesisClass, Restrictions, class_id, gen_cube, gen_random, restrict
 from dslab.dims import ds_dimension, natarajan_dimension
 from dslab.algebra import (audit_theorem, check_spanning,
                            direction_subspace_dim, eval_matrix, extract_basis,
@@ -81,6 +81,18 @@ def test_rank_engineered_deficiency():
     # third row is a combination of the first two
     mat = [[2, 4, 6], [1, 0, 1], [3, 4, 7]]
     assert rank_exact(mat) == 2 == fraction_rank(mat)
+
+
+def test_rank_exact_falls_back_where_the_modulus_divides_a_minor():
+    # (1, 1 + p) is (1, 1) mod p, so the modular rank undershoots by one and
+    # only the exact fallback sees rank 2; the third row (0, 1) is
+    # ((1, 1 + p) - (1, 1)) / p, so the three rows still have rank 2
+    p = algebra.MODULUS
+    two = [(1, 1), (1, 1 + p)]
+    assert rank_mod_p(two, p) == 1
+    assert rank_exact(two) == 2 == fraction_rank(two)
+    three = two + [(0, 1)]
+    assert rank_exact(three) == 2 == fraction_rank(three)
 
 
 def test_rank_exact_below_modular_rank_raises_certificate_error(monkeypatch):
@@ -241,6 +253,15 @@ def test_direction_out_of_range_raises_value_error(fn, where):
         fn(W, i)
 
 
+def test_a_function_off_the_direction_subspace_is_refused():
+    # on [3]^2 each direction-1 edge holds three rows; at ell = 1 the
+    # subspace is the functions constant on every such edge, and the row
+    # indices 0..8 are not
+    W = gen_cube(3, 1, 2, 2)
+    assert not in_direction_subspace(W, 1, 1, list(range(9)))
+    assert in_direction_subspace(W, 1, 1, [h[1] for h in W.hyps])
+
+
 def test_low_degree_monomials_live_in_direction_subspace():
     rng = np.random.default_rng(35)
     for _ in range(10):
@@ -366,7 +387,7 @@ def audit_cases(draw):
 @given(audit_cases())
 def test_density_bound_and_restriction_memo_change_no_result(case):
     H, ell, ns = case
-    memo: dict = {}
+    memo = Restrictions(H)
     want = unpruned_mu_with_witness(H, ns, ell)
     assert mu_with_witness(H, ns, ell) == want
     assert mu_with_witness(H, ns, ell, restrictions=memo) == want
@@ -379,3 +400,21 @@ def test_density_bound_and_restriction_memo_change_no_result(case):
     assert ds_dimension(H, ell, restrictions=memo) == ds_dimension(H, ell)
     assert natarajan_dimension(H, ell, restrictions=memo) == natarajan_dimension(H, ell)
     assert audit_theorem(H, ell, ns).to_json() == audit_theorem(H, ell, ns).to_json()
+
+
+def test_a_restriction_table_answers_only_for_its_class():
+    # a table filled through [3]^2 holds that cube's restrictions; read for
+    # the one-row class it would give mu = 4/3 and d_DS = 2 in place of 0
+    full, one_row = gen_cube(3, 1, 2, 2), gen_cube(3, 1, 0, 2)
+    table = Restrictions(full)
+    assert mu_with_witness(full, 2, 1, restrictions=table)[0] == Fraction(4, 3)
+    assert ds_dimension(full, 1, restrictions=table)[0] == 2
+    searches = (lambda t: mu_with_witness(one_row, 2, 1, restrictions=t)[0],
+                lambda t: ds_dimension(one_row, 1, restrictions=t)[0],
+                lambda t: natarajan_dimension(one_row, 1, restrictions=t)[0])
+    for search in searches:
+        with pytest.raises(ValueError, match="another class"):
+            search(table)
+        assert search(Restrictions(one_row)) == 0
+    equal = HypothesisClass(k=full.k, n=full.n, hyps=full.hyps)
+    assert ds_dimension(equal, 1, restrictions=table)[0] == 2

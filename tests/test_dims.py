@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -204,3 +205,20 @@ def test_witness_validation_rejects_tampering():
     _d, w = ds_dimension(H, 1)
     bad = witness_from_json(witness_to_json(w).replace('"ell":1', '"ell":2'))
     assert not validate_witness(H, bad)
+
+
+@pytest.mark.parametrize("defect", ["coords_out_of_range", "repeated_coords",
+                                    "outside_projection", "natarajan_width", "unknown_kind"])
+def test_witness_validation_rejects_each_defect(defect):
+    # [3]^2 x {1}: both witnesses sit on coordinates (1, 2) and are valid
+    # until one field is changed
+    H = gen_cube(3, 1, 2, 3)
+    kind = "Natarajan" if defect == "natarajan_width" else "DS"
+    d, w = (natarajan_dimension if kind == "Natarajan" else ds_dimension)(H, 1)
+    assert (d, w.coords, w.kind) == (2, (1, 2), kind) and validate_witness(H, w)
+    bad = {"coords_out_of_range": dict(coords=(1, 4)),
+           "repeated_coords": dict(coords=(1, 1)),
+           "outside_projection": dict(coords=(1, 3)),  # coordinate 3 is always 1
+           "natarajan_width": dict(ell=2),             # lists of 2 labels, not 3
+           "unknown_kind": dict(kind="VC")}[defect]
+    assert not validate_witness(H, dataclasses.replace(w, **bad))

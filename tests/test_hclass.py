@@ -148,3 +148,14 @@ def test_direct_construction_enforces_canonical_form():
         HypothesisClass(k=2, n=1, hyps=((3,),))
     with pytest.raises(ValueError, match="ragged"):
         HypothesisClass(k=2, n=2, hyps=((1,),))
+
+
+
+def test_gen_random_past_the_enumeration_limit_samples_distinct_rows():
+    # 2**23 > 4 000 000 vectors: rows are drawn one by one until enough differ
+    H = gen_random(2, 23, 40, seed=3)
+    assert (H.k, H.n, len(H)) == (2, 23, 40)
+    assert len(set(H.hyps)) == 40
+    assert all(len(h) == 23 and set(h) <= {1, 2} for h in H.hyps)
+    assert gen_random(2, 23, 40, seed=3) == H
+    assert gen_random(2, 23, 40, seed=4) != H

@@ -150,6 +150,25 @@ def test_prefix_predictor_needs_eight_points():
         PrefixVotePredictor(H, [(1, 1)] * 7, 1)
 
 
+def test_a_prediction_table_answers_only_for_its_class_and_list_size():
+    # H1's table holds label 1 at x = 2 for this sample's state, a label no
+    # row of H2 has; a predictor for H2 (or for another ell) must refuse the
+    # table rather than read it
+    H1 = HypothesisClass(k=3, n=2, hyps=((1, 1),))
+    H2 = HypothesisClass(k=3, n=2, hyps=((1, 2),))
+    sample = [(1, 1)] * 8
+    table = learn.PredictionTable(H1, 1)
+    assert PrefixVotePredictor(H1, sample, 1, cache=table).predict(2).labels == (1,)
+    for H, ell in ((H2, 1), (H1, 2)):
+        with pytest.raises(ValueError, match="another class or list size"):
+            PrefixVotePredictor(H, sample, ell, cache=table)
+    assert PrefixVotePredictor(H2, sample, 1).predict(2).labels == (2,)
+    equal = HypothesisClass(k=3, n=2, hyps=((1, 1),))
+    assert PrefixVotePredictor(equal, sample, 1, cache=table).predict(2).labels == (1,)
+    with pytest.raises(ValueError, match="ell must be >= 1"):
+        learn.PredictionTable(H1, 0)
+
+
 def test_prefix_count_for_n8():
     H = gen_cube(3, 1, 2, 4)
     D = SyntheticDistribution.uniform_realizable(H, target=0)
