@@ -28,7 +28,7 @@ import numpy as np
 
 from .dims import ds_dimension
 from .errors import BudgetError, CertificateError
-from .hclass import HypothesisClass, class_id
+from .hclass import HypothesisClass, _trusted_class, class_id
 from .learn import (CoordState, ExperimentReport, ListPrediction, PredictionTable,
                     PrefixVotePredictor, SyntheticDistribution, _consolidate, _inverse_cdf,
                     _label_table, _pair_arrays, _state_of)
@@ -304,8 +304,7 @@ def inside_menu_erm(H: HypothesisClass, nu: Menu, S3: Sequence[tuple[int, int]],
                                 n_plus=0, flagged=True, predict=predict)
 
     # h_S labels every S+ point inside the menu, so the subclass contains it
-    sub = HypothesisClass(k=H.k, n=H.n,
-                          hyps=tuple(h for h, keep in zip(H.hyps, fit.consistent) if keep))
+    sub = _trusted_class(H.k, H.n, tuple(h for h, keep in zip(H.hyps, fit.consistent) if keep))
     mem = {x: y for x, y in s_plus}
 
     table = PredictionTable(sub, ell)

@@ -330,8 +330,9 @@ def audit_theorem(H: HypothesisClass, ell: int, n_samples: int | None = None,
     verdict marks the report FAIL: it would contradict the bound being
     audited or expose an implementation bug.  A spanning check past
     ``matrix_budget`` is skipped, and the report is marked non-authoritative
-    instead of guessing.  A DS witness that fails ``validate_witness`` raises
-    CertificateError.  One restriction table serves every search of the call.
+    instead of guessing.  A DS or Natarajan witness that fails
+    ``validate_witness`` raises CertificateError.  One restriction table, with
+    each restriction's edge groups, serves every search of the call.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -341,12 +342,15 @@ def audit_theorem(H: HypothesisClass, ell: int, n_samples: int | None = None,
 
     mu_val, T_star, _F = mu_with_witness(H, ns, ell, restrictions=table)
     ceil_mu = math.ceil(mu_val)
-    _sigma, t_star = min_max_orientation(build_oig(table[T_star]), ell)
+    _sigma, t_star = min_max_orientation(
+        build_oig(table[T_star], groups=table.groups(T_star)), ell)
 
     d_ds, w_ds = ds_dimension(H, ell, restrictions=table)
     if w_ds is not None and not validate_witness(H, w_ds):
         raise CertificateError(f"DS witness on {w_ds.coords} fails its re-check")
-    d_nat, _wn = natarajan_dimension(H, ell, restrictions=table)
+    d_nat, w_nat = natarajan_dimension(H, ell, restrictions=table)
+    if w_nat is not None and not validate_witness(H, w_nat):
+        raise CertificateError(f"Natarajan witness on {w_nat.coords} fails its re-check")
 
     authoritative = True
     spanning_ok = spanning_rank = None

@@ -14,7 +14,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .hclass import HypothesisClass, Restrictions, check_coords, restrict
+from .hclass import HypothesisClass, Restrictions, _trusted_class, check_coords, restrict
 
 __all__ = [
     "ShatterWitness",
@@ -63,8 +63,7 @@ def ds_shatter_core(W: HypothesisClass, ell: int) -> HypothesisClass | None:
                 changed = True
     if not alive:
         return None
-    rows = tuple(hyps[v] for v in sorted(alive))
-    return HypothesisClass(k=W.k, n=W.n, hyps=rows)
+    return _trusted_class(W.k, W.n, tuple(hyps[v] for v in sorted(alive)))
 
 
 def ds_dimension(H: HypothesisClass, ell: int, *,
@@ -134,8 +133,8 @@ def _product_family(W: HypothesisClass, width: int) -> HypothesisClass | None:
     if any(len(c) < width for c in per_coord):
         return None
     lists = extend(0, [], [()])
-    return None if lists is None else HypothesisClass(
-        k=W.k, n=W.n, hyps=tuple(sorted(itertools.product(*lists))))
+    return None if lists is None else _trusted_class(
+        W.k, W.n, tuple(sorted(itertools.product(*lists))))
 
 
 def vc_dimension(H: HypothesisClass) -> int:

@@ -4,6 +4,14 @@ A class is a finite set of label vectors of length ``n`` with labels in
 ``1..k``.  Vectors are stored deduplicated and in lexicographic order so that
 equal classes always serialize to identical bytes.  All public interfaces are
 1-based (labels and coordinate indices alike).
+
+Every class built from outside data is checked: ``HypothesisClass(...)``
+itself, ``make_class``, ``loads_class``/``load_class`` and the ``gen_*``
+generators (and ``dims.witness_from_json``) refuse ragged rows, labels out of
+range and rows out of canonical order.  Classes derived from a valid class
+(``restrict``, and dslab's subfamilies of one: density witnesses, DS cores,
+Natarajan products, the inside-menu subclass) are valid by construction and
+go through the private ``_trusted_class``, which skips those checks.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ import io
 import itertools
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,6 +38,7 @@ __all__ = [
     "save_class",
     "dumps_class",
     "to_csv",
+    "off_groups",
     "restrict",
     "Restrictions",
     "gen_cube",
@@ -86,6 +96,15 @@ class HypothesisClass:
         return idx[v]
 
 
+def _trusted_class(k: int, n: int, hyps: tuple[tuple[int, ...], ...]) -> HypothesisClass:
+    """A class from rows the caller guarantees canonical: distinct, ascending,
+    of length ``n``, labels in ``1..k``.  ``__post_init__``'s checks are
+    skipped, so only rows derived from a valid class may come here."""
+    H = object.__new__(HypothesisClass)
+    H.__dict__.update(k=k, n=n, hyps=hyps, meta={})
+    return H
+
+
 def make_class(k: int, n: int, rows: Iterable[Sequence[int]]) -> HypothesisClass:
     """Deduplicate and canonicalize ``rows`` into a class, which checks them.
 
@@ -119,20 +138,46 @@ def restrict(H: HypothesisClass, coords: Sequence[int], allow_repeats: bool = Fa
     build the un-reduced graph of a sample with repeated instances).
     """
     cs = check_coords(H.n, coords, allow_repeats=allow_repeats)
-    rows = {tuple(h[c - 1] for c in cs) for h in H.hyps}
-    return HypothesisClass(k=H.k, n=len(cs), hyps=tuple(sorted(rows)))
+    if len(cs) == 1:  # itemgetter of one index gives a label, not a 1-tuple
+        c = cs[0] - 1
+        rows = {(h[c],) for h in H.hyps}
+    else:
+        rows = set(map(itemgetter(*(c - 1 for c in cs)), H.hyps))
+    return _trusted_class(H.k, len(cs), tuple(sorted(rows)))
+
+
+def off_groups(W: HypothesisClass, i: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The rows of ``W`` grouped by their labels off coordinate i (0-based):
+    (key, ascending row indices) per group, by ascending key.  Each group is
+    one edge of W's one-inclusion graph in direction i."""
+    buckets: dict[tuple[int, ...], list[int]] = {}
+    for v, h in enumerate(W.hyps):
+        buckets.setdefault(h[:i] + h[i + 1:], []).append(v)
+    return [(key, tuple(vs)) for key, vs in sorted(buckets.items())]
 
 
 class Restrictions(dict):
     """The restrictions of one class ``H``, keyed by coordinate tuple; a
-    missing key is filled by ``restrict(H, coords)``."""
+    missing key is filled by ``restrict(H, coords)``.  ``groups(coords)``
+    holds each restriction's ``off_groups`` in every direction, built once
+    and dropped with the table."""
 
     def __init__(self, H: HypothesisClass):
         super().__init__()
         self.H = H
+        self._groups: dict[tuple[int, ...], tuple] = {}
 
     def __missing__(self, coords: tuple[int, ...]) -> HypothesisClass:
         got = self[coords] = restrict(self.H, coords)
+        return got
+
+    def groups(self, coords: tuple[int, ...]) -> tuple:
+        """``off_groups(W, i)`` for each direction i of W = ``self[coords]``,
+        built on first use."""
+        got = self._groups.get(coords)
+        if got is None:
+            W = self[coords]
+            got = self._groups[coords] = tuple(off_groups(W, i) for i in range(W.n))
         return got
 
     @staticmethod

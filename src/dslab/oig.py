@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetError, CertificateError
-from .hclass import HypothesisClass, Restrictions
+from .hclass import HypothesisClass, Restrictions, _trusted_class, off_groups
 
 __all__ = [
     "EdgeGroup",
@@ -100,42 +100,39 @@ class Orientation:
     assign: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]  # (dir, key, vertices)
 
 
-def _off_groups(W: HypothesisClass, i: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The rows of ``W`` grouped by their labels off coordinate i (0-based):
-    (key, ascending rows) per group, by ascending key."""
-    buckets: dict[tuple[int, ...], list[int]] = {}
-    for v, h in enumerate(W.hyps):
-        buckets.setdefault(h[:i] + h[i + 1:], []).append(v)
-    return [(key, tuple(vs)) for key, vs in sorted(buckets.items())]
-
-
-def build_oig(W: HypothesisClass, dead_dirs: Sequence[int] = ()) -> OneInclusionGraph:
+def build_oig(W: HypothesisClass, dead_dirs: Sequence[int] = (), *,
+              groups: tuple | None = None) -> OneInclusionGraph:
     """Group the vertices of ``W`` into edges, one partition per direction.
 
     ``dead_dirs`` (0-based) forces those directions into singleton edges.
     This models directions that correspond to repeated sample coordinates:
     two hypotheses that agree off such a position also agree on it, so no
-    non-trivial edge can exist there.
+    non-trivial edge can exist there.  ``groups``: W's ``off_groups`` per
+    direction, when already built (``Restrictions.groups``).
     """
     dead = frozenset(dead_dirs)
     dirs = []
     for i in range(W.n):
         if i in dead:
-            groups = tuple(
+            edges = tuple(
                 EdgeGroup(i, h[:i] + h[i + 1:], (v,)) for v, h in enumerate(W.hyps)
             )
         else:
-            groups = tuple(EdgeGroup(i, key, vs) for key, vs in _off_groups(W, i))
-        dirs.append(groups)
+            by_key = off_groups(W, i) if groups is None else groups[i]
+            edges = tuple(EdgeGroup(i, key, vs) for key, vs in by_key)
+        dirs.append(edges)
     return OneInclusionGraph(base=W, by_direction=tuple(dirs))
 
 
-def _live_edges(W: HypothesisClass, ell: int) -> list[tuple[int, ...]]:
+def _live_edges(W: HypothesisClass, ell: int, groups: tuple | None = None) -> list[tuple[int, ...]]:
     """The members of W's edges with more than ``ell`` rows, in the edge
-    order of ``build_oig(W)``: the only edges a density can see."""
+    order of ``build_oig(W)``: the only edges a density can see.
+    ``groups``: as for ``build_oig``."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    return [vs for i in range(W.n) for _key, vs in _off_groups(W, i) if len(vs) > ell]
+    if groups is None:
+        groups = [off_groups(W, i) for i in range(W.n)]
+    return [vs for by_key in groups for _key, vs in by_key if len(vs) > ell]
 
 
 def density(W: HypothesisClass, ell: int) -> Fraction:
@@ -343,22 +340,31 @@ def _cut_search(net: _Network, edges: Sequence[tuple[int, ...]], ell: int,
         lam = nxt
 
 
-def _densest_subfamily(live: list[tuple[int, ...]], n_rows: int, ell: int) -> tuple[Fraction, tuple[int, ...]]:
+def _densest_subfamily(live: list[tuple[int, ...]], n_rows: int, ell: int,
+                       floor: Fraction = Fraction(-1)) -> tuple[Fraction, tuple[int, ...]] | None:
     """Exact max of f(F)/|F| over non-empty F, and its smallest, then
-    lexicographically first, maximizer as ascending row indices.
+    lexicographically first, maximizer as ascending row indices; or None
+    when no F beats ``floor`` (by default -1, which every F beats).
 
-    ``_cut_search`` on the live edges, from W's own density, stepping to each
-    cut's exact ratio.  At the maximum, the smallest maximizer containing v
-    is the set of vertices that reach v in the residual graph (none if the
-    source does, or if v's sink arc is 0); it is checked to reach the
-    maximum, or CertificateError.  With no live edge every F has density 0,
-    and the answer is row 0 alone.
+    ``_cut_search`` on the live edges, stepping to each cut's exact ratio,
+    from lam = max(W's own density, ``floor``).  If the first flow there
+    saturates every sink arc at lam = floor, its fractional-orientation
+    check has proved that no F is denser than the floor, and the answer is
+    None after that one flow.  Otherwise every later flow is solved from
+    zero, so the final lam and its residual graph are the ones the search
+    from W's own density reaches.  At the maximum, the smallest maximizer
+    containing v is the set of vertices that reach v in the residual graph
+    (none if the source does, or if v's sink arc is 0); it is checked to
+    reach the maximum, or CertificateError.  With no live edge every F has
+    density 0: the answer is row 0 alone, or None for a floor of 0 or more.
     """
     if not live:
-        return Fraction(0), (0,)
+        return None if floor >= 0 else (Fraction(0), (0,))
     net = _Network(live, n_rows, ell)
-    start = Fraction(sum(len(e) - ell for e in live), n_rows)
+    start = max(Fraction(sum(len(e) - ell for e in live), n_rows), floor)
     lam, cap, _flows = _cut_search(net, live, ell, start, Fraction)
+    if lam <= floor:
+        return None
     p, q = lam.numerator, lam.denominator
 
     # Maximizers are closed under union and non-empty intersection, so the
@@ -405,7 +411,8 @@ def _best_subfamily_mask(edges: list[tuple[int, ...]], n_rows: int) -> Fraction:
 
 
 def _rows_to_class(W: HypothesisClass, rows) -> HypothesisClass:
-    return HypothesisClass(k=W.k, n=W.n, hyps=tuple(W.hyps[v] for v in rows))
+    """The subfamily of ``W`` on the ascending row indices ``rows``."""
+    return _trusted_class(W.k, W.n, tuple(W.hyps[v] for v in rows))
 
 
 def max_density_subfamily(W: HypothesisClass, ell: int) -> tuple[Fraction, HypothesisClass]:
@@ -430,16 +437,18 @@ def _density_bound(live: list[tuple[int, ...]], n_rows: int, ell: int) -> Fracti
     return Fraction(max(per_row), lcm)
 
 
-def _restrictions(H: HypothesisClass, n_samples: int,
-                  table: Restrictions | None = None) -> Iterator[tuple[tuple[int, ...], HypothesisClass]]:
-    """(T, H restricted to T via ``table``) for every coordinate subset T of
-    size 1 to min(n_samples, n), by size, then lexicographically."""
+def _restrictions(H: HypothesisClass, n_samples: int, table: Restrictions | None = None
+                  ) -> Iterator[tuple[tuple[int, ...], HypothesisClass, tuple | None]]:
+    """(T, W, groups), W = H restricted to T via ``table``, for every
+    coordinate subset T of size 1 to min(n_samples, n), by size, then
+    lexicographically.  ``groups`` is ``table.groups(T)``, W's off-i groups
+    built once per table, or None with no table."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     restricted = Restrictions.lookup(H, table)
     for size in range(1, min(n_samples, H.n) + 1):
         for T in itertools.combinations(range(1, H.n + 1), size):
-            yield T, restricted(T)
+            yield T, restricted(T), None if table is None else table.groups(T)
 
 
 def mu_with_witness(H: HypothesisClass, n_samples: int, ell: int, *,
@@ -452,17 +461,19 @@ def mu_with_witness(H: HypothesisClass, n_samples: int, ell: int, *,
     positions already pin the repeated value), and extra context coordinates
     only refine edge groups.  Witness ties break toward smaller, then
     lexicographically earlier, coordinate sets, so a restriction whose
-    ``_density_bound`` is no better is skipped.  ``restrictions``: see
-    ``hclass.Restrictions.lookup``.
+    ``_density_bound`` is no better is skipped, and every other search
+    starts at the best so far (``_densest_subfamily``'s floor): one flow and
+    its dual check settle a restriction that does not beat it.
+    ``restrictions``: see ``hclass.Restrictions.lookup``.
     """
     best = (Fraction(-1), (), None)
-    for T, W in _restrictions(H, n_samples, restrictions):
-        live = _live_edges(W, ell)
+    for T, W, groups in _restrictions(H, n_samples, restrictions):
+        live = _live_edges(W, ell, groups)
         if best[2] is not None and _density_bound(live, len(W), ell) <= best[0]:
             continue
-        val, rows = _densest_subfamily(live, len(W), ell)
-        if val > best[0]:
-            best = (val, T, _rows_to_class(W, rows))
+        got = _densest_subfamily(live, len(W), ell, best[0])
+        if got is not None:
+            best = (got[0], T, _rows_to_class(W, got[1]))
     return best
 
 
@@ -480,7 +491,7 @@ def mu_prime(H: HypothesisClass, n_samples: int) -> Fraction:
     BudgetError.
     """
     best = Fraction(0)
-    for _T, W in _restrictions(H, n_samples):
+    for _T, W, _groups in _restrictions(H, n_samples):
         live = _live_edges(W, 1)
         if live:
             best = max(best, _best_subfamily_mask(live, len(W)))

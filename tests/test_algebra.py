@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from helpers import evaluate, fraction_rank, is_prime, random_class, unpruned_mu_with_witness
+from helpers import (evaluate, fraction_rank, is_prime, naive_edges, random_class,
+                     unpruned_mu_with_witness)
 import dslab.algebra as algebra
 from dslab.errors import BudgetError, CertificateError
-from dslab.hclass import HypothesisClass, Restrictions, class_id, gen_cube, gen_random, restrict
+from dslab.hclass import (HypothesisClass, Restrictions, class_id, gen_cube, gen_random,
+                          off_groups, restrict)
 from dslab.dims import ds_dimension, natarajan_dimension
 from dslab.algebra import (audit_theorem, check_spanning,
                            direction_subspace_dim, eval_matrix, extract_basis,
@@ -400,6 +402,23 @@ def test_density_bound_and_restriction_memo_change_no_result(case):
     assert ds_dimension(H, ell, restrictions=memo) == ds_dimension(H, ell)
     assert natarajan_dimension(H, ell, restrictions=memo) == natarajan_dimension(H, ell)
     assert audit_theorem(H, ell, ns).to_json() == audit_theorem(H, ell, ns).to_json()
+
+
+def test_a_restriction_tables_groups_are_those_of_a_fresh_restriction():
+    rng = np.random.default_rng(17)
+    for trial in range(30):
+        H = random_class(rng, n_max=1 if trial % 5 == 0 else 4)
+        table = Restrictions(H)
+        mu_with_witness(H, H.n, 1 + trial % 2, restrictions=table)
+        assert len(table) == 2 ** H.n - 1
+        for T in table:
+            W = restrict(H, T)
+            groups = table.groups(T)
+            assert groups is table.groups(T)
+            assert groups == tuple(off_groups(W, i) for i in range(W.n))
+            assert sorted((i, vs) for i, by_key in enumerate(groups)
+                          for _key, vs in by_key) == sorted(naive_edges(W))
+            assert not hasattr(table[T], "_groups")
 
 
 def test_a_restriction_table_answers_only_for_its_class():

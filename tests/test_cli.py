@@ -131,6 +131,23 @@ def test_cut_down_ds_witness_exits_two(square, capsys, monkeypatch):
     assert code == EXIT_VERDICT_FAIL and out == "" and "certificate" in err
 
 
+def test_cut_down_natarajan_witness_exits_two(square, capsys, monkeypatch):
+    # d_Nat is re-checked as d_DS is: a product witness cut down to one row
+    # has lists of one label, not ell + 1
+    honest = algebra.natarajan_dimension
+
+    def cut_down(H, ell, **kw):
+        d, w = honest(H, ell, **kw)
+        one_row = HypothesisClass(k=w.subfamily.k, n=w.subfamily.n, hyps=w.subfamily.hyps[:1])
+        return d, dataclasses.replace(w, subfamily=one_row)
+
+    monkeypatch.setattr(algebra, "natarajan_dimension", cut_down)
+    with pytest.raises(CertificateError, match="Natarajan witness on \\(1, 2\\)"):
+        algebra.audit_theorem(load_class(square), 1)
+    code, out, err = run(capsys, "audit", "--class", square, "--ell", "1")
+    assert code == EXIT_VERDICT_FAIL and out == "" and "certificate" in err
+
+
 LYING_FLOWS = """
 import sys
 from dslab import oig

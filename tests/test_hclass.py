@@ -1,5 +1,9 @@
+import itertools
+
+import numpy as np
 import pytest
 
+from helpers import random_class
 from dslab.errors import BudgetError
 from dslab.hclass import (HypothesisClass, dumps_class, gen_cube, gen_random,
                           load_class, loads_class, restrict, save_class, to_csv)
@@ -88,6 +92,22 @@ def test_restrict_rejects_bad_coords():
         restrict(H, [1, 1])
     with pytest.raises(ValueError):
         restrict(H, [])
+
+
+def test_restrict_equals_the_validated_projection_on_every_coordinate_tuple():
+    # restrict skips the class checks, so its rows must already be canonical:
+    # rebuilt through the validating constructor they give the same class
+    rng = np.random.default_rng(16)
+    for trial in range(40):
+        H = random_class(rng, n_max=1 if trial % 4 == 0 else 3)
+        for m in range(1, H.n + 2):
+            for T in itertools.product(range(1, H.n + 1), repeat=m):
+                W = restrict(H, T, allow_repeats=True)
+                want = {tuple(h[c - 1] for c in T) for h in H.hyps}
+                assert W == HypothesisClass(k=H.k, n=m, hyps=tuple(sorted(want)))
+                assert W == HypothesisClass(k=W.k, n=W.n, hyps=W.hyps)
+                if len(set(T)) == m:
+                    assert restrict(H, T) == W
 
 
 def test_restrict_idempotent_on_identity():

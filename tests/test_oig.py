@@ -10,7 +10,8 @@ from hypothesis import example, given, strategies as st
 import dslab.oig as oig
 from helpers import (brute_max_density, brute_max_density_witness,
                      brute_min_max_outdegree, brute_mu, naive_density,
-                     naive_edges, random_class, scipy_flow_assignment, subclasses)
+                     naive_edges, random_class, scipy_flow_assignment, subclasses,
+                     unpruned_mu_with_witness)
 from dslab.algebra import audit_theorem
 from dslab.errors import BudgetError, CertificateError
 from dslab.hclass import HypothesisClass, gen_cube, gen_random, restrict
@@ -443,6 +444,67 @@ def test_a_flow_with_zeroed_sink_residuals_is_caught_or_harmless(search, monkeyp
             except CertificateError as exc:
                 assert "fractional orientation" in str(exc) or "outdegree" in str(exc)
             monkeypatch.setattr(oig, "maximum_flow", honest)
+
+
+def _warm_start_cases():
+    """(W, ell, live edges, max density, its rows) on random classes, n = 1
+    among them."""
+    rng = np.random.default_rng(16)
+    for trial in range(50):
+        W = random_class(rng, n_max=1 if trial % 5 == 0 else 4, size_max=9)
+        for ell in (1, 2):
+            want, F = brute_max_density_witness(W, ell)
+            yield W, ell, oig._live_edges(W, ell), want, tuple(W.row_index(h) for h in F.hyps)
+
+
+def test_a_density_search_from_a_floor_below_the_maximum_ends_where_the_cold_one_does():
+    for W, ell, live, want, rows in _warm_start_cases():
+        own = naive_density(W, ell)
+        assert oig._densest_subfamily(live, len(W), ell) == (want, rows)
+        for floor in {Fraction(-1), Fraction(0), own, (own + want) / 2, want - Fraction(1, 97)}:
+            if floor < want:
+                assert oig._densest_subfamily(live, len(W), ell, floor) == (want, rows)
+        assert mu_with_witness(W, W.n, ell) == unpruned_mu_with_witness(W, W.n, ell)
+
+
+def test_a_density_search_from_a_floor_at_or_above_the_maximum_stops_after_one_flow(monkeypatch):
+    honest, calls = oig.maximum_flow, []
+
+    def counted(net, cap):
+        calls.append(None)
+        honest(net, cap)
+
+    monkeypatch.setattr(oig, "maximum_flow", counted)
+    for W, ell, live, want, _rows in _warm_start_cases():
+        for floor in (want, want + Fraction(1, 3), want + 2):
+            calls.clear()
+            assert oig._densest_subfamily(live, len(W), ell, floor) is None
+            assert len(calls) == (1 if live else 0)
+
+
+def test_a_zeroed_flow_at_a_floor_below_the_maximum_is_caught(monkeypatch):
+    # the warm start's one-flow answer rests on the dual check alone: a flow
+    # that claims every sink arc saturated below the maximum must fail it
+    honest = oig.maximum_flow
+
+    def zeroed(net, cap):
+        honest(net, cap)
+        for a in net.sink_arcs:
+            cap[a] = 0
+
+    cases = []
+    for seed in range(60):
+        H = gen_random(3, 3, 14, seed)
+        for ell in (1, 2):
+            live = oig._live_edges(H, ell)
+            want = oig._densest_subfamily(live, len(H), ell)[0]
+            own = naive_density(H, ell)
+            cases += [(H, ell, live, floor) for floor in (own, (own + want) / 2) if floor < want]
+    monkeypatch.setattr(oig, "maximum_flow", zeroed)
+    for H, ell, live, floor in cases:
+        with pytest.raises(CertificateError, match="outdegree .* > lam"):
+            oig._densest_subfamily(live, len(H), ell, floor)
+    assert len(cases) > 50
 
 
 @pytest.mark.parametrize("flows, lam, fails", [
