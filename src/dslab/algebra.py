@@ -19,7 +19,7 @@ from typing import Iterator
 
 from .dims import ds_dimension, natarajan_dimension, validate_witness
 from .errors import BudgetError, CertificateError
-from .hclass import HypothesisClass, Restrictions, class_id
+from .hclass import HypothesisClass, Restrictions, class_id, off_groups
 from .oig import build_oig, format_ratio, min_max_orientation, mu_with_witness
 
 __all__ = [
@@ -206,8 +206,8 @@ def _edge_vandermondes(W: HypothesisClass, i: int,
     [1, z, ..., z^(ell-1)] in member order, z a member's i-th label."""
     if not 1 <= i <= W.n:
         raise ValueError(f"direction {i} out of range [1, {W.n}]")
-    for g in build_oig(W).by_direction[i - 1]:
-        yield g.members, [[W.hyps[v][i - 1] ** c for c in range(ell)] for v in g.members]
+    for _key, members in off_groups(W, i - 1):
+        yield members, [[W.hyps[v][i - 1] ** c for c in range(ell)] for v in members]
 
 
 def direction_subspace_dim(W: HypothesisClass, i: int, ell: int) -> int:
@@ -331,8 +331,9 @@ def audit_theorem(H: HypothesisClass, ell: int, n_samples: int | None = None,
     audited or expose an implementation bug.  A spanning check past
     ``matrix_budget`` is skipped, and the report is marked non-authoritative
     instead of guessing.  A DS or Natarajan witness that fails
-    ``validate_witness`` raises CertificateError.  One restriction table, with
-    each restriction's edge groups, serves every search of the call.
+    ``validate_witness`` raises CertificateError.  One restriction table
+    serves every search of the call; each restriction in it keeps its
+    ``off_groups``, so ``mu``, the orientation and the DS search group it once.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -342,8 +343,7 @@ def audit_theorem(H: HypothesisClass, ell: int, n_samples: int | None = None,
 
     mu_val, T_star, _F = mu_with_witness(H, ns, ell, restrictions=table)
     ceil_mu = math.ceil(mu_val)
-    _sigma, t_star = min_max_orientation(
-        build_oig(table[T_star], groups=table.groups(T_star)), ell)
+    _sigma, t_star = min_max_orientation(build_oig(table[T_star]), ell)
 
     d_ds, w_ds = ds_dimension(H, ell, restrictions=table)
     if w_ds is not None and not validate_witness(H, w_ds):

@@ -70,14 +70,16 @@ def _write_csv(sink, header: list, items, row_of) -> list:
     return written
 
 
-def _parse_kv(text: str) -> dict:
-    out = {}
-    for part in text.split(","):
-        key, _, val = part.partition("=")
-        if not val:
-            raise ValueError(f"bad key=value item {part!r}")
-        out[key.strip()] = int(val)
-    return out
+def _parse_kv(text: str, flag: str, keys: tuple[str, ...]) -> list[int]:
+    """The integer values of ``keys``, in that order, in ``flag``'s text."""
+    got = {key.strip(): val for key, _, val in (part.partition("=") for part in text.split(","))}
+    missing = [key for key in keys if key not in got]
+    if missing:
+        raise ValueError(f"{flag} needs {', '.join(keys)}; missing {', '.join(missing)}")
+    try:
+        return [int(got[key]) for key in keys]
+    except ValueError:
+        raise ValueError(f"{flag}: {', '.join(keys)} must be integers, got {text!r}") from None
 
 
 # Each handler takes the parsed args and the loaded class (None where the
@@ -86,11 +88,9 @@ def _parse_kv(text: str) -> dict:
 
 def _gen(args, _H):
     if args.cube:
-        kv = _parse_kv(args.cube)
-        cls = gen_cube(kv["k"], kv["ell"], kv["s"], kv["m"])
+        cls = gen_cube(*_parse_kv(args.cube, "--cube", ("k", "ell", "s", "m")))
     elif args.random:
-        kv = _parse_kv(args.random)
-        cls = gen_random(kv["k"], kv["n"], kv["size"], args.seed)
+        cls = gen_random(*_parse_kv(args.random, "--random", ("k", "n", "size")), args.seed)
     else:
         raise ValueError("need --cube or --random")
     if args.output:
@@ -192,6 +192,8 @@ def _pac(args, H):
 
 
 def _agnostic(args, H):
+    if not 0 <= args.noise <= 1:  # refuses nan and inf too, which Fraction cannot hold
+        raise ValueError(f"noise must lie in [0, 1], got {args.noise}")
     noise = Fraction(args.noise).limit_denominator(10**6)
     D = SyntheticDistribution.with_label_noise(H, args.target, noise)
     report = agnostic_pipeline(H, D, args.ell, args.n1, args.rounds, args.n3,

@@ -14,7 +14,8 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .hclass import HypothesisClass, Restrictions, _trusted_class, check_coords, restrict
+from .hclass import (HypothesisClass, Restrictions, _class_from_json, _json_int, _trusted_class,
+                     check_coords, off_groups, restrict)
 
 __all__ = [
     "ShatterWitness",
@@ -39,31 +40,26 @@ class ShatterWitness:
 def ds_shatter_core(W: HypothesisClass, ell: int) -> HypothesisClass | None:
     """Maximal subfamily where every member has >= ell i-neighbors everywhere.
 
-    Returns None when no such subfamily exists.  The result is independent of
-    peeling order: removing any deficient member can never repair another
-    member's deficit.
+    Returns None when no such subfamily exists.  Drops the alive members of
+    any ``off_groups`` group with 1..ell of them alive until none is left.
+    The result is independent of peeling order: removing any deficient member
+    can never repair another member's deficit.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
     alive = set(range(len(W)))
-    hyps = W.hyps
     changed = True
     while changed and alive:
         changed = False
         for i in range(W.n):
-            buckets: dict[tuple[int, ...], int] = {}
-            for v in alive:
-                h = hyps[v]
-                key = h[:i] + h[i + 1:]
-                buckets[key] = buckets.get(key, 0) + 1
-            drop = [v for v in alive
-                    if buckets[hyps[v][:i] + hyps[v][i + 1:]] < ell + 1]
-            if drop:
-                alive.difference_update(drop)
-                changed = True
+            for _key, vs in off_groups(W, i):
+                live = alive.intersection(vs)
+                if 0 < len(live) <= ell:
+                    alive -= live
+                    changed = True
     if not alive:
         return None
-    return _trusted_class(W.k, W.n, tuple(hyps[v] for v in sorted(alive)))
+    return _trusted_class(W.k, W.n, tuple(W.hyps[v] for v in sorted(alive)))
 
 
 def ds_dimension(H: HypothesisClass, ell: int, *,
@@ -147,7 +143,9 @@ def vc_dimension(H: HypothesisClass) -> int:
 
 
 def validate_witness(H: HypothesisClass, w: ShatterWitness) -> bool:
-    """Re-check a witness from first principles against ``H``."""
+    """Re-check a witness from first principles against ``H``.  A DS
+    subfamily's rows are distinct, so each ``off_groups(subfamily, i)`` group
+    must have more than ell members, checked in one linear pass."""
     try:
         check_coords(H.n, w.coords)
     except ValueError:
@@ -156,16 +154,8 @@ def validate_witness(H: HypothesisClass, w: ShatterWitness) -> bool:
     if not set(w.subfamily.hyps) <= set(proj.hyps):
         return False
     if w.kind == "DS":
-        core = set(w.subfamily.hyps)
-        for h in core:
-            for i in range(len(w.coords)):
-                neighbors = sum(
-                    1 for g in core
-                    if g != h and g[i] != h[i] and g[:i] + g[i + 1:] == h[:i] + h[i + 1:]
-                )
-                if neighbors < w.ell:
-                    return False
-        return True
+        F = w.subfamily
+        return all(len(vs) > w.ell for i in range(F.n) for _key, vs in off_groups(F, i))
     if w.kind == "Natarajan":
         d = len(w.coords)
         lists = [sorted({h[i] for h in w.subfamily.hyps}) for i in range(d)]
@@ -188,9 +178,11 @@ def witness_to_json(w: ShatterWitness) -> str:
 
 
 def witness_from_json(text: str) -> ShatterWitness:
+    """Parse ``witness_to_json``'s output, refusing any other shape with a
+    ValueError; ``subfamily`` is checked as ``hclass.loads_class`` checks."""
     obj = json.loads(text)
-    sub = obj["subfamily"]
-    fam = HypothesisClass(k=int(sub["k"]), n=int(sub["n"]),
-                          hyps=tuple(sorted(tuple(int(v) for v in h) for h in sub["hyps"])))
-    return ShatterWitness(coords=tuple(int(c) for c in obj["coords"]),
-                          subfamily=fam, kind=str(obj["kind"]), ell=int(obj["ell"]))
+    if not isinstance(obj, dict) or "kind" not in obj or not isinstance(obj.get("coords"), list):
+        raise ValueError("witness JSON must be an object with 'kind', 'ell', a 'coords' list and 'subfamily'")
+    return ShatterWitness(coords=tuple(_json_int(c, "witness JSON coordinate") for c in obj["coords"]),
+                          subfamily=_class_from_json(obj.get("subfamily")), kind=str(obj["kind"]),
+                          ell=_json_int(obj.get("ell"), "witness JSON 'ell'"))

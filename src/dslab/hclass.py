@@ -12,6 +12,9 @@ range and rows out of canonical order.  Classes derived from a valid class
 (``restrict``, and dslab's subfamilies of one: density witnesses, DS cores,
 Natarajan products, the inside-menu subclass) are valid by construction and
 go through the private ``_trusted_class``, which skips those checks.
+
+``off_groups(W, i)`` alone groups rows by their labels off coordinate i (the
+one-inclusion edges and the DS i-neighbours); it keeps each grouping on ``W``.
 """
 
 from __future__ import annotations
@@ -146,38 +149,32 @@ def restrict(H: HypothesisClass, coords: Sequence[int], allow_repeats: bool = Fa
     return _trusted_class(H.k, len(cs), tuple(sorted(rows)))
 
 
-def off_groups(W: HypothesisClass, i: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+def off_groups(W: HypothesisClass, i: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """The rows of ``W`` grouped by their labels off coordinate i (0-based):
     (key, ascending row indices) per group, by ascending key.  Each group is
-    one edge of W's one-inclusion graph in direction i."""
-    buckets: dict[tuple[int, ...], list[int]] = {}
-    for v, h in enumerate(W.hyps):
-        buckets.setdefault(h[:i] + h[i + 1:], []).append(v)
-    return [(key, tuple(vs)) for key, vs in sorted(buckets.items())]
+    one edge of W's one-inclusion graph in direction i, and its members are
+    each other's i-neighbours.  Built on first use and kept on ``W``."""
+    kept = W.__dict__.setdefault("_off_groups", {})  # frozen: write __dict__ directly
+    if i not in kept:
+        buckets: dict[tuple[int, ...], list[int]] = {}
+        for v, h in enumerate(W.hyps):
+            buckets.setdefault(h[:i] + h[i + 1:], []).append(v)
+        kept[i] = tuple((key, tuple(vs)) for key, vs in sorted(buckets.items()))
+    return kept[i]
 
 
 class Restrictions(dict):
     """The restrictions of one class ``H``, keyed by coordinate tuple; a
-    missing key is filled by ``restrict(H, coords)``.  ``groups(coords)``
-    holds each restriction's ``off_groups`` in every direction, built once
-    and dropped with the table."""
+    missing key is filled by ``restrict(H, coords)``.  Each restriction keeps
+    its own ``off_groups``, so they are built once per table and dropped
+    with it."""
 
     def __init__(self, H: HypothesisClass):
         super().__init__()
         self.H = H
-        self._groups: dict[tuple[int, ...], tuple] = {}
 
     def __missing__(self, coords: tuple[int, ...]) -> HypothesisClass:
         got = self[coords] = restrict(self.H, coords)
-        return got
-
-    def groups(self, coords: tuple[int, ...]) -> tuple:
-        """``off_groups(W, i)`` for each direction i of W = ``self[coords]``,
-        built on first use."""
-        got = self._groups.get(coords)
-        if got is None:
-            W = self[coords]
-            got = self._groups[coords] = tuple(off_groups(W, i) for i in range(W.n))
         return got
 
     @staticmethod
@@ -239,12 +236,26 @@ def _decode(idx: int, k: int, n: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-def _json_int(value, field: str) -> int:
+def _json_int(value, what: str) -> int:
     """``value`` if it is a JSON integer; JSON true/false load as bools, which
     Python counts as ints, so the type is compared exactly."""
     if type(value) is not int:
-        raise ValueError(f"class JSON {field} must be an integer, got {json.dumps(value)}")
+        raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
     return value
+
+
+def _class_from_json(obj) -> HypothesisClass:
+    """The class in a parsed class JSON object; ``k``, ``n`` and every label
+    must be JSON integers."""
+    if not isinstance(obj, dict):
+        raise ValueError("class JSON must be an object")
+    for key in ("k", "n", "hyps"):
+        if key not in obj:
+            raise ValueError(f"class JSON missing key {key!r}")
+    if not isinstance(obj["hyps"], list) or not all(isinstance(h, list) for h in obj["hyps"]):
+        raise ValueError("class JSON 'hyps' must be a list of label lists")
+    return make_class(_json_int(obj["k"], "class JSON 'k'"), _json_int(obj["n"], "class JSON 'n'"),
+                      [[_json_int(v, "class JSON label") for v in h] for h in obj["hyps"]])
 
 
 def loads_class(text: str) -> HypothesisClass:
@@ -253,15 +264,7 @@ def loads_class(text: str) -> HypothesisClass:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed class JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ValueError("class JSON must be an object")
-    for key in ("k", "n", "hyps"):
-        if key not in obj:
-            raise ValueError(f"class JSON missing key {key!r}")
-    if not isinstance(obj["hyps"], list) or not all(isinstance(h, list) for h in obj["hyps"]):
-        raise ValueError("class JSON 'hyps' must be a list of label lists")
-    return make_class(_json_int(obj["k"], "'k'"), _json_int(obj["n"], "'n'"),
-                      [[_json_int(v, "label") for v in h] for h in obj["hyps"]])
+    return _class_from_json(obj)
 
 
 def load_class(path) -> HypothesisClass:

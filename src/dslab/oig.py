@@ -100,15 +100,14 @@ class Orientation:
     assign: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]  # (dir, key, vertices)
 
 
-def build_oig(W: HypothesisClass, dead_dirs: Sequence[int] = (), *,
-              groups: tuple | None = None) -> OneInclusionGraph:
+def build_oig(W: HypothesisClass, dead_dirs: Sequence[int] = ()) -> OneInclusionGraph:
     """Group the vertices of ``W`` into edges, one partition per direction.
 
     ``dead_dirs`` (0-based) forces those directions into singleton edges.
     This models directions that correspond to repeated sample coordinates:
     two hypotheses that agree off such a position also agree on it, so no
-    non-trivial edge can exist there.  ``groups``: W's ``off_groups`` per
-    direction, when already built (``Restrictions.groups``).
+    non-trivial edge can exist there.  Every other direction's edges are
+    ``hclass.off_groups(W, i)``, grouped once per class.
     """
     dead = frozenset(dead_dirs)
     dirs = []
@@ -118,21 +117,18 @@ def build_oig(W: HypothesisClass, dead_dirs: Sequence[int] = (), *,
                 EdgeGroup(i, h[:i] + h[i + 1:], (v,)) for v, h in enumerate(W.hyps)
             )
         else:
-            by_key = off_groups(W, i) if groups is None else groups[i]
-            edges = tuple(EdgeGroup(i, key, vs) for key, vs in by_key)
+            edges = tuple(EdgeGroup(i, key, vs) for key, vs in off_groups(W, i))
         dirs.append(edges)
     return OneInclusionGraph(base=W, by_direction=tuple(dirs))
 
 
-def _live_edges(W: HypothesisClass, ell: int, groups: tuple | None = None) -> list[tuple[int, ...]]:
+def _live_edges(W: HypothesisClass, ell: int) -> list[tuple[int, ...]]:
     """The members of W's edges with more than ``ell`` rows, in the edge
-    order of ``build_oig(W)``: the only edges a density can see.
-    ``groups``: as for ``build_oig``."""
+    order of ``build_oig(W)``: the only edges a density can see.  Read off
+    the ``off_groups`` kept on ``W``."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    if groups is None:
-        groups = [off_groups(W, i) for i in range(W.n)]
-    return [vs for by_key in groups for _key, vs in by_key if len(vs) > ell]
+    return [vs for i in range(W.n) for _key, vs in off_groups(W, i) if len(vs) > ell]
 
 
 def density(W: HypothesisClass, ell: int) -> Fraction:
@@ -438,17 +434,17 @@ def _density_bound(live: list[tuple[int, ...]], n_rows: int, ell: int) -> Fracti
 
 
 def _restrictions(H: HypothesisClass, n_samples: int, table: Restrictions | None = None
-                  ) -> Iterator[tuple[tuple[int, ...], HypothesisClass, tuple | None]]:
-    """(T, W, groups), W = H restricted to T via ``table``, for every
-    coordinate subset T of size 1 to min(n_samples, n), by size, then
-    lexicographically.  ``groups`` is ``table.groups(T)``, W's off-i groups
-    built once per table, or None with no table."""
+                  ) -> Iterator[tuple[tuple[int, ...], HypothesisClass]]:
+    """(T, W), W = H restricted to T via ``table``, for every coordinate
+    subset T of size 1 to min(n_samples, n), by size, then
+    lexicographically.  A table-held W keeps its off-i groups for the
+    table's later searches."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     restricted = Restrictions.lookup(H, table)
     for size in range(1, min(n_samples, H.n) + 1):
         for T in itertools.combinations(range(1, H.n + 1), size):
-            yield T, restricted(T), None if table is None else table.groups(T)
+            yield T, restricted(T)
 
 
 def mu_with_witness(H: HypothesisClass, n_samples: int, ell: int, *,
@@ -467,8 +463,8 @@ def mu_with_witness(H: HypothesisClass, n_samples: int, ell: int, *,
     ``restrictions``: see ``hclass.Restrictions.lookup``.
     """
     best = (Fraction(-1), (), None)
-    for T, W, groups in _restrictions(H, n_samples, restrictions):
-        live = _live_edges(W, ell, groups)
+    for T, W in _restrictions(H, n_samples, restrictions):
+        live = _live_edges(W, ell)
         if best[2] is not None and _density_bound(live, len(W), ell) <= best[0]:
             continue
         got = _densest_subfamily(live, len(W), ell, best[0])
@@ -491,7 +487,7 @@ def mu_prime(H: HypothesisClass, n_samples: int) -> Fraction:
     BudgetError.
     """
     best = Fraction(0)
-    for _T, W, _groups in _restrictions(H, n_samples):
+    for _T, W in _restrictions(H, n_samples):
         live = _live_edges(W, 1)
         if live:
             best = max(best, _best_subfamily_mask(live, len(W)))

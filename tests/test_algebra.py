@@ -404,21 +404,24 @@ def test_density_bound_and_restriction_memo_change_no_result(case):
     assert audit_theorem(H, ell, ns).to_json() == audit_theorem(H, ell, ns).to_json()
 
 
-def test_a_restriction_tables_groups_are_those_of_a_fresh_restriction():
+def test_a_restriction_table_keeps_each_restrictions_groups_on_it():
+    # mu groups every restriction it reads in every direction; the groups
+    # stay on the table's class, so the orientation and the DS search that
+    # read the same restriction later group nothing again
     rng = np.random.default_rng(17)
     for trial in range(30):
         H = random_class(rng, n_max=1 if trial % 5 == 0 else 4)
         table = Restrictions(H)
         mu_with_witness(H, H.n, 1 + trial % 2, restrictions=table)
         assert len(table) == 2 ** H.n - 1
-        for T in table:
-            W = restrict(H, T)
-            groups = table.groups(T)
-            assert groups is table.groups(T)
-            assert groups == tuple(off_groups(W, i) for i in range(W.n))
-            assert sorted((i, vs) for i, by_key in enumerate(groups)
-                          for _key, vs in by_key) == sorted(naive_edges(W))
-            assert not hasattr(table[T], "_groups")
+        for T, W in table.items():
+            kept = W.__dict__["_off_groups"]
+            assert sorted(kept) == list(range(W.n))
+            assert all(off_groups(W, i) is kept[i] for i in range(W.n))
+            fresh = restrict(H, T)
+            assert kept == {i: off_groups(fresh, i) for i in range(W.n)}
+            assert sorted((i, vs) for i in range(W.n)
+                          for _key, vs in kept[i]) == sorted(naive_edges(W))
 
 
 def test_a_restriction_table_answers_only_for_its_class():

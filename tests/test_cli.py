@@ -77,6 +77,28 @@ def test_dims_witness_validation_roundtrip(square, tmp_path, capsys):
     assert code == EXIT_OK and json.loads(out)["witness_valid"] is True
 
 
+SQUARE_DS_WITNESS = {"kind": "DS", "ell": 1, "coords": [1, 2],
+                     "subfamily": {"k": 2, "n": 2, "hyps": [[1, 1], [1, 2], [2, 1], [2, 2]]}}
+
+
+@pytest.mark.parametrize("witness, message", [
+    ({**SQUARE_DS_WITNESS, "ell": None}, "witness JSON 'ell' must be an integer, got null"),
+    ({**SQUARE_DS_WITNESS, "subfamily": {"k": 2, "n": 2, "hyps": [[1, 1], [1, None]]}},
+     "class JSON label must be an integer, got null"),
+    ([SQUARE_DS_WITNESS], "witness JSON must be an object with 'kind', 'ell', a 'coords' list and 'subfamily'"),
+    # int() would read these as coords (1, 2) and ell 1: a valid witness
+    ({**SQUARE_DS_WITNESS, "coords": [1.7, 2], "ell": 1.9},
+     "witness JSON coordinate must be an integer, got 1.7"),
+], ids=["null_ell", "null_label", "top_level_list", "fractional_coords_and_ell"])
+def test_malformed_witness_file_is_a_one_line_error(witness, message, square, tmp_path, capsys):
+    wpath = tmp_path / "w.json"
+    wpath.write_text(json.dumps(witness))
+    code, out, err = run(capsys, "dims", "--class", square, "--ell", "1",
+                         "--validate-witness", str(wpath))
+    assert code == EXIT_ERROR and out == ""
+    assert err == f"dslab dims: {message}\n"
+
+
 def test_orient_command(square, capsys):
     code, out, _err = run(capsys, "orient", "--class", square, "--ell", "1")
     doc = json.loads(out)
@@ -504,6 +526,26 @@ def test_audit_of_a_directory_without_classes_exits_one(fmt, tmp_path, capsys):
     assert code == EXIT_ERROR and out == ""
     assert err == f"dslab audit: no *.json classes in {d}\n"
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("noise", ["inf", "-inf", "nan", "1.5"])
+def test_agnostic_noise_outside_the_unit_interval_is_a_one_line_error(noise, square, capsys):
+    code, out, err = run(capsys, "agnostic", "--class", square, f"--noise={noise}")
+    assert code == EXIT_ERROR and out == ""
+    assert err == f"dslab agnostic: noise must lie in [0, 1], got {float(noise)}\n"
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    ("--cube", "k=3", "--cube needs k, ell, s, m; missing ell, s, m"),
+    ("--cube", "k=3,ell=1,m=2", "--cube needs k, ell, s, m; missing s"),
+    ("--random", "k=3,n=2", "--random needs k, n, size; missing size"),
+    ("--cube", "k=3,ell=one,s=1,m=2", "--cube: k, ell, s, m must be integers, got 'k=3,ell=one,s=1,m=2'"),
+    ("--random", "k=3,n,size=4", "--random: k, n, size must be integers, got 'k=3,n,size=4'"),
+])
+def test_gen_names_the_flag_and_its_missing_keys(flag, text, message, capsys):
+    code, out, err = run(capsys, "gen", flag, text)
+    assert code == EXIT_ERROR and out == ""
+    assert err == f"dslab gen: {message}\n"
 
 
 def test_invalid_seed_env_is_a_one_line_error(square, capsys, monkeypatch):

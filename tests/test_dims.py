@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from helpers import brute_largest_valid_subfamily, brute_vc, is_valid_subfamily, random_class
+from helpers import (brute_largest_valid_subfamily, brute_vc, is_valid_subfamily, random_class,
+                     subclasses)
 from dslab.hclass import HypothesisClass, gen_cube, restrict
-from dslab.dims import (ds_dimension, ds_shatter_core, natarajan_dimension,
+from dslab.dims import (ShatterWitness, ds_dimension, ds_shatter_core, natarajan_dimension,
                         validate_witness, vc_dimension, witness_from_json,
                         witness_to_json)
 
@@ -198,6 +199,24 @@ def test_witness_json_roundtrip_and_validation():
         w2 = witness_from_json(witness_to_json(w))
         assert w2 == w
         assert validate_witness(H, w2)
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_the_ds_recheck_agrees_with_the_neighbor_count_on_every_subfamily(ell):
+    # every non-empty subfamily of every restriction, deficient ones
+    # included; a subfamily with a group of exactly ell rows gives those
+    # rows ell - 1 neighbors and must be refused
+    rng = np.random.default_rng(31)
+    answers = []
+    for _ in range(24):
+        H = random_class(rng, k_max=4, n_max=3, size_max=9)
+        for size in range(1, H.n + 1):
+            for T in itertools.combinations(range(1, H.n + 1), size):
+                for F in subclasses(restrict(H, T)):
+                    want = is_valid_subfamily(F, ell)
+                    assert validate_witness(H, ShatterWitness(T, F, "DS", ell)) == want, (T, F.hyps)
+                    answers.append(want)
+    assert 0 < sum(answers) < len(answers)
 
 
 def test_witness_validation_rejects_tampering():

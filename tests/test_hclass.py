@@ -1,12 +1,13 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
 
-from helpers import random_class
+from helpers import naive_edges, random_class
 from dslab.errors import BudgetError
-from dslab.hclass import (HypothesisClass, dumps_class, gen_cube, gen_random,
-                          load_class, loads_class, restrict, save_class, to_csv)
+from dslab.hclass import (HypothesisClass, class_id, dumps_class, gen_cube, gen_random,
+                          load_class, loads_class, off_groups, restrict, save_class, to_csv)
 
 
 def test_load_simple(tmp_path):
@@ -108,6 +109,37 @@ def test_restrict_equals_the_validated_projection_on_every_coordinate_tuple():
                 assert W == HypothesisClass(k=W.k, n=W.n, hyps=W.hyps)
                 if len(set(T)) == m:
                     assert restrict(H, T) == W
+
+
+def test_off_groups_are_built_once_per_direction_and_kept_on_the_class():
+    rng = np.random.default_rng(29)
+    for trial in range(40):
+        H = random_class(rng, n_max=1 if trial % 5 == 0 else 4)
+        for W in (H, restrict(H, range(H.n, 0, -1))):
+            groups = [off_groups(W, i) for i in range(W.n)]
+            assert all(off_groups(W, i) is groups[i] for i in range(W.n))
+            assert sorted((i, vs) for i, by_key in enumerate(groups)
+                          for _key, vs in by_key) == sorted(naive_edges(W))
+            for i, by_key in enumerate(groups):
+                assert [key for key, _vs in by_key] == sorted({h[:i] + h[i + 1:] for h in W.hyps})
+            # an equal class built apart groups afresh, to equal groups
+            twin = HypothesisClass(k=W.k, n=W.n, hyps=W.hyps)
+            assert all(off_groups(twin, i) == groups[i] and off_groups(twin, i) is not groups[i]
+                       for i in range(W.n))
+
+
+def test_kept_groups_change_no_equality_hash_or_serialization():
+    H = gen_random(3, 3, 12, seed=4)
+    bare = HypothesisClass(k=H.k, n=H.n, hyps=H.hyps)
+    before = (hash(H), dumps_class(H), class_id(H))
+    for i in range(H.n):
+        off_groups(H, i)
+    assert H == bare and bare == H
+    assert (hash(H), dumps_class(H), class_id(H)) == before == (
+        hash(bare), dumps_class(bare), class_id(bare))
+    back = pickle.loads(pickle.dumps(H))
+    assert back == H == bare and hash(back) == hash(bare) and dumps_class(back) == dumps_class(bare)
+    assert all(off_groups(back, i) == off_groups(bare, i) for i in range(H.n))
 
 
 def test_restrict_idempotent_on_identity():
