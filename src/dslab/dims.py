@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 
 from .hclass import (HypothesisClass, Restrictions, _class_from_json, _json_int, _trusted_class,
-                     check_coords, off_groups, restrict)
+                     check_coords, off_groups, restrict, walk)
 
 __all__ = [
     "ShatterWitness",
@@ -70,8 +70,8 @@ def ds_dimension(H: HypothesisClass, ell: int, *,
     d = 0 with no witness when no single coordinate is shattered.  Distinct
     coordinates suffice: on a repeated coordinate no member can have an
     i-neighbor (the off positions pin the repeated value), so any core over a
-    sequence with duplicates is empty.  ``restrictions``: see
-    ``hclass.Restrictions.lookup``.
+    sequence with duplicates is empty.  ``restrictions``: a
+    ``hclass.Restrictions`` table of ``H``, read by ``hclass.walk``.
     """
     return _top_down(H, ell, "DS", lambda W: ds_shatter_core(W, ell), restrictions)
 
@@ -93,15 +93,13 @@ def natarajan_dimension(H: HypothesisClass, ell: int, *,
 
 def _top_down(H: HypothesisClass, ell: int, kind: str, probe,
               restrictions: Restrictions | None) -> tuple[int, ShatterWitness | None]:
-    """(d, witness) for the first coordinate set S, largest first and then
-    lexicographically, whose restriction ``probe`` maps to a family; (0, None)
-    when there is none."""
-    restricted = Restrictions.lookup(H, restrictions)
-    for d in range(H.n, 0, -1):
-        for S in itertools.combinations(range(1, H.n + 1), d):
-            fam = probe(restricted(S))
-            if fam is not None:
-                return d, ShatterWitness(coords=S, subfamily=fam, kind=kind, ell=ell)
+    """(d, witness) for the first coordinate set S that ``hclass.walk`` gives
+    over sizes n..1, largest first and then lexicographically, whose
+    restriction ``probe`` maps to a family; (0, None) when there is none."""
+    for S, W in walk(H, range(H.n, 0, -1), restrictions):
+        fam = probe(W)
+        if fam is not None:
+            return len(S), ShatterWitness(coords=S, subfamily=fam, kind=kind, ell=ell)
     return 0, None
 
 
@@ -183,6 +181,8 @@ def witness_from_json(text: str) -> ShatterWitness:
     obj = json.loads(text)
     if not isinstance(obj, dict) or "kind" not in obj or not isinstance(obj.get("coords"), list):
         raise ValueError("witness JSON must be an object with 'kind', 'ell', a 'coords' list and 'subfamily'")
+    if obj["kind"] not in ("DS", "Natarajan"):
+        raise ValueError(f"witness JSON 'kind' must be \"DS\" or \"Natarajan\", got {json.dumps(obj['kind'])}")
     return ShatterWitness(coords=tuple(_json_int(c, "witness JSON coordinate") for c in obj["coords"]),
-                          subfamily=_class_from_json(obj.get("subfamily")), kind=str(obj["kind"]),
+                          subfamily=_class_from_json(obj.get("subfamily")), kind=obj["kind"],
                           ell=_json_int(obj.get("ell"), "witness JSON 'ell'"))

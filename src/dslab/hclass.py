@@ -15,6 +15,7 @@ go through the private ``_trusted_class``, which skips those checks.
 
 ``off_groups(W, i)`` alone groups rows by their labels off coordinate i (the
 one-inclusion edges and the DS i-neighbours); it keeps each grouping on ``W``.
+``walk`` alone enumerates the coordinate tuples of every restriction search.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,11 +45,12 @@ __all__ = [
     "off_groups",
     "restrict",
     "Restrictions",
+    "walk",
     "gen_cube",
     "gen_random",
 ]
 
-_GEN_BUDGET = 1_000_000  # refuse to materialize product classes above this size
+_GEN_BUDGET = 1_000_000  # refuse to materialize gen_cube or gen_random classes above this size
 
 
 @dataclass(frozen=True)
@@ -167,7 +169,7 @@ class Restrictions(dict):
     """The restrictions of one class ``H``, keyed by coordinate tuple; a
     missing key is filled by ``restrict(H, coords)``.  Each restriction keeps
     its own ``off_groups``, so they are built once per table and dropped
-    with it."""
+    with it.  ``walk`` reads it only for ``H``."""
 
     def __init__(self, H: HypothesisClass):
         super().__init__()
@@ -177,16 +179,18 @@ class Restrictions(dict):
         got = self[coords] = restrict(self.H, coords)
         return got
 
-    @staticmethod
-    def lookup(H: HypothesisClass, table: Restrictions | None):
-        """coords -> ``restrict(H, coords)``, read and filled through
-        ``table`` once it is checked to hold ``H``'s restrictions (else
-        ValueError); with no table, restricted afresh."""
-        if table is None:
-            return lambda coords: restrict(H, coords)
-        if table.H != H:
-            raise ValueError("restriction table was filled for another class")
-        return table.__getitem__
+
+def walk(H: HypothesisClass, sizes: Iterable[int], table: Restrictions | None = None
+         ) -> Iterator[tuple[tuple[int, ...], HypothesisClass]]:
+    """(T, ``restrict(H, T)``) for every coordinate tuple T of each size in
+    ``sizes`` in turn, lexicographically within a size; read and filled
+    through ``table`` if one is given, once it is checked to hold ``H``'s
+    restrictions (else ValueError)."""
+    if table is not None and table.H != H:
+        raise ValueError("restriction table was filled for another class")
+    for size in sizes:
+        for T in itertools.combinations(range(1, H.n + 1), size):
+            yield T, restrict(H, T) if table is None else table[T]
 
 
 def gen_cube(k: int, ell: int, s: int, m: int) -> HypothesisClass:
@@ -211,10 +215,12 @@ def gen_cube(k: int, ell: int, s: int, m: int) -> HypothesisClass:
 
 
 def gen_random(k: int, n: int, target_size: int, seed: int) -> HypothesisClass:
-    """Uniformly sampled class of ``target_size`` distinct vectors."""
+    """Uniformly sampled class of ``target_size`` <= ``_GEN_BUDGET`` distinct vectors."""
     total = k**n
     if not 1 <= target_size <= total:
         raise ValueError(f"target_size {target_size} not in [1, {total} = k**n]")
+    if target_size > _GEN_BUDGET:
+        raise BudgetError(f"random class of size {target_size} exceeds budget {_GEN_BUDGET}")
     rng = np.random.default_rng(seed)
     if total <= 4_000_000:
         picks = rng.choice(total, size=target_size, replace=False)

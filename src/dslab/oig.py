@@ -11,7 +11,6 @@ edges of max(|e| - ell, 0).
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetError, CertificateError
-from .hclass import HypothesisClass, Restrictions, _trusted_class, off_groups
+from .hclass import HypothesisClass, Restrictions, _trusted_class, off_groups, walk
 
 __all__ = [
     "EdgeGroup",
@@ -147,11 +146,12 @@ def density(W: HypothesisClass, ell: int) -> Fraction:
 # exact ratio is Dinkelbach's iteration, whose final residual graph holds
 # every maximizer (Picard & Queyranne 1980): that gives mu.  Stepping to the
 # ceiling keeps lam an integer t, and the final flow is an orientation of
-# maximum outdegree t_star = ceil(mu) (Hakimi 1965).  Either way the final
-# flow is checked as a fractional orientation, the LP dual of the density
-# (Charikar 2000), which bounds every F's density by lam without trusting
-# the flow code.  mu_prime's gross objective is not supermodular and still
-# enumerates all 2^|W| bitmasks.
+# maximum outdegree t_star = ceil(mu) (Hakimi 1965).  Each answer is checked
+# as a fractional orientation, the LP dual of the density (Charikar 2000),
+# which bounds every F's density by lam without trusting the flow code: mu's
+# final flow, and the 0/1 choices of the orientation returned at t_star.
+# mu_prime's gross objective is not supermodular and still enumerates all
+# 2^|W| bitmasks.
 
 
 class _Network:
@@ -318,17 +318,15 @@ def _cut_search(net: _Network, edges: Sequence[tuple[int, ...]], ell: int,
     (the rows that reach the sink in the residual graph) has
     excess(F) > lam*|F| (``_excess`` over ``edges``).  The next lam is
     ``step(excess(F), |F|)``; unless it is larger, the cut certifies nothing
-    and CertificateError is raised.  The final flow must certify that no F
-    is denser than lam (``_check_fractional_orientation``), so lam is exact
-    from both sides.
+    and CertificateError is raised.  These cuts bound the answer from below;
+    the final flow is not checked here, and each caller certifies its own
+    answer from above with ``_check_fractional_orientation``.
     """
     while True:
         cap = net.capacities(lam.numerator, lam.denominator)
         maximum_flow(net, cap)
         if not any(cap[a] for a in net.sink_arcs):
-            flows = net.member_flows(cap)
-            _check_fractional_orientation(edges, ell, lam, flows)
-            return lam, cap, flows
+            return lam, cap, net.member_flows(cap)
         F = net.rows(_residual_reach(net, cap, net.sink, False))
         nxt = step(_excess(edges, F, ell), len(F))
         if nxt <= lam:
@@ -343,9 +341,9 @@ def _densest_subfamily(live: list[tuple[int, ...]], n_rows: int, ell: int,
     when no F beats ``floor`` (by default -1, which every F beats).
 
     ``_cut_search`` on the live edges, stepping to each cut's exact ratio,
-    from lam = max(W's own density, ``floor``).  If the first flow there
-    saturates every sink arc at lam = floor, its fractional-orientation
-    check has proved that no F is denser than the floor, and the answer is
+    from lam = max(W's own density, ``floor``); its final flow must pass
+    ``_check_fractional_orientation``, so no F is denser than the final lam.
+    If the first flow saturates every sink arc at lam = floor, the answer is
     None after that one flow.  Otherwise every later flow is solved from
     zero, so the final lam and its residual graph are the ones the search
     from W's own density reaches.  At the maximum, the smallest maximizer
@@ -358,7 +356,8 @@ def _densest_subfamily(live: list[tuple[int, ...]], n_rows: int, ell: int,
         return None if floor >= 0 else (Fraction(0), (0,))
     net = _Network(live, n_rows, ell)
     start = max(Fraction(sum(len(e) - ell for e in live), n_rows), floor)
-    lam, cap, _flows = _cut_search(net, live, ell, start, Fraction)
+    lam, cap, flows = _cut_search(net, live, ell, start, Fraction)
+    _check_fractional_orientation(live, ell, lam, flows)
     if lam <= floor:
         return None
     p, q = lam.numerator, lam.denominator
@@ -433,20 +432,6 @@ def _density_bound(live: list[tuple[int, ...]], n_rows: int, ell: int) -> Fracti
     return Fraction(max(per_row), lcm)
 
 
-def _restrictions(H: HypothesisClass, n_samples: int, table: Restrictions | None = None
-                  ) -> Iterator[tuple[tuple[int, ...], HypothesisClass]]:
-    """(T, W), W = H restricted to T via ``table``, for every coordinate
-    subset T of size 1 to min(n_samples, n), by size, then
-    lexicographically.  A table-held W keeps its off-i groups for the
-    table's later searches."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    restricted = Restrictions.lookup(H, table)
-    for size in range(1, min(n_samples, H.n) + 1):
-        for T in itertools.combinations(range(1, H.n + 1), size):
-            yield T, restricted(T)
-
-
 def mu_with_witness(H: HypothesisClass, n_samples: int, ell: int, *,
                     restrictions: Restrictions | None = None) -> tuple[Fraction, tuple[int, ...], HypothesisClass]:
     """Maximum ell-density over restrictions: value, coordinates, subfamily.
@@ -460,10 +445,12 @@ def mu_with_witness(H: HypothesisClass, n_samples: int, ell: int, *,
     ``_density_bound`` is no better is skipped, and every other search
     starts at the best so far (``_densest_subfamily``'s floor): one flow and
     its dual check settle a restriction that does not beat it.
-    ``restrictions``: see ``hclass.Restrictions.lookup``.
+    ``restrictions``: a ``hclass.Restrictions`` table of ``H``, read by ``hclass.walk``.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     best = (Fraction(-1), (), None)
-    for T, W in _restrictions(H, n_samples, restrictions):
+    for T, W in walk(H, range(1, min(n_samples, H.n) + 1), restrictions):
         live = _live_edges(W, ell)
         if best[2] is not None and _density_bound(live, len(W), ell) <= best[0]:
             continue
@@ -483,11 +470,13 @@ def mu_prime(H: HypothesisClass, n_samples: int) -> Fraction:
 
     Agrees with ``mu(..., ell=1)`` up to a factor of two:
     mu' / 2 <= mu <= mu'.  Enumerates all 2^|W| subfamilies of each
-    restriction, so a restriction with an edge and more than 22 rows raises
-    BudgetError.
+    restriction ``mu`` walks, so a restriction with an edge and more than 22
+    rows raises BudgetError.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     best = Fraction(0)
-    for _T, W in _restrictions(H, n_samples):
+    for _T, W in walk(H, range(1, min(n_samples, H.n) + 1)):
         live = _live_edges(W, 1)
         if live:
             best = max(best, _best_subfamily_mask(live, len(W)))
@@ -508,14 +497,14 @@ def min_max_orientation(G: OneInclusionGraph, ell: int) -> tuple[Orientation, in
     the members its flow covers, padded in member order up to min(ell, |e|).
 
     So t_star is certified minimal by its cuts, and the padded orientation
-    is certified to reach it by its outdegrees (after the final flow passed
-    as a fractional orientation).  The checks are arithmetic, independent of
-    the flow; a failure raises CertificateError.
+    is certified to reach it by ``_check_fractional_orientation`` on its 0/1
+    choices at lam = t.  The checks are arithmetic, independent of the
+    flow; a failure raises CertificateError.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
     edges = list(G.edges())
-    if all(len(e) <= ell for e in edges):
+    if all(len(e) <= ell for e in edges):  # every member picked: outdegree 0 by construction
         assign = tuple((e.direction, e.key, e.members) for e in edges)
         return Orientation(ell=ell, assign=assign), 0
 
@@ -528,7 +517,7 @@ def min_max_orientation(G: OneInclusionGraph, ell: int) -> tuple[Orientation, in
     lam, _cap, flows = _cut_search(net, members, ell, start, ceil_ratio)
     t = int(lam)
 
-    assign = []
+    assign, picks = [], []
     for e, xs in zip(edges, flows):
         got = {v for v, x in zip(e.members, xs) if x}
         want = min(ell, len(e))
@@ -539,14 +528,9 @@ def min_max_orientation(G: OneInclusionGraph, ell: int) -> tuple[Orientation, in
             if v not in got:
                 chosen.append(v)
         assign.append((e.direction, e.key, tuple(sorted(chosen))))
-    sigma = Orientation(ell=ell, assign=tuple(assign))
-    try:
-        worst = max(outdegrees(G, sigma))
-    except ValueError as exc:
-        raise CertificateError(f"flow at t_star={t} is no orientation: {exc}") from exc
-    if worst > t:
-        raise CertificateError(f"orientation with max outdegree {worst} > t_star={t}")
-    return sigma, t
+        picks.append([int(v in chosen) for v in e.members])
+    _check_fractional_orientation(members, ell, lam, picks)
+    return Orientation(ell=ell, assign=tuple(assign)), t
 
 
 def outdegrees(G: OneInclusionGraph, sigma: Orientation) -> list[int]:

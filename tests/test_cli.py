@@ -89,7 +89,10 @@ SQUARE_DS_WITNESS = {"kind": "DS", "ell": 1, "coords": [1, 2],
     # int() would read these as coords (1, 2) and ell 1: a valid witness
     ({**SQUARE_DS_WITNESS, "coords": [1.7, 2], "ell": 1.9},
      "witness JSON coordinate must be an integer, got 1.7"),
-], ids=["null_ell", "null_label", "top_level_list", "fractional_coords_and_ell"])
+    # a kind other than the two strings once read as a failed verdict (exit 2)
+    ({**SQUARE_DS_WITNESS, "kind": 5}, 'witness JSON \'kind\' must be "DS" or "Natarajan", got 5'),
+    ({**SQUARE_DS_WITNESS, "kind": "foo"}, 'witness JSON \'kind\' must be "DS" or "Natarajan", got "foo"'),
+], ids=["null_ell", "null_label", "top_level_list", "fractional_coords_and_ell", "numeric_kind", "unknown_kind"])
 def test_malformed_witness_file_is_a_one_line_error(witness, message, square, tmp_path, capsys):
     wpath = tmp_path / "w.json"
     wpath.write_text(json.dumps(witness))
@@ -115,11 +118,12 @@ def saturate_without_flow(net, cap):
 def test_failed_minimality_certificate_exits_two(square, capsys, monkeypatch):
     # the square's t_star = 1 equals ceil(density), where the search starts,
     # so t = 1 is the only target it asks for; a flow that lies there (it
-    # covers no vertex) leaves each row both its edges as outdegree, and
-    # must fail the fractional-orientation check, not be returned
+    # covers no vertex) is padded to each edge's first member, which leaves
+    # row 3 both its edges as outdegree, and the orientation must fail the
+    # fractional-orientation check, not be returned
     G = oig.build_oig(load_class(square))
     monkeypatch.setattr(oig, "maximum_flow", saturate_without_flow)
-    with pytest.raises(CertificateError, match=r"lam=1 leaves row 0 outdegree 2 > lam"):
+    with pytest.raises(CertificateError, match=r"lam=1 leaves row 3 outdegree 2 > lam"):
         oig.min_max_orientation(G, 1)
     code, out, err = run(capsys, "orient", "--class", square, "--ell", "1")
     assert code == EXIT_VERDICT_FAIL and out == "" and "certificate" in err
@@ -230,7 +234,7 @@ def test_orientation_certificates_survive_python_O():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "no cover caught: flow at lam=1 leaves row 0 outdegree 2 > lam",
+        "no cover caught: flow at lam=1 leaves row 3 outdegree 2 > lam",
         "thin cut caught: min cut at lam=1 found no subfamily denser than lam",
         "overfull cover caught: flow at lam=1 is no fractional orientation of edge (0, 2)",
         "density caught: flow at lam=9/7 leaves row 12 outdegree 3 > lam",

@@ -6,8 +6,9 @@ import pytest
 
 from helpers import naive_edges, random_class
 from dslab.errors import BudgetError
-from dslab.hclass import (HypothesisClass, class_id, dumps_class, gen_cube, gen_random,
-                          load_class, loads_class, off_groups, restrict, save_class, to_csv)
+import dslab.hclass as hclass
+from dslab.hclass import (HypothesisClass, Restrictions, class_id, dumps_class, gen_cube, gen_random,
+                          load_class, loads_class, off_groups, restrict, save_class, to_csv, walk)
 
 
 def test_load_simple(tmp_path):
@@ -189,6 +190,34 @@ def test_canonical_serialization_is_order_insensitive():
 def test_gen_budget():
     with pytest.raises(BudgetError):
         gen_cube(10, 1, 8, 8)
+
+
+def test_gen_random_refuses_past_the_budget_before_sampling(monkeypatch):
+    # near-full targets past the enumeration limit turn into coupon
+    # collection; a class past the budget must be refused before any draw
+    def no_sampling(seed):
+        raise AssertionError("sampled past the budget")
+
+    monkeypatch.setattr(hclass.np.random, "default_rng", no_sampling)
+    with pytest.raises(BudgetError, match="exceeds budget"):
+        gen_random(2, 21, 1_000_001, seed=0)
+    with pytest.raises(BudgetError, match="exceeds budget"):
+        gen_random(2, 23, 2 ** 23, seed=0)
+
+
+def test_walk_yields_each_size_in_turn_lexicographically():
+    H = gen_random(3, 4, 20, seed=2)
+    want = list(itertools.combinations(range(1, 5), 3)) + list(itertools.combinations(range(1, 5), 1))
+    fresh = list(walk(H, (3, 1)))
+    assert [T for T, _W in fresh] == want
+    assert all(W == restrict(H, T) for T, W in fresh)
+    table = Restrictions(H)
+    through = list(walk(H, (3, 1), table))
+    assert through == fresh and sorted(table) == sorted(want)
+    assert all(W is table[T] for T, W in through)
+    assert list(walk(H, range(0))) == []
+    with pytest.raises(ValueError, match="another class"):
+        next(walk(gen_random(3, 4, 19, seed=2), (1,), table))
 
 
 def test_direct_construction_enforces_canonical_form():

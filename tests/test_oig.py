@@ -526,6 +526,49 @@ def test_fractional_orientation_certificate(flows, lam, fails):
             oig._check_fractional_orientation([(0, 1, 2)], 1, lam, flows)
 
 
+def test_each_flow_backed_answer_is_certified_once(monkeypatch):
+    # the orientation is checked as returned, 0/1 choices at lam = t, not as
+    # the raw flow it was read from; the density search checks its final flow
+    checks, searches = [], []
+    check, search = oig._check_fractional_orientation, oig._cut_search
+
+    def record_check(edges, ell, lam, flows):
+        checks.append((list(edges), ell, lam, flows))
+        check(edges, ell, lam, flows)
+
+    def record_search(*args):
+        searches.append(search(*args))
+        return searches[-1]
+
+    monkeypatch.setattr(oig, "_check_fractional_orientation", record_check)
+    monkeypatch.setattr(oig, "_cut_search", record_search)
+    padded = 0
+    for seed in range(60):
+        H = gen_random(3, 3, 14, seed=seed)
+        G = build_oig(H)
+        for ell in (1, 2):
+            checks.clear(), searches.clear()
+            sigma, t = min_max_orientation(G, ell)
+            (_lam, _cap, raw), = searches
+            picks = [[int(v in chosen) for v in e.members]
+                     for e, (_d, _key, chosen) in zip(G.edges(), sigma.assign)]
+            assert checks == [([e.members for e in G.edges()], ell, Fraction(t), picks)]
+            padded += picks != raw
+        for ell in (1, 2):
+            checks.clear(), searches.clear()
+            mu_with_witness(H, 3, ell)
+            assert searches and [(lam, flows) for _e, _l, lam, flows in checks] == \
+                [(lam, flows) for lam, _cap, flows in searches]
+    assert padded == 120
+
+
+def test_mu_refuses_no_samples():
+    H = gen_cube(2, 1, 2, 2)
+    for search in (lambda: mu(H, 0, 1), lambda: mu_with_witness(H, 0, 1), lambda: mu_prime(H, 0)):
+        with pytest.raises(ValueError, match="n_samples"):
+            search()
+
+
 def test_orientation_achieves_exactly_t_star():
     rng = np.random.default_rng(10)
     for _ in range(15):
