@@ -4,13 +4,20 @@ Every class W over n coordinates carries a vector space of real functions on
 its rows.  The monomials w -> w_1^a_1 * ... * w_n^a_n with per-coordinate
 degree below the number of realized labels, and with at most s coordinates of
 degree >= ell, span that space whenever s is at least the ell-DS dimension of
-W.  Ranks are computed exactly: first modulo a fixed 62-bit prime, with a
+W.  ``check_spanning`` first tries two exact certificates in the Newton
+basis, in which the matrix of the rows' own exponents is triangular: with no
+arithmetic when every row's exponent is a monomial of the set, else by one
+square Newton matrix of full rank modulo a fixed 62-bit prime.  Only when
+both fail does it rank every monomial's evaluations, and only that fallback
+can report a deficit.  The budget binds at the same monomial and cell counts
+on every path.  Ranks are computed exactly: first modulo the prime, with a
 fraction-free integer elimination as the confirmation path whenever the
 modular answer is not already provably tight.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -40,6 +47,31 @@ __all__ = [
 DEFAULT_MATRIX_BUDGET = 2_000_000  # max matrix cells materialized per operation
 
 
+def _exponent_count(W: HypothesisClass, ell: int, s: int,
+                    budget: int) -> tuple[list[tuple[int, ...]], int]:
+    """The labels realized at each coordinate, and the number of exponent
+    tuples ``monomial_set`` lists, counted by a DP over coordinates on the
+    number of heavy exponents.  Refuses ell < 1 and s outside [0, n] with
+    ValueError, and more tuples than ``budget`` with BudgetError."""
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    if not 0 <= s <= W.n:
+        raise ValueError(f"need 0 <= s <= n, got s={s}")
+    labels = [W.labels_at(i + 1) for i in range(W.n)]
+    ways = [1] + [0] * s  # ways[h]: exponent prefixes with h heavy coordinates
+    for r in labels:
+        light, heavy = min(len(r), ell), max(len(r) - ell, 0)
+        ways = [light * ways[h] + (heavy * ways[h - 1] if h else 0) for h in range(s + 1)]
+    if sum(ways) > budget:
+        raise BudgetError(f"monomial enumeration exceeds budget {budget}")
+    return labels, sum(ways)
+
+
+def _check_cells(cells: int, budget: int) -> None:
+    if cells > budget:
+        raise BudgetError(f"evaluation matrix of {cells} cells exceeds budget {budget}")
+
+
 def monomial_set(W: HypothesisClass, ell: int, s: int,
                  budget: int = DEFAULT_MATRIX_BUDGET) -> list[tuple[int, ...]]:
     """All exponent tuples with a_i < k_i and at most s heavy coordinates
@@ -50,20 +82,12 @@ def monomial_set(W: HypothesisClass, ell: int, s: int,
     polynomials already interpolate any function on k_i points.  Enumeration
     order is lexicographic in the exponent vector.
     """
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    if not 0 <= s <= W.n:
-        raise ValueError(f"need 0 <= s <= n, got s={s}")
-    k_per = [len(W.labels_at(i + 1)) for i in range(W.n)]
-    count = 0
+    labels, _count = _exponent_count(W, ell, s, budget)
+    k_per = [len(r) for r in labels]
     out: list[tuple[int, ...]] = []
 
     def rec(i: int, heavy: int, alpha: list[int]):
-        nonlocal count
         if i == W.n:
-            count += 1
-            if count > budget:
-                raise BudgetError(f"monomial enumeration exceeds budget {budget}")
             out.append(tuple(alpha))
             return
         for a in range(k_per[i]):
@@ -82,9 +106,7 @@ def eval_matrix(W: HypothesisClass, monomials: list[tuple[int, ...]],
                 budget: int = DEFAULT_MATRIX_BUDGET) -> tuple[tuple[int, ...], ...]:
     """Exact integer evaluations, one row per exponent tuple in
     ``monomials``, columns in the canonical row order of ``W``."""
-    cells = len(monomials) * len(W)
-    if cells > budget:
-        raise BudgetError(f"evaluation matrix of {cells} cells exceeds budget {budget}")
+    _check_cells(len(monomials) * len(W), budget)
     # A row is the elementwise product of per-coordinate power columns; the
     # products over the exponent prefix shared with the previous row are kept.
     cols, powers = list(zip(*W.hyps)), {}  # powers[i, a]: cols[i] ** a, elementwise
@@ -123,15 +145,14 @@ def rank_mod_p(rows, p: int) -> int:
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
         prow = mat[rank]
-        for r in range(rank + 1, n_rows):
-            f = mat[r][col]
-            if f:
-                f = f * inv % p
-                row = mat[r]
-                for c in range(col, n_cols):
-                    row[c] = (row[c] - f * prow[c]) % p
+        below = [row for row in mat[rank + 1:] if row[col]]
+        if below:  # a triangular matrix needs no inverse at all
+            inv = pow(prow[col], p - 2, p)
+        for row in below:
+            f = row[col] * inv % p
+            for c in range(col, n_cols):
+                row[c] = (row[c] - f * prow[c]) % p
         rank += 1
         if rank == n_rows:
             break
@@ -195,7 +216,49 @@ def check_spanning(W: HypothesisClass, ell: int, s: int,
     """Do the bounded-support monomials span all functions on W?
 
     Returns (spans, rank, |W|); spans iff rank == |W|.
+
+    The monomials span what their Newton products f^a do, f_a(z) being
+    prod_{j<a} (z - r_j) over the labels r_0 < r_1 < ... realized at a
+    coordinate: each f_a has degree a and leading coefficient 1, and the
+    exponent set is downward closed.  With rho(w) the per-coordinate label
+    indices of row w, f_a(r_m) = 0 for m < a, so the matrix
+    [f^rho(w')(w)] is triangular under the componentwise order with a
+    non-zero diagonal.  Hence two certificates of rank |W|: (1) every rho(w)
+    has at most s heavy coordinates, so all of them are exponents; (2)
+    otherwise each offending rho(w) keeps the first s of its heavy
+    coordinates that give an unused exponent and lowers the rest to ell - 1,
+    and the square Newton matrix of these |W| exponents has full rank mod
+    MODULUS, so a non-zero determinant over Z.  When both fail,
+    ``rank_exact`` ranks every monomial's evaluations; only this fallback
+    can report a deficit.  The budget is that of ``monomial_set`` and
+    ``eval_matrix``, checked on the counted exponents before either
+    certificate, so no certificate answers past it.
     """
+    labels, count = _exponent_count(W, ell, s, budget)
+    _check_cells(count * len(W), budget)
+    index = [{z: a for a, z in enumerate(r)} for r in labels]
+    rhos = [tuple(ix[z] for ix, z in zip(index, w)) for w in W.hyps]
+    heavy = [[i for i, a in enumerate(rho) if a >= ell] for rho in rhos]
+    if all(len(h) <= s for h in heavy):
+        return True, len(W), len(W)
+    used = {rho for rho, h in zip(rhos, heavy) if len(h) <= s}
+    for rho, h in zip(rhos, heavy):
+        if len(h) > s:
+            for keep in itertools.combinations(h, s):
+                alpha = tuple(a if a < ell or i in keep else ell - 1 for i, a in enumerate(rho))
+                if alpha not in used:
+                    used.add(alpha)
+                    break
+    if len(used) == len(W):
+        newton = []  # newton[i][a]: f_a at coordinate i, evaluated on every row
+        for r, col in zip(labels, zip(*W.hyps)):
+            newton.append([(1,) * len(W)])
+            for root in r[:-1]:
+                newton[-1].append(tuple(v * (z - root) for v, z in zip(newton[-1][-1], col)))
+        square = [[math.prod(v) for v in zip(*(newton[i][a] for i, a in enumerate(alpha)))]
+                  for alpha in sorted(used)]
+        if rank_mod_p(square, MODULUS) == len(W):
+            return True, len(W), len(W)
     rank = rank_exact(eval_matrix(W, monomial_set(W, ell, s, budget=budget), budget=budget))
     return rank == len(W), rank, len(W)
 

@@ -142,18 +142,21 @@ def _audit_one(job):
 
 
 def _audit(args, _H):
+    if args.jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {args.jobs}")
     target = Path(args.klass)
     ells = [int(e) for e in str(args.ell).split(",")]
     paths = sorted(target.glob("*.json")) if target.is_dir() else [target]
     if not paths:  # an empty batch would print no report yet read as a PASS
         raise ValueError(f"no *.json classes in {target}")
     jobs = [(str(p), ell, args.n, args.budget_matrix) for p in paths for ell in ells]
+    workers = min(args.jobs, len(jobs))  # a pool forks all its workers at once
     with contextlib.ExitStack() as stack:
         # open the CSV output first, so a bad -o path fails before any audit runs
         sink = stack.enter_context(_csv_sink(args.output)) if args.format == "csv" else None
         run = map
-        if args.jobs > 1:
-            run = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs)).map
+        if workers > 1:
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
         results = run(_audit_one, jobs)
         if sink is not None:
             payload = None
@@ -280,6 +283,8 @@ def main(argv=None) -> int:
     try:
         if "seed" in flags and args.seed is None:  # resolve the env fallback into provenance
             args.seed = _env_seed()
+        if "budget_matrix" in flags and args.budget_matrix < 0:
+            raise ValueError(f"budget-matrix must be >= 0, got {args.budget_matrix}")
         H = load_class(args.klass) if loads_class else None
         payload, ok = handler(args, H)
         if payload is not None:

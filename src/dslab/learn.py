@@ -344,6 +344,8 @@ class SyntheticDistribution:
                    target=None if noise > 0 else target)
 
     def draw(self, rng: np.random.Generator, m: int) -> list[tuple[int, int]]:
+        if m < 0:
+            raise ValueError(f"sample size must be >= 0, got {m}")
         cdf = _inverse_cdf(np.array([float(w) for w in self.weights]))
         picks = cdf.searchsorted(rng.random(m), side="right")
         return [self.support[int(i)] for i in picks]

@@ -195,6 +195,16 @@ def fraction_rank(rows) -> int:
     return rank
 
 
+def enumerated_spanning(W: HypothesisClass, ell: int, s: int) -> tuple[bool, int, int]:
+    """``check_spanning`` by enumeration alone: every exponent tuple of
+    ``monomial_set``, evaluated cell by cell, ranked over the rationals."""
+    from dslab.algebra import monomial_set
+
+    rank = fraction_rank([[evaluate(alpha, w) for w in W.hyps]
+                          for alpha in monomial_set(W, ell, s)])
+    return rank == len(W), rank, len(W)
+
+
 def is_prime(n: int) -> bool:
     """Miller-Rabin over the twelve prime bases up to 37: exact below 3.3e24."""
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

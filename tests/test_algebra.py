@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from helpers import (evaluate, fraction_rank, is_prime, naive_edges, random_class,
-                     unpruned_mu_with_witness)
+from helpers import (enumerated_spanning, evaluate, fraction_rank, is_prime, naive_edges,
+                     random_class, subclasses, unpruned_mu_with_witness)
 import dslab.algebra as algebra
 from dslab.errors import BudgetError, CertificateError
 from dslab.hclass import (HypothesisClass, Restrictions, class_id, gen_cube, gen_random,
@@ -214,6 +214,75 @@ def test_spanning_at_ds_dimension():
             s = ds_dimension(W, ell)[0]
             ok, _rank, _size = check_spanning(W, ell, s)
             assert ok
+
+
+@pytest.mark.parametrize("k,n", [(2, 3), (3, 2)])
+def test_spanning_matches_the_enumerated_rank_on_every_small_subclass(k, n):
+    # every (subclass, ell, s) of [2]^3 and [3]^2: 5 106 cases, each
+    # certificate's wrong turns included
+    cube = HypothesisClass(k=k, n=n, hyps=tuple(itertools.product(range(1, k + 1), repeat=n)))
+    for W in subclasses(cube):
+        for ell in (1, 2):
+            for s in range(n + 1):
+                assert check_spanning(W, ell, s) == enumerated_spanning(W, ell, s), (W.hyps, ell, s)
+
+
+# (rows over [2]^3, s) at ell = 1, the calls check_spanning makes, its answer
+SPANNING_PATHS = [
+    # every row has at most s heavy coordinates: no arithmetic at all
+    (((1, 1, 1), (1, 2, 1), (2, 1, 1)), 1, [], (True, 3, 3)),
+    # (0,1,1) keeps its first heavy coordinate: a full-rank 2x2 Newton matrix
+    (((1, 1, 1), (1, 2, 2)), 1, ["rank_mod_p"], (True, 2, 2)),
+    # (1,1,0) and (1,1,1) become (1,0,0) and (0,1,0), whose Newton rows are
+    # equal on W, so the fallback ranks; it spans through (0,0,1)
+    (((1, 1, 1), (2, 2, 1), (2, 2, 2)), 1,
+     ["rank_mod_p", "monomial_set", "rank_exact", "rank_mod_p"], (True, 3, 3)),
+    # as above, and the fallback finds the deficit the singular minor hid
+    (((1, 1, 1), (1, 1, 2), (2, 2, 1), (2, 2, 2)), 1,
+     ["rank_mod_p", "monomial_set", "rank_exact", "rank_mod_p"], (False, 3, 4)),
+    # both lowerings of (0,1,1) are rows of W already: no minor to rank
+    (((1, 1, 2), (1, 2, 1), (1, 2, 2)), 1, ["monomial_set", "rank_exact", "rank_mod_p"],
+     (True, 3, 3)),
+    # s = 0 lowers (0,0,1) to (0,0,0), which is taken
+    (((1, 1, 1), (1, 1, 2)), 0, ["monomial_set", "rank_exact", "rank_mod_p"], (False, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("rows,s,calls,answer", SPANNING_PATHS)
+def test_each_spanning_certificate_settles_only_what_it_proves(rows, s, calls, answer,
+                                                               monkeypatch):
+    seen = []
+    for name in ("monomial_set", "rank_exact", "rank_mod_p"):
+        def record(*args, _name=name, _fn=getattr(algebra, name), **kwargs):
+            seen.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(algebra, name, record)
+    W = HypothesisClass(k=2, n=3, hyps=rows)
+    assert check_spanning(W, 1, s) == answer
+    assert seen == calls
+    assert enumerated_spanning(W, 1, s) == answer
+
+
+@pytest.mark.parametrize("rows,s,_calls,_answer", SPANNING_PATHS)
+def test_spanning_budget_binds_where_the_enumerated_matrix_does(rows, s, _calls, _answer):
+    # on every path: over |E| exponent tuples, then over |E| * |W| cells
+    W = HypothesisClass(k=2, n=3, hyps=rows)
+    count = len(monomial_set(W, 1, s))
+    cells = count * len(W)
+    for budget, message in [
+            (count - 1, f"monomial enumeration exceeds budget {count - 1}"),
+            (count, f"evaluation matrix of {cells} cells exceeds budget {count}"),
+            (cells - 1, f"evaluation matrix of {cells} cells exceeds budget {cells - 1}"),
+            (cells, None)]:
+        for spanning in (lambda: check_spanning(W, 1, s, budget=budget),
+                         lambda: eval_matrix(W, monomial_set(W, 1, s, budget=budget),
+                                             budget=budget)):
+            if message is None:
+                spanning()
+            else:
+                with pytest.raises(BudgetError) as exc:
+                    spanning()
+                assert str(exc.value) == message
 
 
 def test_direction_subspace_examples():

@@ -400,6 +400,66 @@ def test_audit_json_batch_honours_jobs(tmp_path, capsys, monkeypatch):
     assert len(json.loads(serial)["reports"]) == 6
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs,n_classes,workers", [("64", 3, [3]), ("2", 3, [2]),
+                                                    ("64", 1, []), ("1", 3, [])])
+def test_audit_pool_holds_no_more_workers_than_jobs(jobs, n_classes, workers, tmp_path,
+                                                    capsys, monkeypatch):
+    d = tmp_path / "classes"
+    d.mkdir()
+    for i, cls in enumerate([gen_cube(2, 1, 2, 2), gen_cube(3, 1, 1, 2),
+                             gen_cube(3, 1, 2, 2)][:n_classes]):
+        save_class(cls, d / f"c{i}.json")
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+    code, out, _err = run(capsys, "audit", "--class", str(d), "--ell", "1", "--jobs", jobs)
+    assert code == EXIT_OK and len(json.loads(out)["reports"]) == n_classes
+    assert _SerialPool.sizes == workers
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_audit_jobs_below_one_is_a_one_line_error(jobs, square, capsys, monkeypatch):
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+    code, out, err = run(capsys, "audit", "--class", square, "--ell", "1", "--jobs", jobs)
+    assert code == EXIT_ERROR and out == "" and not _SerialPool.sizes
+    assert err == f"dslab audit: jobs must be >= 1, got {jobs}\n"
+
+
+@pytest.mark.parametrize("command", ["span", "audit"])
+@pytest.mark.parametrize("budget", ["-1", "-5"])
+def test_negative_matrix_budget_is_a_one_line_error(command, budget, square, capsys):
+    code, out, err = run(capsys, command, "--class", square, "--budget-matrix", budget)
+    assert code == EXIT_ERROR and out == ""
+    assert err == f"dslab {command}: budget-matrix must be >= 0, got {budget}\n"
+
+
+def test_zero_matrix_budget_still_skips_spanning(square, capsys):
+    code, out, _err = run(capsys, "audit", "--class", square, "--budget-matrix", "0")
+    report, = json.loads(out)["reports"]
+    assert code == EXIT_OK and report["authoritative"] is False and report["spanning"] is None
+    code, out, err = run(capsys, "span", "--class", square, "--budget-matrix", "0")
+    assert code == EXIT_ERROR and out == ""
+    assert err == ("dslab span: monomial enumeration exceeds budget 0\n"
+                   "hint: raise --budget-matrix or shrink the input\n")
+
+
 def test_audit_csv_bad_output_path_fails_before_any_audit(tmp_path, capsys, monkeypatch):
     d = tmp_path / "classes"
     d.mkdir()
@@ -550,6 +610,14 @@ def test_gen_names_the_flag_and_its_missing_keys(flag, text, message, capsys):
     code, out, err = run(capsys, "gen", flag, text)
     assert code == EXIT_ERROR and out == ""
     assert err == f"dslab gen: {message}\n"
+
+
+def test_loo_negative_sample_size_is_a_one_line_error(square, capsys):
+    code, out, err = run(capsys, "loo", "--class", square, "--m", "-1")
+    assert code == EXIT_ERROR and out == ""
+    assert err == "dslab loo: sample size must be >= 0, got -1\n"
+    code, out, err = run(capsys, "loo", "--class", square, "--m", "0")
+    assert code == EXIT_ERROR and err == "dslab loo: sample must be non-empty\n"
 
 
 def test_invalid_seed_env_is_a_one_line_error(square, capsys, monkeypatch):
