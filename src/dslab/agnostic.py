@@ -344,7 +344,8 @@ def agnostic_pipeline(H: HypothesisClass, D: SyntheticDistribution, ell: int,
 
     The stage constants are d = 4 * max(1, d_DS), j = ceil(log2(n1)) and
     ``BOOST_BUDGET`` tries per boosting round; all are engineering choices
-    recorded in the report, not claimed values.
+    recorded in the report, not claimed values.  ``delta`` must lie in
+    (0, 1) and is recorded in ``params``, but no stage reads it.
     """
     if min(n1, T, n3) < 1:
         raise ValueError("sample sizes must be >= 1")

@@ -26,7 +26,7 @@ from typing import Iterator
 
 from .dims import ds_dimension, natarajan_dimension, validate_witness
 from .errors import BudgetError, CertificateError
-from .hclass import HypothesisClass, Restrictions, class_id, off_groups
+from .hclass import HypothesisClass, class_id, off_groups, restrict
 from .oig import build_oig, format_ratio, min_max_orientation, mu_with_witness
 
 __all__ = [
@@ -394,24 +394,21 @@ def audit_theorem(H: HypothesisClass, ell: int, n_samples: int | None = None,
     audited or expose an implementation bug.  A spanning check past
     ``matrix_budget`` is skipped, and the report is marked non-authoritative
     instead of guessing.  A DS or Natarajan witness that fails
-    ``validate_witness`` raises CertificateError.  One restriction table
-    serves every search of the call; each restriction in it keeps its
-    ``off_groups``, so ``mu``, the orientation and the DS search group it once.
+    ``validate_witness`` raises CertificateError.  Each search restricts
+    ``H`` afresh, and ``mu``'s walk past ``hclass.walk``'s limit raises BudgetError.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
     ns = H.n if n_samples is None else n_samples
-    cid = class_id(H)
-    table = Restrictions(H)
 
-    mu_val, T_star, _F = mu_with_witness(H, ns, ell, restrictions=table)
+    mu_val, T_star, _F = mu_with_witness(H, ns, ell)
     ceil_mu = math.ceil(mu_val)
-    _sigma, t_star = min_max_orientation(build_oig(table[T_star]), ell)
+    _sigma, t_star = min_max_orientation(build_oig(restrict(H, T_star)), ell)
 
-    d_ds, w_ds = ds_dimension(H, ell, restrictions=table)
+    d_ds, w_ds = ds_dimension(H, ell)
     if w_ds is not None and not validate_witness(H, w_ds):
         raise CertificateError(f"DS witness on {w_ds.coords} fails its re-check")
-    d_nat, w_nat = natarajan_dimension(H, ell, restrictions=table)
+    d_nat, w_nat = natarajan_dimension(H, ell)
     if w_nat is not None and not validate_witness(H, w_nat):
         raise CertificateError(f"Natarajan witness on {w_nat.coords} fails its re-check")
 
@@ -432,7 +429,7 @@ def audit_theorem(H: HypothesisClass, ell: int, n_samples: int | None = None,
         verdicts["spanning"] = spanning_ok
 
     return AuditReport(
-        class_id=cid, ell=ell, n=H.n, n_samples=ns,
+        class_id=class_id(H), ell=ell, n=H.n, n_samples=ns,
         mu_value=mu_val, ceil_mu=ceil_mu, d_ds=d_ds, d_nat=d_nat,
         t_star=t_star, spanning_ok=spanning_ok, spanning_rank=spanning_rank,
         class_size=len(H), modulus=MODULUS, authoritative=authoritative,

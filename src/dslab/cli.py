@@ -82,6 +82,14 @@ def _parse_kv(text: str, flag: str, keys: tuple[str, ...]) -> list[int]:
         raise ValueError(f"{flag}: {', '.join(keys)} must be integers, got {text!r}") from None
 
 
+def _parse_ints(text, flag: str) -> list[int]:
+    """``flag``'s integer, or its comma list of integers."""
+    try:
+        return [int(part) for part in str(text).split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} takes an integer or a comma list of them, got {text!r}") from None
+
+
 # Each handler takes the parsed args and the loaded class (None where the
 # command table says main loads none) and returns (payload, ok).  A payload
 # of None means the handler wrote its own output.
@@ -132,7 +140,10 @@ def _orient(args, H):
 
 def _span(args, H):
     s = args.s if args.s is not None else dims.ds_dimension(H, args.ell)[0]
-    ok, rank, size = algebra.check_spanning(H, args.ell, s, budget=args.budget_matrix)
+    try:
+        ok, rank, size = algebra.check_spanning(H, args.ell, s, budget=args.budget_matrix)
+    except BudgetError as exc:  # the matrix budget earns the hint; the walk limit does not
+        raise BudgetError(f"{exc}\nhint: raise --budget-matrix or shrink the input") from None
     return {"ell": args.ell, "s": s, "spanning": ok, "rank": rank, "size": size}, ok
 
 
@@ -145,7 +156,7 @@ def _audit(args, _H):
     if args.jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {args.jobs}")
     target = Path(args.klass)
-    ells = [int(e) for e in str(args.ell).split(",")]
+    ells = _parse_ints(args.ell, "--ell")
     paths = sorted(target.glob("*.json")) if target.is_dir() else [target]
     if not paths:  # an empty batch would print no report yet read as a PASS
         raise ValueError(f"no *.json classes in {target}")
@@ -182,8 +193,8 @@ def _loo(args, H):
 
 def _pac(args, H):
     D = SyntheticDistribution.uniform_realizable(H, args.target)
-    reports = [pac_experiment(H, D, args.ell, int(m), args.delta, args.trials, args.seed)
-               for m in str(args.m).split(",")]
+    reports = [pac_experiment(H, D, args.ell, m, args.delta, args.trials, args.seed)
+               for m in _parse_ints(args.m, "--m")]
     ok = all(rep.verdict == "PASS" for rep in reports)
     if args.format == "csv":
         with _csv_sink(args.output) as sink:
@@ -294,8 +305,6 @@ def main(argv=None) -> int:
         return EXIT_VERDICT_FAIL
     except (BudgetError, RealizabilityError, ValueError, OSError, KeyError) as exc:
         print(f"dslab {args.command}: {exc}", file=sys.stderr)
-        if isinstance(exc, BudgetError) and "budget_matrix" in flags:
-            print("hint: raise --budget-matrix or shrink the input", file=sys.stderr)
         return EXIT_ERROR
     return EXIT_OK if ok else EXIT_VERDICT_FAIL
 

@@ -14,8 +14,8 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .hclass import (HypothesisClass, Restrictions, _class_from_json, _json_int, _trusted_class,
-                     check_coords, off_groups, restrict, walk)
+from .hclass import (HypothesisClass, _class_from_json, _json_int, _trusted_class, check_coords,
+                     off_groups, restrict, walk)
 
 __all__ = [
     "ShatterWitness",
@@ -62,41 +62,47 @@ def ds_shatter_core(W: HypothesisClass, ell: int) -> HypothesisClass | None:
     return _trusted_class(W.k, W.n, tuple(W.hyps[v] for v in sorted(alive)))
 
 
-def ds_dimension(H: HypothesisClass, ell: int, *,
-                 restrictions: Restrictions | None = None) -> tuple[int, ShatterWitness | None]:
+def ds_dimension(H: HypothesisClass, ell: int) -> tuple[int, ShatterWitness | None]:
     """Largest d such that some d-coordinate set has a non-empty shatter core.
 
-    Searches subset sizes from the top down and returns at the first success;
-    d = 0 with no witness when no single coordinate is shattered.  Distinct
-    coordinates suffice: on a repeated coordinate no member can have an
-    i-neighbor (the off positions pin the repeated value), so any core over a
-    sequence with duplicates is empty.  ``restrictions``: a
-    ``hclass.Restrictions`` table of ``H``, read by ``hclass.walk``.
+    Searches subset sizes from s* down (``_top_down``) and returns at the
+    first success; d = 0 with no witness when no single coordinate is
+    shattered.  Distinct coordinates suffice: on a repeated coordinate no
+    member can have an i-neighbor (the off positions pin the repeated value),
+    so any core over a sequence with duplicates is empty.
     """
-    return _top_down(H, ell, "DS", lambda W: ds_shatter_core(W, ell), restrictions)
+    return _top_down(H, ell, "DS", lambda W: ds_shatter_core(W, ell))
 
 
-def natarajan_dimension(H: HypothesisClass, ell: int, *,
-                        restrictions: Restrictions | None = None) -> tuple[int, ShatterWitness | None]:
+def natarajan_dimension(H: HypothesisClass, ell: int) -> tuple[int, ShatterWitness | None]:
     """Largest d admitting label lists y_1..y_d of size ell+1 with the full
     product embedded in the restriction.
 
-    Returns 0 when ell + 1 > k (no list of ell+1 distinct labels exists).
-    ``restrictions`` is as for ``ds_dimension``.
+    Searches as ``ds_dimension`` does; returns 0 when ell + 1 > k (no list
+    of ell+1 distinct labels exists).
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
     if ell + 1 > H.k:
         return 0, None
-    return _top_down(H, ell, "Natarajan", lambda W: _product_family(W, ell + 1), restrictions)
+    return _top_down(H, ell, "Natarajan", lambda W: _product_family(W, ell + 1))
 
 
-def _top_down(H: HypothesisClass, ell: int, kind: str, probe,
-              restrictions: Restrictions | None) -> tuple[int, ShatterWitness | None]:
+def _top_down(H: HypothesisClass, ell: int, kind: str, probe) -> tuple[int, ShatterWitness | None]:
     """(d, witness) for the first coordinate set S that ``hclass.walk`` gives
-    over sizes n..1, largest first and then lexicographically, whose
-    restriction ``probe`` maps to a family; (0, None) when there is none."""
-    for S, W in walk(H, range(H.n, 0, -1), restrictions):
+    over sizes s*..1, largest first and then lexicographically, whose
+    restriction ``probe`` maps to a family; (0, None) when there is none.
+    s* is the largest s <= n with (ell+1)^s <= |H|, and no larger set is
+    shattered (the list analogue of VC <= log2|H|), so a search from n finds
+    the same S.  A restriction has at most |H| rows.  A Natarajan witness on
+    s coordinates is a product of s lists of ell+1 labels: (ell+1)^s rows.
+    A DS core F on s coordinates has at least (ell+1)^s rows: projected off
+    coordinate i, F maps onto a core on the other s-1 coordinates (projected
+    j-neighbours stay distinct j-neighbours), and each image row has >= ell+1
+    preimages (a row and its >= ell i-neighbours); induct on s.
+    """
+    s_star = next(s for s in range(H.n, -1, -1) if (ell + 1) ** s <= len(H))
+    for S, W in walk(H, range(s_star, 0, -1)):
         fam = probe(W)
         if fam is not None:
             return len(S), ShatterWitness(coords=S, subfamily=fam, kind=kind, ell=ell)

@@ -2,8 +2,8 @@
 
 
 class BudgetError(ValueError):
-    """An exact computation would exceed its budget: the matrix budget of the
-    spanning check, or the fixed row limit of ``mu_prime``'s enumeration."""
+    """An exact computation would exceed its budget: the spanning check's matrix
+    budget, or a fixed limit of ``mu_prime``, ``hclass.walk``, a generator or the cover."""
 
 
 class RealizabilityError(ValueError):

@@ -25,6 +25,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -44,13 +45,13 @@ __all__ = [
     "to_csv",
     "off_groups",
     "restrict",
-    "Restrictions",
     "walk",
     "gen_cube",
     "gen_random",
 ]
 
 _GEN_BUDGET = 1_000_000  # refuse to materialize gen_cube or gen_random classes above this size
+_WALK_LIMIT = 2**20  # refuse walks over more coordinate tuples; a full walk of n = 20 runs
 
 
 @dataclass(frozen=True)
@@ -165,32 +166,17 @@ def off_groups(W: HypothesisClass, i: int) -> tuple[tuple[tuple[int, ...], tuple
     return kept[i]
 
 
-class Restrictions(dict):
-    """The restrictions of one class ``H``, keyed by coordinate tuple; a
-    missing key is filled by ``restrict(H, coords)``.  Each restriction keeps
-    its own ``off_groups``, so they are built once per table and dropped
-    with it.  ``walk`` reads it only for ``H``."""
-
-    def __init__(self, H: HypothesisClass):
-        super().__init__()
-        self.H = H
-
-    def __missing__(self, coords: tuple[int, ...]) -> HypothesisClass:
-        got = self[coords] = restrict(self.H, coords)
-        return got
-
-
-def walk(H: HypothesisClass, sizes: Iterable[int], table: Restrictions | None = None
-         ) -> Iterator[tuple[tuple[int, ...], HypothesisClass]]:
+def walk(H: HypothesisClass, sizes: Sequence[int]) -> Iterator[tuple[tuple[int, ...], HypothesisClass]]:
     """(T, ``restrict(H, T)``) for every coordinate tuple T of each size in
-    ``sizes`` in turn, lexicographically within a size; read and filled
-    through ``table`` if one is given, once it is checked to hold ``H``'s
-    restrictions (else ValueError)."""
-    if table is not None and table.H != H:
-        raise ValueError("restriction table was filled for another class")
+    ``sizes`` in turn, lexicographically within a size.  A walk over more
+    than ``_WALK_LIMIT`` tuples in all raises BudgetError before it yields
+    anything."""
+    count = sum(math.comb(H.n, size) for size in sizes)
+    if count > _WALK_LIMIT:
+        raise BudgetError(f"walk of {count} coordinate tuples exceeds limit {_WALK_LIMIT}")
     for size in sizes:
         for T in itertools.combinations(range(1, H.n + 1), size):
-            yield T, restrict(H, T) if table is None else table[T]
+            yield T, restrict(H, T)
 
 
 def gen_cube(k: int, ell: int, s: int, m: int) -> HypothesisClass:

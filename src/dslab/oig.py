@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetError, CertificateError
-from .hclass import HypothesisClass, Restrictions, _trusted_class, off_groups, walk
+from .hclass import HypothesisClass, _trusted_class, off_groups, walk
 
 __all__ = [
     "EdgeGroup",
@@ -432,25 +432,25 @@ def _density_bound(live: list[tuple[int, ...]], n_rows: int, ell: int) -> Fracti
     return Fraction(max(per_row), lcm)
 
 
-def mu_with_witness(H: HypothesisClass, n_samples: int, ell: int, *,
-                    restrictions: Restrictions | None = None) -> tuple[Fraction, tuple[int, ...], HypothesisClass]:
+def mu_with_witness(H: HypothesisClass, n_samples: int,
+                    ell: int) -> tuple[Fraction, tuple[int, ...], HypothesisClass]:
     """Maximum ell-density over restrictions: value, coordinates, subfamily.
 
     Restrictions range over all non-empty coordinate subsets of size up to
-    min(n_samples, n).  A sequence with repeated coordinates never beats a
-    plain subset: a repeated direction only carries singleton edges (its off
+    min(n_samples, n); more subsets than ``hclass.walk``'s limit raise
+    BudgetError.  A sequence with repeated coordinates never beats a plain
+    subset: a repeated direction only carries singleton edges (its off
     positions already pin the repeated value), and extra context coordinates
     only refine edge groups.  Witness ties break toward smaller, then
     lexicographically earlier, coordinate sets, so a restriction whose
     ``_density_bound`` is no better is skipped, and every other search
     starts at the best so far (``_densest_subfamily``'s floor): one flow and
     its dual check settle a restriction that does not beat it.
-    ``restrictions``: a ``hclass.Restrictions`` table of ``H``, read by ``hclass.walk``.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     best = (Fraction(-1), (), None)
-    for T, W in walk(H, range(1, min(n_samples, H.n) + 1), restrictions):
+    for T, W in walk(H, range(1, min(n_samples, H.n) + 1)):
         live = _live_edges(W, ell)
         if best[2] is not None and _density_bound(live, len(W), ell) <= best[0]:
             continue

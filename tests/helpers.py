@@ -66,9 +66,9 @@ def brute_mu(H: HypothesisClass, n_samples: int, ell: int) -> Fraction:
 
 
 def unpruned_mu_with_witness(H: HypothesisClass, n_samples: int, ell: int):
-    """``mu_with_witness`` with neither a density bound nor a restriction
-    memo: every restriction goes through the min-cut search, and the best is
-    replaced only on a strict increase."""
+    """``mu_with_witness`` with no density bound and no floor: every
+    restriction goes through the min-cut search from its own density, and
+    the best is replaced only on a strict increase."""
     from dslab.hclass import restrict
     from dslab.oig import max_density_subfamily
 
@@ -155,6 +155,26 @@ def brute_largest_valid_subfamily(W: HypothesisClass, ell: int) -> HypothesisCla
         if is_valid_subfamily(F, ell):
             union.update(F.hyps)
     return HypothesisClass(k=W.k, n=W.n, hyps=tuple(sorted(union))) if union else None
+
+
+def uncapped_dimension(H: HypothesisClass, ell: int, kind: str):
+    """(d, witness) of ``ds_dimension`` (``kind`` "DS") or of
+    ``natarajan_dimension`` ("Natarajan") by the top-down search from all n
+    coordinates, with no cap from the row count: the first set, over sizes
+    n..1 and lexicographically within a size, whose restriction the
+    library's probe maps to a family."""
+    from dslab.dims import ShatterWitness, _product_family, ds_shatter_core
+    from dslab.hclass import restrict
+
+    if kind == "Natarajan" and ell + 1 > H.k:
+        return 0, None
+    for size in range(H.n, 0, -1):
+        for S in combinations(range(1, H.n + 1), size):
+            W = restrict(H, S)
+            fam = ds_shatter_core(W, ell) if kind == "DS" else _product_family(W, ell + 1)
+            if fam is not None:
+                return size, ShatterWitness(coords=S, subfamily=fam, kind=kind, ell=ell)
+    return 0, None
 
 
 def brute_vc(H: HypothesisClass) -> int:

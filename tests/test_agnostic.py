@@ -16,8 +16,8 @@ from helpers import (per_point_best_hypothesis, per_point_boost_member,
 from dslab import agnostic, cli
 from dslab.errors import BudgetError, CertificateError
 from dslab.hclass import HypothesisClass, gen_cube, gen_random, save_class
-from dslab.learn import (ListPrediction, PredictionTable, SyntheticDistribution, _consolidate,
-                         _state_of, oig_list_predict)
+from dslab.learn import (ListPrediction, PredictionTable, PrefixVotePredictor,
+                         SyntheticDistribution, _consolidate, _state_of, oig_list_predict)
 from dslab.agnostic import (_boost_member, _fit_inside_menu, agnostic_pipeline,
                             build_list_cover, inside_menu_erm, mw_menu)
 
@@ -425,6 +425,65 @@ def test_boost_member_stops_once_its_rounds_cover_every_point():
         member = _boost_member(table, points, 1, 4, np.random.default_rng(seed))
         assert len(member.subsamples) == 2
         assert len({sub[0][0] for sub in member.subsamples}) == 2
+
+
+def test_no_weak_subsample_leaves_every_hypothesis_uncovered(tmp_path, capsys, monkeypatch):
+    # with no tries per round no round finds a weak subsample, so no member
+    # is built; every hypothesis labels x = 1 as 1, so each has points to
+    # cover, and the cover and the command refuse with one line
+    H = HypothesisClass(k=2, n=2, hyps=((1, 1), (1, 2)))
+    monkeypatch.setattr(agnostic, "BOOST_BUDGET", 0)
+    table = PredictionTable(H, 1)
+    assert _boost_member(table, [(1, 1)], 2, 3, np.random.default_rng(0)) is None
+    with pytest.raises(BudgetError, match="no cover member could be built within budget"):
+        build_list_cover(H, [(1, 1), (2, 1), (2, 2)], d=2, j=3, rng=np.random.default_rng(0))
+    path = tmp_path / "c.json"
+    save_class(H, path)
+    code = cli.main(["agnostic", "--class", str(path), "--n1", "8", "--rounds", "4", "--n3", "8"])
+    out = capsys.readouterr()
+    assert code == cli.EXIT_ERROR and out.out == ""
+    assert out.err == "dslab agnostic: no cover member could be built within budget\n"
+
+
+def test_both_kinds_of_failed_member_leave_their_hypothesis_uncovered(monkeypatch):
+    # one round (j = 1) of one-point subsamples: h_0's round finds no weak
+    # subsample, and the members of h_2 and h_4 are built but miss a point
+    # of their own, since a round may miss up to a third of the weight
+    H = gen_random(3, 3, 6, seed=1)
+    D = SyntheticDistribution.with_label_noise(H, 0, Fraction(1, 3))
+    S1 = draw(D, 1, 12)
+    built = []
+
+    def recorded(*args, _boost=agnostic._boost_member):
+        built.append(_boost(*args))
+        return built[-1]
+
+    monkeypatch.setattr(agnostic, "_boost_member", recorded)
+    cover = build_list_cover(H, S1, d=1, j=1, rng=np.random.default_rng(1))
+    assert cover.uncovered == (0, 2, 4) and sorted(cover.member_of) == [1, 3, 5]
+    assert [h_idx for h_idx, member in enumerate(built) if member is None] == [0]
+    for h_idx, h in enumerate(H.hyps[1:], start=1):
+        misses = [(x, y) for x, y in S1 if h[x - 1] == y and y not in built[h_idx].predict(x)]
+        assert bool(misses) == (h_idx in cover.uncovered)
+
+
+def test_a_kept_point_the_base_predictor_misses_gets_its_own_label_first():
+    # a seeded case: the prefix-vote list at some S+ points, cut to the
+    # menu, misses the point's own label, and the predictor answers it
+    H = gen_random(3, 3, 8, seed=60)
+    D = SyntheticDistribution.with_label_noise(H, 0, Fraction(1, 2))
+    S1, S2, S3 = (D.draw(np.random.default_rng([60, i]), 12) for i in range(3))
+    cover = build_list_cover(H, S1, d=3, j=3, rng=np.random.default_rng(60))
+    menu = mw_menu(cover, S2, rng=np.random.default_rng(61))
+    fit = _fit_inside_menu(H, menu, S3)
+    sub = HypothesisClass(k=H.k, n=H.n,
+                          hyps=tuple(h for h, keep in zip(H.hyps, fit.consistent) if keep))
+    base = PrefixVotePredictor(sub, fit.s_plus, 1)
+    missed = {(x, y) for x, y in fit.s_plus
+              if y not in [lab for lab in base.predict(x).labels if lab in menu.predict(x)]}
+    assert missed
+    res = inside_menu_erm(H, menu, S3, 1)
+    assert all(res.predict(x).labels == (y,) for x, y in missed)
 
 
 @given(class_and_samples(n_samples=2), st.integers(0, 2**16))

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from helpers import (enumerated_spanning, evaluate, fraction_rank, is_prime, naive_edges,
-                     random_class, subclasses, unpruned_mu_with_witness)
+from helpers import (enumerated_spanning, evaluate, fraction_rank, is_prime, random_class,
+                     subclasses, unpruned_mu_with_witness)
 import dslab.algebra as algebra
 from dslab.errors import BudgetError, CertificateError
-from dslab.hclass import (HypothesisClass, Restrictions, class_id, gen_cube, gen_random,
-                          off_groups, restrict)
-from dslab.dims import ds_dimension, natarajan_dimension
+from dslab.hclass import HypothesisClass, class_id, gen_cube, gen_random, walk
+from dslab.dims import ds_dimension
 from dslab.algebra import (audit_theorem, check_spanning,
                            direction_subspace_dim, eval_matrix, extract_basis,
                            in_direction_subspace, monomial_set, rank_bareiss,
@@ -458,54 +457,9 @@ def audit_cases(draw):
 @given(audit_cases())
 def test_density_bound_and_restriction_memo_change_no_result(case):
     H, ell, ns = case
-    memo = Restrictions(H)
-    want = unpruned_mu_with_witness(H, ns, ell)
-    assert mu_with_witness(H, ns, ell) == want
-    assert mu_with_witness(H, ns, ell, restrictions=memo) == want
-    for T in memo:
-        W = restrict(H, T)
-        assert memo[T] == W
+    assert mu_with_witness(H, ns, ell) == unpruned_mu_with_witness(H, ns, ell)
+    for _T, W in walk(H, range(1, min(ns, H.n) + 1)):
         live = _live_edges(W, ell)
         assert live == [g.members for g in build_oig(W).edges() if len(g) > ell]
         assert _density_bound(live, len(W), ell) >= max_density_subfamily(W, ell)[0]
-    assert ds_dimension(H, ell, restrictions=memo) == ds_dimension(H, ell)
-    assert natarajan_dimension(H, ell, restrictions=memo) == natarajan_dimension(H, ell)
     assert audit_theorem(H, ell, ns).to_json() == audit_theorem(H, ell, ns).to_json()
-
-
-def test_a_restriction_table_keeps_each_restrictions_groups_on_it():
-    # mu groups every restriction it reads in every direction; the groups
-    # stay on the table's class, so the orientation and the DS search that
-    # read the same restriction later group nothing again
-    rng = np.random.default_rng(17)
-    for trial in range(30):
-        H = random_class(rng, n_max=1 if trial % 5 == 0 else 4)
-        table = Restrictions(H)
-        mu_with_witness(H, H.n, 1 + trial % 2, restrictions=table)
-        assert len(table) == 2 ** H.n - 1
-        for T, W in table.items():
-            kept = W.__dict__["_off_groups"]
-            assert sorted(kept) == list(range(W.n))
-            assert all(off_groups(W, i) is kept[i] for i in range(W.n))
-            fresh = restrict(H, T)
-            assert kept == {i: off_groups(fresh, i) for i in range(W.n)}
-            assert sorted((i, vs) for i in range(W.n)
-                          for _key, vs in kept[i]) == sorted(naive_edges(W))
-
-
-def test_a_restriction_table_answers_only_for_its_class():
-    # a table filled through [3]^2 holds that cube's restrictions; read for
-    # the one-row class it would give mu = 4/3 and d_DS = 2 in place of 0
-    full, one_row = gen_cube(3, 1, 2, 2), gen_cube(3, 1, 0, 2)
-    table = Restrictions(full)
-    assert mu_with_witness(full, 2, 1, restrictions=table)[0] == Fraction(4, 3)
-    assert ds_dimension(full, 1, restrictions=table)[0] == 2
-    searches = (lambda t: mu_with_witness(one_row, 2, 1, restrictions=t)[0],
-                lambda t: ds_dimension(one_row, 1, restrictions=t)[0],
-                lambda t: natarajan_dimension(one_row, 1, restrictions=t)[0])
-    for search in searches:
-        with pytest.raises(ValueError, match="another class"):
-            search(table)
-        assert search(Restrictions(one_row)) == 0
-    equal = HypothesisClass(k=full.k, n=full.n, hyps=full.hyps)
-    assert ds_dimension(equal, 1, restrictions=table)[0] == 2

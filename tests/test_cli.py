@@ -14,7 +14,7 @@ import pytest
 
 from concurrent.futures import ProcessPoolExecutor
 
-from dslab import algebra, cli, oig
+from dslab import algebra, cli, hclass, oig
 from dslab.cli import EXIT_ERROR, EXIT_OK, EXIT_VERDICT_FAIL, main
 from dslab.errors import CertificateError
 from dslab.hclass import HypothesisClass, gen_cube, load_class, save_class
@@ -145,8 +145,8 @@ def test_cut_down_ds_witness_exits_two(square, capsys, monkeypatch):
     # down to one row has no i-neighbors, so the audit must refuse it
     honest = algebra.ds_dimension
 
-    def cut_down(H, ell, **kw):
-        d, w = honest(H, ell, **kw)
+    def cut_down(H, ell):
+        d, w = honest(H, ell)
         one_row = HypothesisClass(k=w.subfamily.k, n=w.subfamily.n, hyps=w.subfamily.hyps[:1])
         return d, dataclasses.replace(w, subfamily=one_row)
 
@@ -162,8 +162,8 @@ def test_cut_down_natarajan_witness_exits_two(square, capsys, monkeypatch):
     # has lists of one label, not ell + 1
     honest = algebra.natarajan_dimension
 
-    def cut_down(H, ell, **kw):
-        d, w = honest(H, ell, **kw)
+    def cut_down(H, ell):
+        d, w = honest(H, ell)
         one_row = HypothesisClass(k=w.subfamily.k, n=w.subfamily.n, hyps=w.subfamily.hyps[:1])
         return d, dataclasses.replace(w, subfamily=one_row)
 
@@ -172,6 +172,24 @@ def test_cut_down_natarajan_witness_exits_two(square, capsys, monkeypatch):
         algebra.audit_theorem(load_class(square), 1)
     code, out, err = run(capsys, "audit", "--class", square, "--ell", "1")
     assert code == EXIT_VERDICT_FAIL and out == "" and "certificate" in err
+
+
+def test_residual_graph_without_a_maximizer_exits_two(square, capsys, monkeypatch):
+    # a residual reach that lies that the source reaches every node leaves
+    # no row to root a maximizer at, so the density search must refuse its
+    # own answer rather than return one
+    honest = oig._residual_reach
+
+    def source_reaches_all(net, cap, start, forward):
+        return set(range(net.sink + 1)) if (start, forward) == (0, True) else honest(
+            net, cap, start, forward)
+
+    monkeypatch.setattr(oig, "_residual_reach", source_reaches_all)
+    with pytest.raises(CertificateError, match="holds no maximizer"):
+        oig.mu(load_class(square), 2, 1)
+    code, out, err = run(capsys, "mu", "--class", square, "--ell", "1")
+    assert code == EXIT_VERDICT_FAIL and out == ""
+    assert err == "dslab mu: certificate failed: residual graph at density 1/2 holds no maximizer\n"
 
 
 LYING_FLOWS = """
@@ -633,6 +651,44 @@ def test_gen_size_limit_exits_one_without_budget_hint(capsys):
     code, out, err = run(capsys, "gen", "--cube", "k=10,ell=1,s=7,m=7")
     assert code == EXIT_ERROR and out == ""
     assert "exceeds budget" in err and "--budget-matrix" not in err
+
+
+@pytest.mark.parametrize("command, flag, text", [("audit", "--ell", "1,,2"), ("audit", "--ell", "x"),
+                                                  ("pac", "--m", "x")])
+def test_a_bad_integer_in_a_comma_list_names_the_flag(command, flag, text, square, capsys):
+    code, out, err = run(capsys, command, "--class", square, flag, text)
+    assert code == EXIT_ERROR and out == ""
+    assert err == f"dslab {command}: {flag} takes an integer or a comma list of them, got {text!r}\n"
+
+
+def test_wide_one_row_class_answers_or_refuses_at_once(tmp_path, capsys, monkeypatch):
+    # 40 coordinates: both dimension searches start at s* = 0, so they probe
+    # nothing; mu's walk of all 2**40 - 1 coordinate sets is refused before it
+    # restricts anything; a walk of the sets of size <= 3 (10 700) still runs.
+    # Past 20 000 restrictions the walk fails fast instead of hanging.
+    path = tmp_path / "forty.json"
+    path.write_text(json.dumps({"k": 3, "n": 40, "hyps": [[1] * 40]}))
+    calls, honest = [0], hclass.restrict
+
+    def bounded(*args):
+        calls[0] += 1
+        if calls[0] > 20_000:
+            raise RuntimeError("the walk ran past 20 000 restrictions")
+        return honest(*args)
+
+    monkeypatch.setattr(hclass, "restrict", bounded)
+    code, out, _err = run(capsys, "dims", "--class", str(path), "--ell", "1")
+    assert code == EXIT_OK and calls[0] == 0
+    assert (json.loads(out)["d_ds"], json.loads(out)["d_nat"]) == (0, 0)
+    for command in ("audit", "mu"):
+        code, out, err = run(capsys, command, "--class", str(path), "--ell", "1")
+        assert code == EXIT_ERROR and out == "" and calls[0] == 0
+        assert err == (f"dslab {command}: walk of {2 ** 40 - 1} coordinate tuples exceeds "
+                       f"limit {2 ** 20}\n")
+    code, out, _err = run(capsys, "mu", "--class", str(path), "--ell", "1", "--n", "3")
+    assert code == EXIT_OK and json.loads(out)["mu"] == "0/1" and calls[0] == 10_700
+    calls[0] = 0
+    assert run(capsys, "audit", "--class", str(path), "--ell", "1", "--n", "3")[0] == EXIT_OK
 
 
 def test_config_embeds_resolved_seed(square, capsys, monkeypatch):

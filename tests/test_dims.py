@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from helpers import (brute_largest_valid_subfamily, brute_vc, is_valid_subfamily, random_class,
-                     subclasses)
+                     subclasses, uncapped_dimension)
+import dslab.dims as dims
 from dslab.hclass import HypothesisClass, gen_cube, restrict
-from dslab.dims import (ShatterWitness, ds_dimension, ds_shatter_core, natarajan_dimension,
-                        validate_witness, vc_dimension, witness_from_json,
+from dslab.dims import (ShatterWitness, _product_family, ds_dimension, ds_shatter_core,
+                        natarajan_dimension, validate_witness, vc_dimension, witness_from_json,
                         witness_to_json)
 
 
@@ -139,6 +140,77 @@ def test_duplicated_coordinate_never_shatters():
         H = random_class(rng)
         W = restrict(H, [1, 1], allow_repeats=True)
         assert ds_shatter_core(W, 1) is None
+
+
+def assert_capped_equals_uncapped(H, ell):
+    """Both dimensions, with their witnesses, and VC on binary classes, as
+    the search from all n coordinates finds them."""
+    assert ds_dimension(H, ell) == uncapped_dimension(H, ell, "DS")
+    assert natarajan_dimension(H, ell) == uncapped_dimension(H, ell, "Natarajan")
+    if H.k == 2 and ell == 1:
+        assert vc_dimension(H) == uncapped_dimension(H, 1, "Natarajan")[0]
+
+
+def test_capped_searches_equal_the_uncapped_search_on_every_small_subclass():
+    # the full cube [ell+1]^s has d = s = s*, so a cap one size low fails here
+    for cube in (gen_cube(3, 1, 2, 2), gen_cube(2, 1, 3, 3)):
+        for H in subclasses(cube):
+            for ell in (1, 2):
+                assert_capped_equals_uncapped(H, ell)
+
+
+def test_capped_searches_equal_the_uncapped_search_on_random_classes():
+    rng = np.random.default_rng(28)
+    for _ in range(150):
+        H = random_class(rng, k_max=5, n_max=5, size_max=40)
+        for ell in (1, 2):
+            assert_capped_equals_uncapped(H, ell)
+
+
+def s_star(H, ell):
+    """The largest s <= n with (ell+1)^s <= |H|."""
+    return max(s for s in range(H.n + 1) if (ell + 1) ** s <= len(H))
+
+
+def record_probes(monkeypatch, H, ell):
+    """The widths of the restrictions both dimension searches probe; a probe
+    wider than ``s_star`` fails the test at once."""
+    widths, cap = [], s_star(H, ell)
+
+    def recorded(probe):
+        def checked(W, *args):
+            if W.n > cap:
+                pytest.fail(f"probed a {W.n}-coordinate restriction past s* = {cap}")
+            widths.append(W.n)
+            return probe(W, *args)
+        return checked
+
+    monkeypatch.setattr(dims, "ds_shatter_core", recorded(ds_shatter_core))
+    monkeypatch.setattr(dims, "_product_family", recorded(_product_family))
+    return widths
+
+
+def test_no_probe_is_wider_than_the_row_count_allows(monkeypatch):
+    # one row on 40 coordinates: s* = 0, so neither search probes anything
+    forty = HypothesisClass(k=3, n=40, hyps=((1,) * 40,))
+    widths = record_probes(monkeypatch, forty, 1)
+    assert ds_dimension(forty, 1) == natarajan_dimension(forty, 1) == (0, None)
+    assert widths == []
+    # 3 rows on 4 coordinates: s* = 1 at ell 1 and 2, and one label list of
+    # each width fits at coordinate 1
+    H = gen_cube(3, 1, 1, 4)
+    for ell in (1, 2):
+        widths = record_probes(monkeypatch, H, ell)
+        assert ds_dimension(H, ell)[0] == natarajan_dimension(H, ell)[0] == 1
+        assert widths == [1, 1]
+    # 20 rows on 5 coordinates: s* = 4 < n at ell 1, and 2 at ell 2
+    H = HypothesisClass(k=3, n=5, hyps=gen_cube(3, 2, 2, 5).hyps[:20])
+    for ell in (1, 2):
+        monkeypatch.undo()  # the oracle probes every width
+        want = uncapped_dimension(H, ell, "DS"), uncapped_dimension(H, ell, "Natarajan")
+        widths = record_probes(monkeypatch, H, ell)
+        assert (ds_dimension(H, ell), natarajan_dimension(H, ell)) == want
+        assert max(widths) == s_star(H, ell) < H.n
 
 
 def test_natarajan_square():

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from helpers import naive_edges, random_class
+from dslab.algebra import audit_theorem
 from dslab.errors import BudgetError
 import dslab.hclass as hclass
-from dslab.hclass import (HypothesisClass, Restrictions, class_id, dumps_class, gen_cube, gen_random,
-                          load_class, loads_class, off_groups, restrict, save_class, to_csv, walk)
+from dslab.hclass import (HypothesisClass, class_id, dumps_class, gen_cube, gen_random, load_class,
+                          loads_class, off_groups, restrict, save_class, to_csv, walk)
+from dslab.oig import mu, mu_prime
 
 
 def test_load_simple(tmp_path):
@@ -211,13 +213,28 @@ def test_walk_yields_each_size_in_turn_lexicographically():
     fresh = list(walk(H, (3, 1)))
     assert [T for T, _W in fresh] == want
     assert all(W == restrict(H, T) for T, W in fresh)
-    table = Restrictions(H)
-    through = list(walk(H, (3, 1), table))
-    assert through == fresh and sorted(table) == sorted(want)
-    assert all(W is table[T] for T, W in through)
     assert list(walk(H, range(0))) == []
-    with pytest.raises(ValueError, match="another class"):
-        next(walk(gen_random(3, 4, 19, seed=2), (1,), table))
+
+
+def test_walk_past_its_limit_raises_before_restricting_anything(monkeypatch):
+    # mu walks every set of at most n_samples coordinates; on 40 coordinates
+    # that is 2**40 - 1 sets, refused before the first restriction, while a
+    # full walk of 20 coordinates (2**20 - 1 sets) is inside the limit
+    def refuse(*_args):
+        raise AssertionError("a refused walk restricted the class")
+
+    monkeypatch.setattr(hclass, "restrict", refuse)
+    forty = HypothesisClass(k=3, n=40, hyps=((1,) * 40,))
+    message = f"walk of {2 ** 40 - 1} coordinate tuples exceeds limit {2 ** 20}"
+    for search in (lambda: mu(forty, 40, 1), lambda: mu_prime(forty, 40),
+                   lambda: audit_theorem(forty, 1), lambda: next(walk(forty, range(40, 0, -1)))):
+        with pytest.raises(BudgetError, match=message):
+            search()
+    with pytest.raises(BudgetError, match=f"walk of {2 ** 21 - 1} coordinate tuples"):
+        next(walk(HypothesisClass(k=2, n=21, hyps=((1,) * 21,)), range(1, 22)))
+    monkeypatch.undo()
+    twenty = HypothesisClass(k=2, n=20, hyps=((1,) * 20,))
+    assert next(walk(twenty, range(1, 21)))[0] == (1,)
 
 
 def test_direct_construction_enforces_canonical_form():
