@@ -145,11 +145,12 @@ def density(W: HypothesisClass, ell: int) -> Fraction:
 # ``_cut_search`` solves by parametric min cuts.  Stepping lam to each cut's
 # exact ratio is Dinkelbach's iteration, whose final residual graph holds
 # every maximizer (Picard & Queyranne 1980): that gives mu.  Stepping to the
-# ceiling keeps lam an integer t, and the final flow is an orientation of
-# maximum outdegree t_star = ceil(mu) (Hakimi 1965).  Each answer is checked
-# as a fractional orientation, the LP dual of the density (Charikar 2000),
-# which bounds every F's density by lam without trusting the flow code: mu's
-# final flow, and the 0/1 choices of the orientation returned at t_star.
+# ceiling keeps lam an integer t, and the final flow on the same live edges
+# is an orientation of maximum outdegree t_star = ceil(mu) (Hakimi 1965).
+# Each answer is checked as a fractional orientation, the LP dual of the
+# density (Charikar 2000), which bounds every F's density by lam without
+# trusting the flow code: mu's final flow, and the 0/1 choices of the
+# orientation returned at t_star.
 # mu_prime's gross objective is not supermodular and still enumerates all
 # 2^|W| bitmasks.
 
@@ -489,47 +490,48 @@ def mu_prime(H: HypothesisClass, n_samples: int) -> Fraction:
 def min_max_orientation(G: OneInclusionGraph, ell: int) -> tuple[Orientation, int]:
     """Orientation minimizing the maximum ell-outdegree, with optimal value.
 
-    ``_cut_search`` over all of G's edges, singletons included, stepping to
-    the ceiling of each cut's ratio, so lam stays an integer t and each
-    vertex's sink arc is n_dirs - t.  Each cut's F carries excess(F) > t*|F|
-    outdegree in every orientation, so no maximum is below the next t; the
-    search starts at F = W.  Once every sink arc saturates, each edge picks
-    the members its flow covers, padded in member order up to min(ell, |e|).
+    An edge with |e| <= ell keeps every member, so it adds 0 to every
+    vertex's outdegree and to every excess(F): it never enters the network,
+    and a t is feasible on the live edges (|e| > ell) exactly when it is
+    feasible on all of them.  ``_cut_search`` runs over the live edges,
+    stepping to the ceiling of each cut's ratio, so lam stays an integer t
+    and each vertex's sink arc is (d_v - t)_+, d_v its live degree.  Each
+    cut's F carries excess(F) > t*|F| outdegree in every orientation, so no
+    maximum is below the next t; the search starts at F = W.  Once every
+    sink arc saturates, each live edge picks the members its flow covers,
+    padded in member order up to ell.
 
     So t_star is certified minimal by its cuts, and the padded orientation
-    is certified to reach it by ``_check_fractional_orientation`` on its 0/1
-    choices at lam = t.  The checks are arithmetic, independent of the
-    flow; a failure raises CertificateError.
+    is certified to reach it by ``_check_fractional_orientation`` on the
+    live edges' 0/1 choices at lam = t.  The checks are arithmetic,
+    independent of the flow; a failure raises CertificateError.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
     edges = list(G.edges())
-    if all(len(e) <= ell for e in edges):  # every member picked: outdegree 0 by construction
+    live = [e.members for e in edges if len(e) > ell]
+    if not live:  # every member picked: outdegree 0 by construction
         assign = tuple((e.direction, e.key, e.members) for e in edges)
         return Orientation(ell=ell, assign=assign), 0
 
     def ceil_ratio(ex: int, size: int) -> Fraction:
         return Fraction(-(-ex // size))
 
-    members = [e.members for e in edges]
-    net = _Network(members, G.n_vertices, ell)
-    start = ceil_ratio(sum(max(len(e) - ell, 0) for e in members), G.n_vertices)
-    lam, _cap, flows = _cut_search(net, members, ell, start, ceil_ratio)
+    net = _Network(live, G.n_vertices, ell)
+    start = ceil_ratio(sum(len(e) - ell for e in live), G.n_vertices)
+    lam, _cap, flows = _cut_search(net, live, ell, start, ceil_ratio)
     t = int(lam)
 
-    assign, picks = [], []
-    for e, xs in zip(edges, flows):
-        got = {v for v, x in zip(e.members, xs) if x}
-        want = min(ell, len(e))
-        chosen = sorted(got)
-        for v in e.members:  # pad deterministically up to the size bound
-            if len(chosen) >= want:
-                break
-            if v not in got:
-                chosen.append(v)
-        assign.append((e.direction, e.key, tuple(sorted(chosen))))
-        picks.append([int(v in chosen) for v in e.members])
-    _check_fractional_orientation(members, ell, lam, picks)
+    assign, picks, flows = [], [], iter(flows)
+    for e in edges:
+        chosen = e.members
+        if len(e) > ell:
+            got = {v for v, x in zip(e.members, next(flows)) if x}
+            pad = [v for v in e.members if v not in got][:ell - len(got)]  # in member order
+            chosen = tuple(sorted(got.union(pad)))
+            picks.append([int(v in chosen) for v in e.members])
+        assign.append((e.direction, e.key, chosen))
+    _check_fractional_orientation(live, ell, lam, picks)
     return Orientation(ell=ell, assign=tuple(assign)), t
 
 

@@ -103,15 +103,19 @@ def brute_min_max_outdegree(G, ell: int) -> int:
 
 def scipy_flow_assignment(G, edges, ell: int, t: int):
     """Per-edge covered-vertex sets of scipy's max-flow on the orientation
-    network at max outdegree t, or None if t is not achievable."""
+    network of ``edges`` (edge groups of G) at max outdegree t, or None if t
+    is not achievable on them.  Row v's sink arc is (d_v - t)_+, d_v the
+    number of ``edges`` at v."""
     import numpy as np
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_flow
 
     V = G.n_vertices
-    need = G.n_directions - t
-    if need <= 0:
-        return [set() for _ in edges]
+    need = [0] * V
+    for e in edges:
+        for v in e.members:
+            need[v] += 1
+    need = [max(d - t, 0) for d in need]
     E = len(edges)
     source, sink = 0, 1 + E + V
     rows, cols, caps = [], [], []
@@ -124,13 +128,14 @@ def scipy_flow_assignment(G, edges, ell: int, t: int):
             cols.append(1 + E + v)
             caps.append(1)
     for v in range(V):
-        rows.append(1 + E + v)
-        cols.append(sink)
-        caps.append(need)
+        if need[v]:
+            rows.append(1 + E + v)
+            cols.append(sink)
+            caps.append(need[v])
     graph = csr_matrix((np.array(caps, dtype=np.int32), (rows, cols)),
                        shape=(sink + 1, sink + 1))
     res = maximum_flow(graph, source, sink)
-    if res.flow_value != need * V:
+    if res.flow_value != sum(need):
         return None
     flow = res.flow.tocsr()
     picked = []

@@ -459,7 +459,7 @@ def test_both_kinds_of_failed_member_leave_their_hypothesis_uncovered(monkeypatc
         return built[-1]
 
     monkeypatch.setattr(agnostic, "_boost_member", recorded)
-    cover = build_list_cover(H, S1, d=1, j=1, rng=np.random.default_rng(1))
+    cover = build_list_cover(H, S1, d=1, j=1, rng=np.random.default_rng(2))
     assert cover.uncovered == (0, 2, 4) and sorted(cover.member_of) == [1, 3, 5]
     assert [h_idx for h_idx, member in enumerate(built) if member is None] == [0]
     for h_idx, h in enumerate(H.hyps[1:], start=1):

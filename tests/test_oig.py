@@ -379,44 +379,89 @@ def orientation_graphs(draw):
 @example(build_oig(restrict(gen_cube(3, 1, 2, 2), (1, 1, 2), allow_repeats=True),
                    dead_dirs=(0, 1)), 1)                        # a repeated coordinate, dead
 @example(build_oig(restrict(gen_cube(3, 2, 2, 3), (2, 3, 2), allow_repeats=True)), 2)  # not dead
+@example(build_oig(HypothesisClass(k=3, n=2, hyps=((1, 1), (2, 1), (3, 3)))), 1)  # (3, 3): live degree 0
 def test_orientation_flow_matches_scipy_oracle(G, ell):
-    edges = list(G.edges())
-    members = [e.members for e in edges]
-    net = oig._Network(members, G.n_vertices, ell)
-    first_row = net.n_edges + 1
-    for t in range(G.n_directions + 1):
-        cuts = []
+    # on all of G's edges, where every sink arc is n_dirs - t, and on the
+    # live ones that min_max_orientation solves, where a row's sink arc is
+    # (d_v - t)_+ and may be 0 below t
+    every = list(G.edges())
+    for edges in (every, [e for e in every if len(e) > ell]):
+        members = [e.members for e in edges]
+        net = oig._Network(members, G.n_vertices, ell)
+        first_row = net.n_edges + 1
+        for t in range(G.n_directions + 1):
+            cuts = []
 
-        def stay(ex, size):  # record the cut, and refuse to step past t
-            cuts.append((ex, size))
-            return Fraction(t)
+            def stay(ex, size):  # record the cut, and refuse to step past t
+                cuts.append((ex, size))
+                return Fraction(t)
 
-        try:
-            _lam, cap, _flows = oig._cut_search(net, members, ell, Fraction(t), stay)
-        except CertificateError:
-            (ex, size), = cuts  # the min cut's sink side is denser than t
-            assert ex > t * size
-            picked = None
-        else:
-            picked = [{net.head[a] - first_row for a in net.adj[j] if not a & 1 and cap[a ^ 1]}
-                      for j in range(1, first_row)]
-        assert picked == scipy_flow_assignment(G, edges, ell, t)
+            try:
+                _lam, cap, _flows = oig._cut_search(net, members, ell, Fraction(t), stay)
+            except CertificateError:
+                (ex, size), = cuts  # the min cut's sink side is denser than t
+                assert ex > t * size
+                picked = None
+            else:
+                picked = [{net.head[a] - first_row for a in net.adj[j] if not a & 1 and cap[a ^ 1]}
+                          for j in range(1, first_row)]
+            assert picked == scipy_flow_assignment(G, edges, ell, t)
     check_orientation_oracle(G, ell)
+
+
+def test_orientation_network_holds_only_the_live_edges(monkeypatch):
+    # an edge with |e| <= ell keeps every member in every orientation, so it
+    # never enters the network; dead directions hold only singletons
+    built = []
+
+    class Recorded(oig._Network):
+        def __init__(self, edges, n_rows, ell):
+            built.append(list(edges))
+            super().__init__(edges, n_rows, ell)
+
+    monkeypatch.setattr(oig, "_Network", Recorded)
+    rng = np.random.default_rng(23)
+    flows = small = 0
+    for seed in range(30):
+        dead = rng.choice(3, 1 + seed % 2, replace=False).tolist()
+        G = build_oig(gen_random(3, 3, 14, seed), dead_dirs=dead)
+        for ell in (1, 2):
+            built.clear()
+            sigma, _t = min_max_orientation(G, ell)
+            live = [e.members for e in G.edges() if len(e) > ell]
+            assert built == ([live] if live else [])
+            flows += bool(live)
+            for e, (_d, _key, chosen) in zip(G.edges(), sigma.assign):
+                if len(e) <= ell:
+                    assert chosen == e.members
+                    small += 1
+    assert flows > 40 and small > 1000
 
 
 @pytest.mark.parametrize("search", ["density", "orientation"])
 def test_a_flow_that_routes_nothing_fails_the_cut_certificate(search, monkeypatch):
     # with no flow every row with a positive sink arc reaches the sink, and
-    # that cut is never strictly denser than the lam that built it
+    # that cut is never strictly denser than the lam that built it.  Only an
+    # orientation can have no such row, when no row's live degree is above
+    # its starting t: then its padded picks are certified without any flow
+    cases = [(build_oig(gen_random(3, 3, 14, seed)), ell) for seed in range(25) for ell in (1, 2)]
+    t_star = [min_max_orientation(G, ell)[1] for G, ell in cases]
     monkeypatch.setattr(oig, "maximum_flow", lambda net, cap: None)
-    for seed in range(25):
-        H = gen_random(3, 3, 14, seed)
-        for ell in (1, 2):
-            with pytest.raises(CertificateError, match="found no subfamily denser"):
-                if search == "density":
-                    max_density_subfamily(H, ell)
-                else:
-                    min_max_orientation(build_oig(H), ell)
+    raised = 0
+    for (G, ell), want in zip(cases, t_star):
+        try:
+            if search == "density":
+                max_density_subfamily(G.base, ell)
+            else:
+                sigma, t = min_max_orientation(G, ell)
+        except CertificateError as exc:
+            assert "found no subfamily denser" in str(exc)
+            raised += 1
+            continue
+        assert search == "orientation" and t == want and max(outdegrees(G, sigma)) == t
+        assert all(sum(v in e.members for e in G.edges() if len(e) > ell) <= t
+                   for v in range(G.n_vertices))
+    assert raised == len(cases) if search == "density" else 0 < raised < len(cases)
 
 
 @pytest.mark.parametrize("search", ["density", "orientation", "audit"])
@@ -550,9 +595,10 @@ def test_each_flow_backed_answer_is_certified_once(monkeypatch):
             checks.clear(), searches.clear()
             sigma, t = min_max_orientation(G, ell)
             (_lam, _cap, raw), = searches
-            picks = [[int(v in chosen) for v in e.members]
-                     for e, (_d, _key, chosen) in zip(G.edges(), sigma.assign)]
-            assert checks == [([e.members for e in G.edges()], ell, Fraction(t), picks)]
+            live = [(e, chosen) for e, (_d, _key, chosen) in zip(G.edges(), sigma.assign)
+                    if len(e) > ell]
+            picks = [[int(v in chosen) for v in e.members] for e, chosen in live]
+            assert checks == [([e.members for e, _chosen in live], ell, Fraction(t), picks)]
             padded += picks != raw
         for ell in (1, 2):
             checks.clear(), searches.clear()
