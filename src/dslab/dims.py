@@ -94,15 +94,20 @@ def _top_down(H: HypothesisClass, ell: int, kind: str, probe) -> tuple[int, Shat
     restriction ``probe`` maps to a family; (0, None) when there is none.
     s* is the largest s <= n with (ell+1)^s <= |H|, and no larger set is
     shattered (the list analogue of VC <= log2|H|), so a search from n finds
-    the same S.  A restriction has at most |H| rows.  A Natarajan witness on
-    s coordinates is a product of s lists of ell+1 labels: (ell+1)^s rows.
-    A DS core F on s coordinates has at least (ell+1)^s rows: projected off
-    coordinate i, F maps onto a core on the other s-1 coordinates (projected
-    j-neighbours stay distinct j-neighbours), and each image row has >= ell+1
-    preimages (a row and its >= ell i-neighbours); induct on s.
+    the same S.  A Natarajan witness on s coordinates is a product of s
+    lists of ell+1 labels: (ell+1)^s rows.  A DS core F on s coordinates has
+    at least (ell+1)^s rows: projected off coordinate i, F maps onto a core
+    on the other s-1 coordinates (projected j-neighbours stay distinct
+    j-neighbours), and each image row has >= ell+1 preimages (a row and its
+    >= ell i-neighbours); induct on s.  So a restriction W_S with fewer than
+    (ell+1)^|S| rows is not probed, and since both need ell+1 labels at every
+    coordinate of S, the walk holds only coordinates heavy at ell; neither
+    skip moves the first S found.
     """
     s_star = next(s for s in range(H.n, -1, -1) if (ell + 1) ** s <= len(H))
-    for S, W in walk(H, range(s_star, 0, -1)):
+    for S, W in walk(H, ell, range(s_star, 0, -1)):
+        if len(W) < (ell + 1) ** len(S):
+            continue
         fam = probe(W)
         if fam is not None:
             return len(S), ShatterWitness(coords=S, subfamily=fam, kind=kind, ell=ell)

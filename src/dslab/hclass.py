@@ -15,7 +15,9 @@ go through the private ``_trusted_class``, which skips those checks.
 
 ``off_groups(W, i)`` alone groups rows by their labels off coordinate i (the
 one-inclusion edges and the DS i-neighbours); it keeps each grouping on ``W``.
-``walk`` alone enumerates the coordinate tuples of every restriction search.
+``walk`` alone enumerates the coordinate tuples of every restriction search;
+it walks only coordinates with more than ell labels, the only ones that can
+carry a live edge or belong to a shattered set.
 """
 
 from __future__ import annotations
@@ -166,16 +168,20 @@ def off_groups(W: HypothesisClass, i: int) -> tuple[tuple[tuple[int, ...], tuple
     return kept[i]
 
 
-def walk(H: HypothesisClass, sizes: Sequence[int]) -> Iterator[tuple[tuple[int, ...], HypothesisClass]]:
-    """(T, ``restrict(H, T)``) for every coordinate tuple T of each size in
-    ``sizes`` in turn, lexicographically within a size.  A walk over more
-    than ``_WALK_LIMIT`` tuples in all raises BudgetError before it yields
+def walk(H: HypothesisClass, ell: int,
+         sizes: Sequence[int]) -> Iterator[tuple[tuple[int, ...], HypothesisClass]]:
+    """(T, ``restrict(H, T)``) for every tuple T of coordinates heavy at
+    ``ell`` (where ``H`` has more than ell labels), of each size in ``sizes``
+    in turn, lexicographically within a size: the full walk's order with
+    every tuple holding a light coordinate left out.  A walk over more than
+    ``_WALK_LIMIT`` such tuples in all raises BudgetError before it yields
     anything."""
-    count = sum(math.comb(H.n, size) for size in sizes)
+    heavy = [i for i, col in enumerate(zip(*H.hyps), 1) if len(set(col)) > ell]
+    count = sum(math.comb(len(heavy), size) for size in sizes)
     if count > _WALK_LIMIT:
         raise BudgetError(f"walk of {count} coordinate tuples exceeds limit {_WALK_LIMIT}")
     for size in sizes:
-        for T in itertools.combinations(range(1, H.n + 1), size):
+        for T in itertools.combinations(heavy, size):
             yield T, restrict(H, T)
 
 

@@ -437,7 +437,7 @@ def mu_with_witness(H: HypothesisClass, n_samples: int,
                     ell: int) -> tuple[Fraction, tuple[int, ...], HypothesisClass]:
     """Maximum ell-density over restrictions: value, coordinates, subfamily.
 
-    Restrictions range over all non-empty coordinate subsets of size up to
+    Restrictions range over the non-empty coordinate subsets of size up to
     min(n_samples, n); more subsets than ``hclass.walk``'s limit raise
     BudgetError.  A sequence with repeated coordinates never beats a plain
     subset: a repeated direction only carries singleton edges (its off
@@ -447,17 +447,29 @@ def mu_with_witness(H: HypothesisClass, n_samples: int,
     ``_density_bound`` is no better is skipped, and every other search
     starts at the best so far (``_densest_subfamily``'s floor): one flow and
     its dual check settle a restriction that does not beat it.
+
+    Only sets of coordinates with more than ell labels are walked.  If j has
+    at most ell, every direction-j edge has at most ell members; split a
+    subfamily F of W_T by its label at j: each other edge lies in one slice,
+    and each slice maps one-to-one onto W_{T-j} with the same edges, so F is
+    no denser than its densest slice, hence than mu(T-j).  T-j comes earlier
+    in the walk and ties go to the earlier set, so no set holding j is the
+    witness.  A heavy singleton has density > 0, so mu = 0 exactly when no
+    coordinate is heavy; the answer is then (0, (1,), row 0 of W_{(1,)}),
+    the first set and row the full walk gives.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     best = (Fraction(-1), (), None)
-    for T, W in walk(H, range(1, min(n_samples, H.n) + 1)):
+    for T, W in walk(H, ell, range(1, min(n_samples, H.n) + 1)):
         live = _live_edges(W, ell)
         if best[2] is not None and _density_bound(live, len(W), ell) <= best[0]:
             continue
         got = _densest_subfamily(live, len(W), ell, best[0])
         if got is not None:
             best = (got[0], T, _rows_to_class(W, got[1]))
+    if best[2] is None:
+        return Fraction(0), (1,), _trusted_class(H.k, 1, (H.hyps[0][:1],))  # H's rows ascend
     return best
 
 
@@ -471,13 +483,14 @@ def mu_prime(H: HypothesisClass, n_samples: int) -> Fraction:
 
     Agrees with ``mu(..., ell=1)`` up to a factor of two:
     mu' / 2 <= mu <= mu'.  Enumerates all 2^|W| subfamilies of each
-    restriction ``mu`` walks, so a restriction with an edge and more than 22
-    rows raises BudgetError.
+    restriction ``mu`` walks at ell 1, so a restriction with an edge and
+    more than 22 rows raises BudgetError.  A constant coordinate is left
+    out: it leaves the restriction isomorphic and adds only singleton edges.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     best = Fraction(0)
-    for _T, W in walk(H, range(1, min(n_samples, H.n) + 1)):
+    for _T, W in walk(H, 1, range(1, min(n_samples, H.n) + 1)):
         live = _live_edges(W, 1)
         if live:
             best = max(best, _best_subfamily_mask(live, len(W)))

@@ -10,7 +10,7 @@ from helpers import (enumerated_spanning, evaluate, fraction_rank, is_prime, ran
                      subclasses, unpruned_mu_with_witness)
 import dslab.algebra as algebra
 from dslab.errors import BudgetError, CertificateError
-from dslab.hclass import HypothesisClass, class_id, gen_cube, gen_random, walk
+from dslab.hclass import HypothesisClass, class_id, gen_cube, gen_random, restrict
 from dslab.dims import ds_dimension
 from dslab.algebra import (audit_theorem, check_spanning,
                            direction_subspace_dim, eval_matrix, extract_basis,
@@ -458,8 +458,11 @@ def audit_cases(draw):
 def test_density_bound_and_restriction_memo_change_no_result(case):
     H, ell, ns = case
     assert mu_with_witness(H, ns, ell) == unpruned_mu_with_witness(H, ns, ell)
-    for _T, W in walk(H, range(1, min(ns, H.n) + 1)):
-        live = _live_edges(W, ell)
-        assert live == [g.members for g in build_oig(W).edges() if len(g) > ell]
-        assert _density_bound(live, len(W), ell) >= max_density_subfamily(W, ell)[0]
+    # every restriction, also those the walk leaves out
+    for size in range(1, min(ns, H.n) + 1):
+        for T in itertools.combinations(range(1, H.n + 1), size):
+            W = restrict(H, T)
+            live = _live_edges(W, ell)
+            assert live == [g.members for g in build_oig(W).edges() if len(g) > ell]
+            assert _density_bound(live, len(W), ell) >= max_density_subfamily(W, ell)[0]
     assert audit_theorem(H, ell, ns).to_json() == audit_theorem(H, ell, ns).to_json()

@@ -662,12 +662,15 @@ def test_a_bad_integer_in_a_comma_list_names_the_flag(command, flag, text, squar
 
 
 def test_wide_one_row_class_answers_or_refuses_at_once(tmp_path, capsys, monkeypatch):
-    # 40 coordinates: both dimension searches start at s* = 0, so they probe
-    # nothing; mu's walk of all 2**40 - 1 coordinate sets is refused before it
-    # restricts anything; a walk of the sets of size <= 3 (10 700) still runs.
-    # Past 20 000 restrictions the walk fails fast instead of hanging.
-    path = tmp_path / "forty.json"
-    path.write_text(json.dumps({"k": 3, "n": 40, "hyps": [[1] * 40]}))
+    # 40 coordinates.  With one row none is heavy (more than ell labels), so
+    # every search walks nothing and answers.  With two rows all 40 are:
+    # both dimension searches start at s* = 1, and mu's walk of all
+    # 2**40 - 1 coordinate sets is refused before it restricts anything; a
+    # walk of the sets of size <= 3 (10 700) still runs.  Past 20 000
+    # restrictions the walk fails fast instead of hanging.
+    one, two = tmp_path / "forty.json", tmp_path / "forty-two-rows.json"
+    one.write_text(json.dumps({"k": 3, "n": 40, "hyps": [[1] * 40]}))
+    two.write_text(json.dumps({"k": 2, "n": 40, "hyps": [[1] * 40, [2] * 40]}))
     calls, honest = [0], hclass.restrict
 
     def bounded(*args):
@@ -677,18 +680,24 @@ def test_wide_one_row_class_answers_or_refuses_at_once(tmp_path, capsys, monkeyp
         return honest(*args)
 
     monkeypatch.setattr(hclass, "restrict", bounded)
-    code, out, _err = run(capsys, "dims", "--class", str(path), "--ell", "1")
+    code, out, _err = run(capsys, "dims", "--class", str(one), "--ell", "1")
+    assert code == EXIT_OK and (json.loads(out)["d_ds"], json.loads(out)["d_nat"]) == (0, 0)
+    code, out, _err = run(capsys, "mu", "--class", str(one), "--ell", "1")
+    assert code == EXIT_OK and json.loads(out)["mu"] == "0/1"
+    code, out, _err = run(capsys, "audit", "--class", str(one), "--ell", "1")
     assert code == EXIT_OK and calls[0] == 0
-    assert (json.loads(out)["d_ds"], json.loads(out)["d_nat"]) == (0, 0)
+    code, out, _err = run(capsys, "dims", "--class", str(two), "--ell", "1")
+    assert code == EXIT_OK and (json.loads(out)["d_ds"], json.loads(out)["d_nat"]) == (1, 1)
+    calls[0] = 0
     for command in ("audit", "mu"):
-        code, out, err = run(capsys, command, "--class", str(path), "--ell", "1")
+        code, out, err = run(capsys, command, "--class", str(two), "--ell", "1")
         assert code == EXIT_ERROR and out == "" and calls[0] == 0
         assert err == (f"dslab {command}: walk of {2 ** 40 - 1} coordinate tuples exceeds "
                        f"limit {2 ** 20}\n")
-    code, out, _err = run(capsys, "mu", "--class", str(path), "--ell", "1", "--n", "3")
-    assert code == EXIT_OK and json.loads(out)["mu"] == "0/1" and calls[0] == 10_700
+    code, out, _err = run(capsys, "mu", "--class", str(two), "--ell", "1", "--n", "3")
+    assert code == EXIT_OK and json.loads(out)["mu"] == "1/2" and calls[0] == 10_700
     calls[0] = 0
-    assert run(capsys, "audit", "--class", str(path), "--ell", "1", "--n", "3")[0] == EXIT_OK
+    assert run(capsys, "audit", "--class", str(two), "--ell", "1", "--n", "3")[0] == EXIT_OK
 
 
 def test_config_embeds_resolved_seed(square, capsys, monkeypatch):

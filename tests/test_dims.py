@@ -6,9 +6,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from helpers import (brute_largest_valid_subfamily, brute_vc, is_valid_subfamily, random_class,
-                     subclasses, uncapped_dimension)
+                     subclasses, uncapped_dimension, unpruned_mu_with_witness)
 import dslab.dims as dims
+import dslab.hclass as hclass
 from dslab.hclass import HypothesisClass, gen_cube, restrict
+from dslab.oig import mu_with_witness
 from dslab.dims import (ShatterWitness, _product_family, ds_dimension, ds_shatter_core,
                         natarajan_dimension, validate_witness, vc_dimension, witness_from_json,
                         witness_to_json)
@@ -203,14 +205,62 @@ def test_no_probe_is_wider_than_the_row_count_allows(monkeypatch):
         widths = record_probes(monkeypatch, H, ell)
         assert ds_dimension(H, ell)[0] == natarajan_dimension(H, ell)[0] == 1
         assert widths == [1, 1]
-    # 20 rows on 5 coordinates: s* = 4 < n at ell 1, and 2 at ell 2
+    # 20 rows on 5 coordinates: s* = 4 < n at ell 1, and 2 at ell 2.
+    # Coordinate 1 is constant, and at ell 2 only coordinate 2 has more than
+    # ell labels, so no pair is walked there.
     H = HypothesisClass(k=3, n=5, hyps=gen_cube(3, 2, 2, 5).hyps[:20])
     for ell in (1, 2):
         monkeypatch.undo()  # the oracle probes every width
         want = uncapped_dimension(H, ell, "DS"), uncapped_dimension(H, ell, "Natarajan")
         widths = record_probes(monkeypatch, H, ell)
         assert (ds_dimension(H, ell), natarajan_dimension(H, ell)) == want
-        assert max(widths) == s_star(H, ell) < H.n
+        assert max(widths) == (s_star(H, ell) if ell == 1 else 1) and s_star(H, ell) < H.n
+
+
+def walked_searches(monkeypatch, H, ell, n_samples):
+    """``mu_with_witness``, ``ds_dimension`` and ``natarajan_dimension`` of
+    ``H``; fails if any of them restricts to a set holding a coordinate with
+    at most ell labels in ``H``."""
+    light = {i for i in range(1, H.n + 1) if len(H.labels_at(i)) <= ell}
+    honest = hclass.restrict
+
+    def recorded(G, coords, *args):
+        if light.intersection(coords):
+            pytest.fail(f"restricted to {tuple(coords)}, which holds a coordinate of at most {ell} labels")
+        return honest(G, coords, *args)
+
+    monkeypatch.setattr(hclass, "restrict", recorded)
+    got = mu_with_witness(H, n_samples, ell), ds_dimension(H, ell), natarajan_dimension(H, ell)
+    monkeypatch.undo()
+    return got
+
+
+def full_walks(H, ell, n_samples):
+    return (unpruned_mu_with_witness(H, n_samples, ell), uncapped_dimension(H, ell, "DS"),
+            uncapped_dimension(H, ell, "Natarajan"))
+
+
+def test_searches_never_restrict_to_a_coordinate_with_at_most_ell_labels(monkeypatch):
+    # coordinates 3 and 4 hold two labels, so at ell 2 only {1, 2} is walked
+    H = gen_cube(3, 2, 2, 4)
+    assert walked_searches(monkeypatch, H, 2, H.n) == full_walks(H, 2, H.n)
+    # the binary 8-cube with 22 constant coordinates: s* = 8, and the walk
+    # over the 8 heavy coordinates holds 255 tuples, where one over all 30
+    # would hold 8 656 936, past the walk limit (the full walks never end)
+    H = gen_cube(2, 1, 8, 30)
+    got_mu, got_ds, got_nat = walked_searches(monkeypatch, H, 1, 2)
+    assert got_mu == unpruned_mu_with_witness(H, 2, 1)
+    for d, w in (got_ds, got_nat):
+        assert d == 8 and w.coords == tuple(range(1, 9)) and validate_witness(H, w)
+    # one coordinate forced to at most two labels: light at ell 2 and 3
+    rng = np.random.default_rng(25)
+    for _ in range(60):
+        R = random_class(rng)
+        j = int(rng.integers(R.n))
+        H = HypothesisClass(k=R.k, n=R.n, hyps=tuple(sorted(
+            {h[:j] + (1 + (h[j] - 1) % 2,) + h[j + 1:] for h in R.hyps})))
+        for ell in (1, 2, 3):
+            assert walked_searches(monkeypatch, H, ell, H.n) == full_walks(H, ell, H.n)
 
 
 def test_natarajan_square():

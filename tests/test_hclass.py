@@ -10,7 +10,7 @@ from dslab.errors import BudgetError
 import dslab.hclass as hclass
 from dslab.hclass import (HypothesisClass, class_id, dumps_class, gen_cube, gen_random, load_class,
                           loads_class, off_groups, restrict, save_class, to_csv, walk)
-from dslab.oig import mu, mu_prime
+from dslab.oig import mu, mu_prime, mu_with_witness
 
 
 def test_load_simple(tmp_path):
@@ -209,32 +209,45 @@ def test_gen_random_refuses_past_the_budget_before_sampling(monkeypatch):
 
 def test_walk_yields_each_size_in_turn_lexicographically():
     H = gen_random(3, 4, 20, seed=2)
+    assert all(len(H.labels_at(i)) == 3 for i in range(1, 5))
     want = list(itertools.combinations(range(1, 5), 3)) + list(itertools.combinations(range(1, 5), 1))
-    fresh = list(walk(H, (3, 1)))
+    fresh = list(walk(H, 2, (3, 1)))
     assert [T for T, _W in fresh] == want
     assert all(W == restrict(H, T) for T, W in fresh)
-    assert list(walk(H, range(0))) == []
+    assert list(walk(H, 2, range(0))) == []
+    assert list(walk(H, 3, (3, 1))) == []
+    # coordinate 2 holds two labels: light at ell 2, heavy at ell 1
+    G = HypothesisClass(k=3, n=4, hyps=tuple(sorted({(a, min(b, 2), c, d) for a, b, c, d in H.hyps})))
+    assert [T for T, _W in walk(G, 2, (3, 2, 1))] == [(1, 3, 4), (1, 3), (1, 4), (3, 4), (1,), (3,), (4,)]
+    assert [T for T, _W in walk(G, 1, (3, 1))] == want
 
 
 def test_walk_past_its_limit_raises_before_restricting_anything(monkeypatch):
-    # mu walks every set of at most n_samples coordinates; on 40 coordinates
-    # that is 2**40 - 1 sets, refused before the first restriction, while a
-    # full walk of 20 coordinates (2**20 - 1 sets) is inside the limit
+    # mu walks every set of at most n_samples heavy coordinates; on 40 of
+    # them that is 2**40 - 1 sets, refused before the first restriction,
+    # while a full walk of 20 (2**20 - 1 sets) is inside the limit.  The
+    # limit counts only heavy coordinates: one row has none, so every search
+    # answers at once.
     def refuse(*_args):
         raise AssertionError("a refused walk restricted the class")
 
     monkeypatch.setattr(hclass, "restrict", refuse)
-    forty = HypothesisClass(k=3, n=40, hyps=((1,) * 40,))
+    two = HypothesisClass(k=2, n=40, hyps=((1,) * 40, (2,) * 40))
     message = f"walk of {2 ** 40 - 1} coordinate tuples exceeds limit {2 ** 20}"
-    for search in (lambda: mu(forty, 40, 1), lambda: mu_prime(forty, 40),
-                   lambda: audit_theorem(forty, 1), lambda: next(walk(forty, range(40, 0, -1)))):
+    for search in (lambda: mu(two, 40, 1), lambda: mu_prime(two, 40),
+                   lambda: audit_theorem(two, 1), lambda: next(walk(two, 1, range(40, 0, -1)))):
         with pytest.raises(BudgetError, match=message):
             search()
     with pytest.raises(BudgetError, match=f"walk of {2 ** 21 - 1} coordinate tuples"):
-        next(walk(HypothesisClass(k=2, n=21, hyps=((1,) * 21,)), range(1, 22)))
+        next(walk(HypothesisClass(k=2, n=21, hyps=((1,) * 21, (2,) * 21)), 1, range(1, 22)))
+    one = HypothesisClass(k=3, n=40, hyps=((1,) * 40,))
+    assert mu_with_witness(one, 40, 1) == (0, (1,), HypothesisClass(k=3, n=1, hyps=((1,),)))
+    assert mu_prime(one, 40) == 0
+    assert audit_theorem(one, 1).mu_value == 0
+    assert list(walk(two, 2, range(40, 0, -1))) == []
     monkeypatch.undo()
-    twenty = HypothesisClass(k=2, n=20, hyps=((1,) * 20,))
-    assert next(walk(twenty, range(1, 21)))[0] == (1,)
+    twenty = HypothesisClass(k=2, n=20, hyps=((1,) * 20, (2,) * 20))
+    assert next(walk(twenty, 1, range(1, 21)))[0] == (1,)
 
 
 def test_direct_construction_enforces_canonical_form():

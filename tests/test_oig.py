@@ -512,6 +512,17 @@ def test_a_density_search_from_a_floor_below_the_maximum_ends_where_the_cold_one
         assert mu_with_witness(W, W.n, ell) == unpruned_mu_with_witness(W, W.n, ell)
 
 
+def test_mu_over_heavy_coordinates_equals_the_full_walk_on_every_small_subclass():
+    # every non-empty subclass of [3]^2 and [2]^3 and every sample size; on
+    # those with no coordinate of more than ell labels mu is 0, and the
+    # witness is still the full walk's first set and row
+    for cube in (gen_cube(3, 1, 2, 2), gen_cube(2, 1, 3, 3)):
+        for H in subclasses(cube):
+            for ell in (1, 2):
+                for ns in range(1, H.n + 1):
+                    assert mu_with_witness(H, ns, ell) == unpruned_mu_with_witness(H, ns, ell)
+
+
 def test_a_density_search_from_a_floor_at_or_above_the_maximum_stops_after_one_flow(monkeypatch):
     honest, calls = oig.maximum_flow, []
 
