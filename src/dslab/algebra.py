@@ -27,7 +27,7 @@ from typing import Iterator
 from .dims import ds_dimension, natarajan_dimension, validate_witness
 from .errors import BudgetError, CertificateError
 from .hclass import HypothesisClass, class_id, off_groups, restrict
-from .oig import build_oig, format_ratio, min_max_orientation, mu_with_witness
+from .oig import _live_edges, _orient_live, format_ratio, mu_with_witness
 
 __all__ = [
     "AuditReport",
@@ -403,7 +403,8 @@ def audit_theorem(H: HypothesisClass, ell: int, n_samples: int | None = None,
 
     mu_val, T_star, _F = mu_with_witness(H, ns, ell)
     ceil_mu = math.ceil(mu_val)
-    _sigma, t_star = min_max_orientation(build_oig(restrict(H, T_star)), ell)
+    W_star = restrict(H, T_star)
+    t_star, _chosen = _orient_live(_live_edges(W_star, ell), len(W_star), ell)
 
     d_ds, w_ds = ds_dimension(H, ell)
     if w_ds is not None and not validate_witness(H, w_ds):

@@ -5,7 +5,10 @@ of (coordinate, label) pairs and a test point is a coordinate index.  The
 one-inclusion list predictor projects the class onto the sample coordinates
 plus the test coordinate, orients the resulting hypergraph to minimize the
 maximum ell-outdegree, and reads the prediction off the edge matching the
-training labels.
+training labels.  Only the live edges (more than ell members) are oriented,
+straight from ``hclass.off_groups``, with no graph object: an edge of at
+most ell members keeps every member, so a training edge that small needs no
+flow at all.
 
 Repeated coordinates are handled by reduction: a direction whose coordinate
 occurs more than once in the projection tuple carries only singleton edges
@@ -15,6 +18,8 @@ depend only on (H, state, x, ell), where the state (``CoordState``) records
 which coordinates were seen, their labels, and whether each was seen once or
 more -- which is what makes caching sound.  The one prediction cache is a
 ``PredictionTable``, which binds its (state, x) memo to the (H, ell) it serves.
+The orientation never reads the training labels, so one flow serves every
+labeling of the same coordinates: a miss fills the table for all of them.
 
 Probabilities under a ``SyntheticDistribution`` are exact: each is the mass
 of the support points a boolean mask marks, summed as integer numerators
@@ -33,8 +38,8 @@ import numpy as np
 
 from .dims import ds_dimension
 from .errors import CertificateError, RealizabilityError
-from .hclass import HypothesisClass, class_id, restrict
-from .oig import build_oig, min_max_orientation, outdegrees
+from .hclass import HypothesisClass, class_id, off_groups, restrict
+from .oig import _orient_live, build_oig, min_max_orientation, outdegrees
 
 __all__ = [
     "ListPrediction",
@@ -114,23 +119,54 @@ def _pair_arrays(H: HypothesisClass, pairs: Sequence[tuple[int, int]]):
     return xy[:, 0], xy[:, 1]
 
 
-def _predict_from_state(H: HypothesisClass, state: CoordState, x: int, ell: int) -> ListPrediction:
-    """One-inclusion list prediction for a consolidated sample state."""
-    trained = {c: y for c, y, _ in state}
+def _predict_from_state(H: HypothesisClass, state: CoordState, x: int, ell: int
+                        ) -> tuple[ListPrediction, list[tuple[CoordState, ListPrediction]]]:
+    """One-inclusion list prediction at ``x`` for a consolidated sample
+    state, and the predictions at ``x`` of the sibling states that the same
+    flow answers.
+
+    W is the projection of H on the trained coordinates, in the state's
+    order, then x.  The answer is read off the training edge, the
+    test-direction edge whose key is the training labels: the labels at x
+    of the members that an orientation of W's graph, with each coordinate
+    seen more than once dead, keeps on that edge.
+    - A training edge of at most ell members keeps them all in every
+      orientation, so it is answered with no flow and no siblings.
+    - Otherwise ``oig._orient_live`` orients the live edges (more than ell
+      members) of the directions that are not dead, in ``build_oig``'s edge
+      order; a dead direction holds only singletons.  That flow depends on
+      (coordinates, dead set, ell) and never reads the training labels, so
+      every live test-direction edge's key labels a sibling state --
+      ``tuple(zip(coords, key, onces))``, the state itself among them --
+      whose answer is read off the same orientation.
+
+    Raises RealizabilityError when no row of W carries the training labels.
+    """
+    trained = {c: y for c, y, _once in state}
     if x in trained:
-        return ListPrediction((trained[x],))
-    coords = tuple(sorted(trained)) + (x,)
-    W = restrict(H, coords)
-    dead = [p for p, (_c, _y, once) in enumerate(state) if not once]
-    G = build_oig(W, dead_dirs=dead)
-    sigma, _t = min_max_orientation(G, ell)
-    test_pos = len(coords) - 1
-    target_key = tuple(trained[c] for c in coords[:-1])
-    for (d, key, chosen), e in zip(sigma.assign, G.edges()):
-        if d == test_pos and key == target_key:
-            labels = sorted(W.hyps[v][test_pos] for v in chosen)
-            return ListPrediction(tuple(labels))
-    raise RealizabilityError("no edge matches the training labels")
+        return ListPrediction((trained[x],)), []
+    coords = tuple(trained)
+    onces = tuple(once for _c, _y, once in state)
+    W = restrict(H, coords + (x,))
+    test = len(coords)
+    groups = off_groups(W, test)
+    target = tuple(trained.values())
+    members = dict(groups).get(target)
+    if members is None:
+        raise RealizabilityError("no edge matches the training labels")
+
+    def labels(rows: tuple[int, ...]) -> ListPrediction:
+        return ListPrediction(tuple(sorted(W.hyps[v][test] for v in rows)))
+
+    if len(members) <= ell:
+        return labels(members), []
+    live = [vs for i, once in enumerate(onces + (True,)) if once
+            for _key, vs in off_groups(W, i) if len(vs) > ell]
+    _t, chosen = _orient_live(live, len(W), ell)
+    keys = [key for key, vs in groups if len(vs) > ell]  # their edges end ``live``
+    siblings = [(tuple(zip(coords, key, onces)), labels(rows))
+                for key, rows in zip(keys, chosen[len(chosen) - len(keys):])]
+    return siblings[keys.index(target)][1], siblings
 
 
 class PredictionTable:
@@ -138,7 +174,9 @@ class PredictionTable:
 
     A prediction depends only on (H, state, x, ell), so within one table the
     key fixes the answer; users that share a table check its ``H`` and
-    ``ell`` against their own.
+    ``ell`` against their own.  A miss that runs a flow also records, with
+    ``setdefault``, the answer of every sibling state that flow serves: one
+    orientation answers every labeling of the same coordinates.
     """
 
     def __init__(self, H: HypothesisClass, ell: int):
@@ -152,7 +190,10 @@ class PredictionTable:
         key = (state, x)
         got = self._known.get(key)
         if got is None:
-            got = self._known[key] = _predict_from_state(self.H, state, x, self.ell)
+            got, siblings = _predict_from_state(self.H, state, x, self.ell)
+            self._known[key] = got
+            for sibling, pred in siblings:
+                self._known.setdefault((sibling, x), pred)
         return got
 
 
@@ -164,7 +205,7 @@ def oig_list_predict(H: HypothesisClass, train: Sequence[tuple[int, int]],
     if not 1 <= x <= H.n:
         raise ValueError(f"instance {x} out of range [1, {H.n}]")
     y_of, counts = _consolidate(train, H)
-    return _predict_from_state(H, _state_of(y_of, counts), x, ell)
+    return _predict_from_state(H, _state_of(y_of, counts), x, ell)[0]
 
 
 def loo_error(H: HypothesisClass, sample: Sequence[tuple[int, int]],

@@ -147,6 +147,10 @@ def density(W: HypothesisClass, ell: int) -> Fraction:
 # every maximizer (Picard & Queyranne 1980): that gives mu.  Stepping to the
 # ceiling keeps lam an integer t, and the final flow on the same live edges
 # is an orientation of maximum outdegree t_star = ceil(mu) (Hakimi 1965).
+# ``_orient_live`` orients a list of live edges with no graph object: the
+# audit and the list predictor hand it ``off_groups``' live edges directly,
+# and since the flow never reads the training labels, one flow answers every
+# labeling of a projection's training coordinates.
 # Each answer is checked as a fractional orientation, the LP dual of the
 # density (Charikar 2000), which bounds every F's density by lam without
 # trusting the flow code: mu's final flow, and the 0/1 choices of the
@@ -500,52 +504,64 @@ def mu_prime(H: HypothesisClass, n_samples: int) -> Fraction:
 # -- min-max ell-outdegree orientation ---------------------------------------
 
 
-def min_max_orientation(G: OneInclusionGraph, ell: int) -> tuple[Orientation, int]:
-    """Orientation minimizing the maximum ell-outdegree, with optimal value.
+def _orient_live(live: Sequence[tuple[int, ...]], n_rows: int,
+                 ell: int) -> tuple[int, list[tuple[int, ...]]]:
+    """Min-max ell-outdegree orientation of the ``live`` edges (ascending
+    row tuples of more than ell members over ``n_rows`` rows): the optimal
+    value t, and the members each live edge picks, in edge order.
 
     An edge with |e| <= ell keeps every member, so it adds 0 to every
     vertex's outdegree and to every excess(F): it never enters the network,
-    and a t is feasible on the live edges (|e| > ell) exactly when it is
-    feasible on all of them.  ``_cut_search`` runs over the live edges,
+    and a t is feasible on the live edges exactly when it is feasible with
+    the small edges added.  ``_cut_search`` runs over the live edges,
     stepping to the ceiling of each cut's ratio, so lam stays an integer t
     and each vertex's sink arc is (d_v - t)_+, d_v its live degree.  Each
     cut's F carries excess(F) > t*|F| outdegree in every orientation, so no
-    maximum is below the next t; the search starts at F = W.  Once every
-    sink arc saturates, each live edge picks the members its flow covers,
-    padded in member order up to ell.
+    maximum is below the next t; the search starts at F = all rows.  Once
+    every sink arc saturates, each live edge picks the members its flow
+    covers, padded in member order up to ell.
 
-    So t_star is certified minimal by its cuts, and the padded orientation
-    is certified to reach it by ``_check_fractional_orientation`` on the
-    live edges' 0/1 choices at lam = t.  The checks are arithmetic,
-    independent of the flow; a failure raises CertificateError.
+    So t is certified minimal by its cuts, and the padded picks are
+    certified to reach it by ``_check_fractional_orientation`` at lam = t.
+    The checks are arithmetic, independent of the flow; a failure raises
+    CertificateError.  The answer depends on the edges alone, so callers
+    that share the live edges share one flow.
     """
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    edges = list(G.edges())
-    live = [e.members for e in edges if len(e) > ell]
-    if not live:  # every member picked: outdegree 0 by construction
-        assign = tuple((e.direction, e.key, e.members) for e in edges)
-        return Orientation(ell=ell, assign=assign), 0
+    if not live:  # nothing to orient: outdegree 0 by construction
+        return 0, []
 
     def ceil_ratio(ex: int, size: int) -> Fraction:
         return Fraction(-(-ex // size))
 
-    net = _Network(live, G.n_vertices, ell)
-    start = ceil_ratio(sum(len(e) - ell for e in live), G.n_vertices)
+    net = _Network(live, n_rows, ell)
+    start = ceil_ratio(sum(len(e) - ell for e in live), n_rows)
     lam, _cap, flows = _cut_search(net, live, ell, start, ceil_ratio)
-    t = int(lam)
-
-    assign, picks, flows = [], [], iter(flows)
-    for e in edges:
-        chosen = e.members
-        if len(e) > ell:
-            got = {v for v, x in zip(e.members, next(flows)) if x}
-            pad = [v for v in e.members if v not in got][:ell - len(got)]  # in member order
-            chosen = tuple(sorted(got.union(pad)))
-            picks.append([int(v in chosen) for v in e.members])
-        assign.append((e.direction, e.key, chosen))
+    chosen, picks = [], []
+    for e, xs in zip(live, flows):
+        got = {v for v, x in zip(e, xs) if x}
+        pad = [v for v in e if v not in got][:ell - len(got)]  # in member order
+        chosen.append(tuple(sorted(got.union(pad))))
+        picks.append([int(v in chosen[-1]) for v in e])
     _check_fractional_orientation(live, ell, lam, picks)
-    return Orientation(ell=ell, assign=tuple(assign)), t
+    return int(lam), chosen
+
+
+def min_max_orientation(G: OneInclusionGraph, ell: int) -> tuple[Orientation, int]:
+    """Orientation minimizing the maximum ell-outdegree, with optimal value.
+
+    A wrapper over ``_orient_live`` for callers that hold the graph and read
+    the orientation edge by edge (``dslab orient``, ``loo_error`` through
+    ``outdegrees``, and the demos): the live edges (|e| > ell) are oriented
+    in graph order, and every other edge keeps all its members.
+    """
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    edges = list(G.edges())
+    t, chosen = _orient_live([e.members for e in edges if len(e) > ell], G.n_vertices, ell)
+    picked = iter(chosen)
+    assign = tuple((e.direction, e.key, next(picked) if len(e) > ell else e.members)
+                   for e in edges)
+    return Orientation(ell=ell, assign=assign), t
 
 
 def outdegrees(G: OneInclusionGraph, sigma: Orientation) -> list[int]:

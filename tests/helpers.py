@@ -254,6 +254,33 @@ def random_class(rng, k_max=4, n_max=4, size_max=12) -> HypothesisClass:
     return gen_random(k, n, size, seed=int(rng.integers(0, 2**31)))
 
 
+def graph_prediction(H: HypothesisClass, state, x: int, ell: int):
+    """The one-inclusion list prediction as the graph objects give it:
+    restrict H to the trained coordinates and x, build the whole graph with
+    every coordinate seen more than once dead, orient all its edges with
+    ``min_max_orientation``, and scan the orientation for the test edge that
+    the training labels key.  Raises RealizabilityError when none does."""
+    from dslab.errors import RealizabilityError
+    from dslab.hclass import restrict
+    from dslab.learn import ListPrediction
+    from dslab.oig import build_oig, min_max_orientation
+
+    trained = {c: y for c, y, _once in state}
+    if x in trained:
+        return ListPrediction((trained[x],))
+    coords = tuple(sorted(trained)) + (x,)
+    W = restrict(H, coords)
+    dead = [p for p, (_c, _y, once) in enumerate(state) if not once]
+    G = build_oig(W, dead_dirs=dead)
+    sigma, _t = min_max_orientation(G, ell)
+    test_pos = len(coords) - 1
+    target_key = tuple(trained[c] for c in coords[:-1])
+    for d, key, chosen in sigma.assign:
+        if d == test_pos and key == target_key:
+            return ListPrediction(tuple(sorted(W.hyps[v][test_pos] for v in chosen)))
+    raise RealizabilityError("no edge matches the training labels")
+
+
 # -- per-point oracles for the agnostic stages --------------------------------
 # Each asks a predictor or the menu at every sample point, as the stages did
 # before they ran on [x, y] tables, and keeps boosting's weights as Fractions.

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import (per_point_best_hypothesis, per_point_list_error, per_prefix_states,
-                     random_class)
+from helpers import (graph_prediction, per_point_best_hypothesis, per_point_list_error,
+                     per_prefix_states, random_class)
+import dslab
 import dslab.learn as learn
+import dslab.oig as oig
+from dslab.algebra import audit_theorem
 from dslab.errors import CertificateError, RealizabilityError
-from dslab.hclass import HypothesisClass, gen_cube, restrict
+from dslab.hclass import HypothesisClass, gen_cube, gen_random, off_groups, restrict
 from dslab.dims import ds_dimension
 from dslab.oig import build_oig, min_max_orientation
 from dslab.learn import (ListPrediction, PrefixVotePredictor,
@@ -142,6 +145,143 @@ def test_topk_exclusion_bound():
             if y not in out.labels:
                 omitted = sum(1 for lst in lists if y not in lst)
                 assert omitted >= math.ceil(n_lists / (ell + 1))
+
+
+def _table_cases():
+    """(H, ell, states) for prediction tables: seeded random classes at ell
+    1-3, then a class with k = 1, one with ell >= k, and one with k > ell
+    whose edges all have at most ell members.  Each state consolidates a
+    realizable sample; samples repeat coordinates, and each sequence of
+    coordinates is labeled by three rows, so states share their coordinates
+    and dead sets under other labels."""
+    rng = np.random.default_rng(48)
+    cases = [(random_class(rng, k_max=5, size_max=30), 1 + trial % 3) for trial in range(90)]
+    cases += [(HypothesisClass(k=1, n=3, hyps=((1, 1, 1),)), 1),
+              (gen_cube(3, 2, 2, 3), 3),
+              (HypothesisClass(k=3, n=3, hyps=((1, 1, 1), (1, 2, 1), (2, 1, 1), (3, 3, 3))), 2)]
+    for H, ell in cases:
+        states = []
+        for _ in range(4):
+            xs = rng.integers(1, H.n + 1, size=int(rng.integers(0, 2 * H.n + 1)))
+            for h in rng.choice(H.hyps, 3):
+                sample = [(int(x), int(h[x - 1])) for x in xs]
+                states.append(learn._state_of(*learn._consolidate(sample, H)))
+        yield H, ell, states
+
+
+def _training_edge(H, state, x):
+    """The members of the test-direction edge that ``state``'s labels key."""
+    W = restrict(H, tuple(c for c, _y, _once in state) + (x,))
+    return dict(off_groups(W, W.n - 1))[tuple(y for _c, y, _once in state)]
+
+
+def test_a_table_and_every_sibling_a_miss_fills_match_the_graph_oracle():
+    # a miss records the answer of every live test-direction edge's state;
+    # each entry must be what the whole graph's orientation gives that state
+    filled = read = dead = 0
+    for H, ell, states in _table_cases():
+        table = learn.PredictionTable(H, ell)
+        asked = set()
+        for state in states:
+            for x in range(1, H.n + 1):
+                before = set(table._known)
+                read += (state, x) in before and (state, x) not in asked  # a sibling's flow
+                asked.add((state, x))
+                assert table.predict(state, x) == graph_prediction(H, state, x, ell)
+                for sibling, x2 in table._known.keys() - before - {(state, x)}:
+                    assert table._known[sibling, x2] == graph_prediction(H, sibling, x2, ell)
+                    filled += 1
+                    dead += not all(once for _c, _y, once in sibling)
+    assert filled > 120 and dead > 50 and read > 40
+
+
+def test_an_unrealizable_state_raises_on_both_paths():
+    H = HypothesisClass(k=2, n=3, hyps=((1, 1, 1), (2, 2, 2)))
+    state = ((1, 1, True), (2, 2, False))  # no row labels coordinates 1, 2 as 1, 2
+    for ell in (1, 2):
+        table = learn.PredictionTable(H, ell)
+        with pytest.raises(RealizabilityError, match="no edge matches"):
+            table.predict(state, 3)
+        with pytest.raises(RealizabilityError, match="no edge matches"):
+            graph_prediction(H, state, 3, ell)
+        assert not table._known
+
+
+def test_audits_tables_and_the_pipeline_build_no_graph(monkeypatch):
+    # the graph objects serve `dslab orient`, the demos and loo_error; the
+    # audit, every prediction and the agnostic pipeline orient live edges
+    audits = [(gen_random(3, 3, 14, seed), ell) for seed in range(12) for ell in (1, 2)]
+    t_star = [min_max_orientation(build_oig(restrict(H, oig.mu_with_witness(H, H.n, ell)[1])),
+                                  ell)[1] for H, ell in audits]
+    cases = list(_table_cases())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("graph object built on a path that orients live edges only")
+
+    for mod in (dslab, oig, learn, dslab.algebra, dslab.agnostic):
+        for name in ("build_oig", "min_max_orientation"):
+            if name in vars(mod):
+                monkeypatch.setattr(mod, name, refuse)
+    assert [audit_theorem(H, ell).t_star for H, ell in audits] == t_star
+    for H, ell, states in cases:
+        table = learn.PredictionTable(H, ell)
+        for state in states:
+            for x in range(1, H.n + 1):
+                table.predict(state, x)
+    H = gen_cube(3, 1, 2, 4)
+    D = SyntheticDistribution.with_label_noise(H, target=0, noise=Fraction(1, 10))
+    dslab.agnostic_pipeline(H, D, ell=1, n1=20, T=20, n3=40, delta=0.1, seed=0)
+
+
+def test_a_training_edge_of_at_most_ell_members_runs_no_flow(monkeypatch):
+    # such an edge keeps every member in every orientation: no flow is needed
+    honest, flows = oig.maximum_flow, []
+
+    def counted(net, cap):
+        flows.append(None)
+        honest(net, cap)
+
+    monkeypatch.setattr(oig, "maximum_flow", counted)
+    small = large = 0
+    for H, ell, states in _table_cases():
+        for state in states:
+            for x in set(range(1, H.n + 1)) - {c for c, _y, _once in state}:
+                size = len(_training_edge(H, state, x))
+                flows.clear()
+                learn.PredictionTable(H, ell).predict(state, x)
+                assert bool(flows) == (size > ell)
+                small += size <= ell
+                large += size > ell
+    assert small > 500 and large > 350
+
+
+def test_no_table_orients_one_projection_and_dead_set_twice(monkeypatch):
+    # one flow serves every labeling of the training coordinates: after it,
+    # each state with those coordinates and dead set is a hit or needs no flow
+    orient, predict = learn._orient_live, learn._predict_from_state
+    oriented, asking = [], []
+
+    def record_predict(H, state, x, ell):
+        asking[:] = [(tuple(c for c, _y, _once in state) + (x,),
+                      tuple(once for _c, _y, once in state))]
+        return predict(H, state, x, ell)
+
+    def record_orient(live, n_rows, ell):
+        oriented.append(asking[0])
+        return orient(live, n_rows, ell)
+
+    monkeypatch.setattr(learn, "_predict_from_state", record_predict)
+    monkeypatch.setattr(learn, "_orient_live", record_orient)
+    total = 0
+    for H, ell, states in _table_cases():
+        oriented.clear()
+        table = learn.PredictionTable(H, ell)
+        for state in states:
+            for x in range(1, H.n + 1):
+                table.predict(state, x)
+        assert len(set(oriented)) == len(oriented)
+        total += len(oriented)
+    assert total > 100
 
 
 def test_prefix_predictor_needs_eight_points():
