@@ -29,9 +29,9 @@ import numpy as np
 from .dims import ds_dimension
 from .errors import BudgetError, CertificateError
 from .hclass import HypothesisClass, _trusted_class, class_id
-from .learn import (CoordState, ExperimentReport, ListPrediction, PredictionTable,
-                    PrefixVotePredictor, SyntheticDistribution, _consolidate, _inverse_cdf,
-                    _label_table, _pair_arrays, _state_of)
+from .learn import (ExperimentReport, ListPrediction, PredictionTable, PrefixVotePredictor,
+                    SyntheticDistribution, _consolidate, _inverse_cdf, _label_table,
+                    _pair_arrays)
 
 __all__ = [
     "CoverMember",
@@ -50,21 +50,18 @@ BOOST_BUDGET = 64  # weak-subsample tries per boosting round
 class CoverMember:
     """Union of one-inclusion predictions over stored subsamples.
 
-    ``states`` holds each subsample's consolidated ``CoordState``, in the
-    same order; ``_boost_member`` built them (and so checked realizability)
-    while it searched.  Predictions come from ``table``, the cover's one
-    ``PredictionTable``; ``predict`` takes the union afresh on every call.
+    ``states`` holds each subsample's state, in the same order;
+    ``_boost_member`` built them through ``table`` (and so checked
+    realizability) while it searched.  Predictions come from ``table``, the
+    cover's one ``PredictionTable``; ``predict`` takes the union afresh on
+    every call.
     """
 
     def __init__(self, subsamples: tuple[tuple[tuple[int, int], ...], ...],
-                 states: tuple[CoordState, ...], table: PredictionTable):
+                 states: tuple, table: PredictionTable):
         self.subsamples = subsamples
         self.table = table
         self._states = states
-
-    @property
-    def list_bound(self) -> int:
-        return max(1, len(self.subsamples) * self.table.ell)
 
     def predict(self, x: int) -> frozenset[int]:
         lookup = self.table.predict
@@ -89,8 +86,9 @@ def _boost_member(table: PredictionTable, points: list[tuple[int, int]], d: int,
     weighted size-d subsamples until the trained predictor's weighted miss
     rate is at most 1/3, then halves the weights of points it covers.
     Returns None when some round finds no weak subsample.  Subsamples invert
-    one ``learn._inverse_cdf`` per round.  Each attempt asks the cover's
-    ``table`` once per distinct x of the points.
+    one ``learn._inverse_cdf`` per round.  Each attempt builds its state
+    through the cover's ``table`` and asks it once per distinct x of the
+    points.
     """
     if not points:
         return CoverMember((), (), table)
@@ -100,7 +98,7 @@ def _boost_member(table: PredictionTable, points: list[tuple[int, int]], d: int,
     weights = np.ones(len(points))
     covered = np.zeros(len(points), dtype=bool)
     subsamples: list[tuple[tuple[int, int], ...]] = []
-    states: list[CoordState] = []
+    states: list = []
     for _round in range(j):
         cdf = _inverse_cdf(weights)
         # Each weight is 2**-a with a <= j, so every sum below is exact in
@@ -109,7 +107,7 @@ def _boost_member(table: PredictionTable, points: list[tuple[int, int]], d: int,
         for _attempt in range(BOOST_BUDGET):
             picks = cdf.searchsorted(rng.random(d), side="right")
             sub = tuple(points[int(i)] for i in picks)
-            state = _state_of(*_consolidate(sub, H))
+            state = table.state(*_consolidate(sub, H))
             hit = _label_table(H, xs, lambda x: table.predict(state, x).labels)[px, py]
             if weights[~hit].sum() <= total / 3:
                 break
@@ -185,12 +183,6 @@ class Menu:
     def predict(self, x: int) -> frozenset[int]:
         return frozenset().union(*(self.cover.members[m].predict(x)
                                    for m in self.menu_members()))
-
-    @property
-    def list_bound(self) -> int:
-        if len(self.trace) <= 1:
-            return 0
-        return sum(self.cover.members[m].list_bound for _t, m in self.trace[:-1])
 
 
 def mw_menu(F: ListCover, S2: Sequence[tuple[int, int]], *, rng: np.random.Generator) -> Menu:
@@ -311,7 +303,7 @@ def inside_menu_erm(H: HypothesisClass, nu: Menu, S3: Sequence[tuple[int, int]],
     if len(s_plus) >= 8:
         base_predict = PrefixVotePredictor(sub, s_plus, ell, cache=table).predict
     else:
-        state = _state_of(*_consolidate(s_plus, sub))
+        state = table.state(*_consolidate(s_plus, sub))
         base_predict = lambda x: table.predict(state, x)  # noqa: E731
 
     def predict(x: int) -> ListPrediction:

@@ -22,13 +22,11 @@ carry a live edge or belong to a shattered set.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -44,7 +42,6 @@ __all__ = [
     "loads_class",
     "save_class",
     "dumps_class",
-    "to_csv",
     "off_groups",
     "restrict",
     "walk",
@@ -60,15 +57,12 @@ _WALK_LIMIT = 2**20  # refuse walks over more coordinate tuples; a full walk of 
 class HypothesisClass:
     """Canonical finite hypothesis class over coordinates ``1..n``.
 
-    ``hyps`` holds distinct label vectors sorted lexicographically.  ``meta``
-    carries construction bookkeeping (duplicate counters, seeds) and never
-    participates in equality or hashing.
+    ``hyps`` holds distinct label vectors sorted lexicographically.
     """
 
     k: int
     n: int
     hyps: tuple[tuple[int, ...], ...]
-    meta: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -109,20 +103,14 @@ def _trusted_class(k: int, n: int, hyps: tuple[tuple[int, ...], ...]) -> Hypothe
     of length ``n``, labels in ``1..k``.  ``__post_init__``'s checks are
     skipped, so only rows derived from a valid class may come here."""
     H = object.__new__(HypothesisClass)
-    H.__dict__.update(k=k, n=n, hyps=hyps, meta={})
+    H.__dict__.update(k=k, n=n, hyps=hyps)
     return H
 
 
 def make_class(k: int, n: int, rows: Iterable[Sequence[int]]) -> HypothesisClass:
-    """Deduplicate and canonicalize ``rows`` into a class, which checks them.
-
-    The number of dropped duplicate rows is recorded under
-    ``meta["duplicates_removed"]``.
-    """
-    rows = [tuple(int(v) for v in row) for row in rows]
-    distinct = set(rows)
-    return HypothesisClass(k=k, n=n, hyps=tuple(sorted(distinct)),
-                           meta={"duplicates_removed": len(rows) - len(distinct)})
+    """Deduplicate and canonicalize ``rows`` into a class, which checks them."""
+    distinct = {tuple(int(v) for v in row) for row in rows}
+    return HypothesisClass(k=k, n=n, hyps=tuple(sorted(distinct)))
 
 
 def check_coords(n: int, coords: Sequence[int], allow_repeats: bool = False) -> tuple[int, ...]:
@@ -202,8 +190,7 @@ def gen_cube(k: int, ell: int, s: int, m: int) -> HypothesisClass:
         raise BudgetError(f"product class of size {size} exceeds budget {_GEN_BUDGET}")
     ranges = [range(1, k + 1)] * s + [range(1, ell + 1)] * (m - s)
     rows = itertools.product(*ranges)
-    return HypothesisClass(k=k, n=m, hyps=tuple(sorted(rows)),
-                           meta={"generator": {"cube": {"k": k, "ell": ell, "s": s, "m": m}}})
+    return HypothesisClass(k=k, n=m, hyps=tuple(sorted(rows)))
 
 
 def gen_random(k: int, n: int, target_size: int, seed: int) -> HypothesisClass:
@@ -222,8 +209,7 @@ def gen_random(k: int, n: int, target_size: int, seed: int) -> HypothesisClass:
         while len(chosen) < target_size:
             chosen.add(tuple(int(v) for v in rng.integers(1, k + 1, size=n)))
         rows = list(chosen)
-    return HypothesisClass(k=k, n=n, hyps=tuple(sorted(rows)),
-                           meta={"generator": {"random": {"k": k, "n": n, "size": target_size, "seed": seed}}})
+    return HypothesisClass(k=k, n=n, hyps=tuple(sorted(rows)))
 
 
 def _decode(idx: int, k: int, n: int) -> tuple[int, ...]:
@@ -268,9 +254,7 @@ def loads_class(text: str) -> HypothesisClass:
 def load_class(path) -> HypothesisClass:
     """Read a class from a JSON file: ``{"k": int, "n": int, "hyps": [[...]]}``."""
     with open(path, "r", encoding="utf-8") as fh:
-        cls = loads_class(fh.read())
-    cls.meta["source"] = str(path)
-    return cls
+        return loads_class(fh.read())
 
 
 def dumps_class(H: HypothesisClass) -> str:
@@ -288,11 +272,3 @@ def save_class(H: HypothesisClass, path) -> None:
         fh.write(dumps_class(H))
         fh.write("\n")
 
-
-def to_csv(H: HypothesisClass) -> str:
-    """One hypothesis per row, decimal labels."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    for h in H.hyps:
-        writer.writerow(h)
-    return buf.getvalue()

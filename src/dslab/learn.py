@@ -13,13 +13,16 @@ flow at all.
 Repeated coordinates are handled by reduction: a direction whose coordinate
 occurs more than once in the projection tuple carries only singleton edges
 (its value is pinned by the other copy), so the graph collapses to the
-distinct coordinates with repeated ones marked dead.  Predictions therefore
-depend only on (H, state, x, ell), where the state (``CoordState``) records
-which coordinates were seen, their labels, and whether each was seen once or
-more -- which is what makes caching sound.  The one prediction cache is a
-``PredictionTable``, which binds its (state, x) memo to the (H, ell) it serves.
-The orientation never reads the training labels, so one flow serves every
-labeling of the same coordinates: a miss fills the table for all of them.
+distinct coordinates with repeated ones marked dead.  A direction whose
+coordinate has at most ell labels in H carries no live edge either way (its
+edges hold rows that differ only there), so it counts as live however often
+it was seen.  Predictions therefore depend only on (H, state, x, ell), where
+the state (``CoordState``) records which coordinates were seen, their labels,
+and whether each direction is live -- which is what makes caching sound.  A
+``PredictionTable`` owns that format: it builds the states for its (H, ell)
+and is the one prediction cache, memoized by (state, x).  The orientation
+never reads the training labels, so one flow serves every labeling of the
+same coordinates: a miss fills the table for all of them.
 
 Probabilities under a ``SyntheticDistribution`` are exact: each is the mass
 of the support points a boolean mask marks, summed as integer numerators
@@ -91,11 +94,7 @@ def _consolidate(train: Sequence[tuple[int, int]], H: HypothesisClass):
     return y_of, counts
 
 
-CoordState = tuple[tuple[int, int, bool], ...]  # (coordinate, label, seen exactly once)
-
-
-def _state_of(y_of: dict[int, int], counts: dict[int, int]) -> CoordState:
-    return tuple((c, y_of[c], counts[c] == 1) for c in sorted(y_of))
+CoordState = tuple[tuple[int, int, bool], ...]  # (coordinate, label, live)
 
 
 def _label_table(H: HypothesisClass, xs, labels_at) -> np.ndarray:
@@ -119,64 +118,26 @@ def _pair_arrays(H: HypothesisClass, pairs: Sequence[tuple[int, int]]):
     return xy[:, 0], xy[:, 1]
 
 
-def _predict_from_state(H: HypothesisClass, state: CoordState, x: int, ell: int
-                        ) -> tuple[ListPrediction, list[tuple[CoordState, ListPrediction]]]:
-    """One-inclusion list prediction at ``x`` for a consolidated sample
-    state, and the predictions at ``x`` of the sibling states that the same
-    flow answers.
+class PredictionTable:
+    """One-inclusion list predictions for one (H, ell), memoized by (state, x).
 
-    W is the projection of H on the trained coordinates, in the state's
-    order, then x.  The answer is read off the training edge, the
-    test-direction edge whose key is the training labels: the labels at x
-    of the members that an orientation of W's graph, with each coordinate
-    seen more than once dead, keeps on that edge.
+    ``state`` builds the states the table answers, so the key fixes the
+    answer; users that share a table check its ``H`` and ``ell`` against
+    their own.  ``predict`` reads the answer off the training edge, the
+    test-direction edge of W = ``restrict(H, coords + (x,))`` whose key is
+    the training labels: the labels at x of the members that a min-max
+    orientation of W's graph, with the directions that are not live dead,
+    keeps on that edge.
     - A training edge of at most ell members keeps them all in every
-      orientation, so it is answered with no flow and no siblings.
+      orientation, so it is answered with no flow.
     - Otherwise ``oig._orient_live`` orients the live edges (more than ell
-      members) of the directions that are not dead, in ``build_oig``'s edge
-      order; a dead direction holds only singletons.  That flow depends on
-      (coordinates, dead set, ell) and never reads the training labels, so
-      every live test-direction edge's key labels a sibling state --
-      ``tuple(zip(coords, key, onces))``, the state itself among them --
-      whose answer is read off the same orientation.
+      members) of the live directions, in ``build_oig``'s edge order; a dead
+      direction holds only singletons.  That flow depends on (coordinates,
+      live directions, ell) and never reads the training labels, so every
+      live test-direction edge's key labels a sibling state, the asked one
+      among them, and the miss writes each sibling's answer into the memo.
 
     Raises RealizabilityError when no row of W carries the training labels.
-    """
-    trained = {c: y for c, y, _once in state}
-    if x in trained:
-        return ListPrediction((trained[x],)), []
-    coords = tuple(trained)
-    onces = tuple(once for _c, _y, once in state)
-    W = restrict(H, coords + (x,))
-    test = len(coords)
-    groups = off_groups(W, test)
-    target = tuple(trained.values())
-    members = dict(groups).get(target)
-    if members is None:
-        raise RealizabilityError("no edge matches the training labels")
-
-    def labels(rows: tuple[int, ...]) -> ListPrediction:
-        return ListPrediction(tuple(sorted(W.hyps[v][test] for v in rows)))
-
-    if len(members) <= ell:
-        return labels(members), []
-    live = [vs for i, once in enumerate(onces + (True,)) if once
-            for _key, vs in off_groups(W, i) if len(vs) > ell]
-    _t, chosen = _orient_live(live, len(W), ell)
-    keys = [key for key, vs in groups if len(vs) > ell]  # their edges end ``live``
-    siblings = [(tuple(zip(coords, key, onces)), labels(rows))
-                for key, rows in zip(keys, chosen[len(chosen) - len(keys):])]
-    return siblings[keys.index(target)][1], siblings
-
-
-class PredictionTable:
-    """``_predict_from_state`` answers for one (H, ell), memoized by (state, x).
-
-    A prediction depends only on (H, state, x, ell), so within one table the
-    key fixes the answer; users that share a table check its ``H`` and
-    ``ell`` against their own.  A miss that runs a flow also records, with
-    ``setdefault``, the answer of every sibling state that flow serves: one
-    orientation answers every labeling of the same coordinates.
     """
 
     def __init__(self, H: HypothesisClass, ell: int):
@@ -184,28 +145,55 @@ class PredictionTable:
             raise ValueError("ell must be >= 1")
         self.H = H
         self.ell = ell
+        self._light = frozenset(c for c, col in enumerate(zip(*H.hyps), 1)
+                                if len(set(col)) <= ell)
         self._known: dict[tuple[CoordState, int], ListPrediction] = {}
 
+    def state(self, y_of: dict[int, int], counts: dict[int, int]) -> CoordState:
+        """The state of a consolidated sample (see ``_consolidate``): a
+        coordinate is live when it was seen once or has at most ell labels
+        in H, where its direction carries no live edge, dead or not."""
+        return tuple((c, y_of[c], counts[c] == 1 or c in self._light) for c in sorted(y_of))
+
     def predict(self, state: CoordState, x: int) -> ListPrediction:
-        key = (state, x)
-        got = self._known.get(key)
-        if got is None:
-            got, siblings = _predict_from_state(self.H, state, x, self.ell)
-            self._known[key] = got
-            for sibling, pred in siblings:
-                self._known.setdefault((sibling, x), pred)
-        return got
+        got = self._known.get((state, x))
+        if got is not None:
+            return got
+        trained = {c: y for c, y, _live in state}
+        if x in trained:
+            got = self._known[state, x] = ListPrediction((trained[x],))
+            return got
+        coords = tuple(trained)
+        lives = tuple(live for _c, _y, live in state)
+        W = restrict(self.H, coords + (x,))
+        test = len(coords)
+        groups = off_groups(W, test)
+        members = dict(groups).get(tuple(trained.values()))
+        if members is None:
+            raise RealizabilityError("no edge matches the training labels")
+
+        def labels(rows: tuple[int, ...]) -> ListPrediction:
+            return ListPrediction(tuple(sorted(W.hyps[v][test] for v in rows)))
+
+        if len(members) <= self.ell:
+            got = self._known[state, x] = labels(members)
+            return got
+        live = [vs for i, on in enumerate(lives + (True,)) if on
+                for _key, vs in off_groups(W, i) if len(vs) > self.ell]
+        _t, chosen = _orient_live(live, len(W), self.ell)
+        keys = [key for key, vs in groups if len(vs) > self.ell]  # their edges end ``live``
+        for key, rows in zip(keys, chosen[len(chosen) - len(keys):]):
+            self._known[tuple(zip(coords, key, lives)), x] = labels(rows)
+        return self._known[state, x]
 
 
 def oig_list_predict(H: HypothesisClass, train: Sequence[tuple[int, int]],
                      x: int, ell: int) -> ListPrediction:
     """Predict at most ell labels for instance ``x`` from a realizable sample."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
+    table = PredictionTable(H, ell)
     if not 1 <= x <= H.n:
         raise ValueError(f"instance {x} out of range [1, {H.n}]")
-    y_of, counts = _consolidate(train, H)
-    return _predict_from_state(H, _state_of(y_of, counts), x, ell)[0]
+    return table.predict(table.state(*_consolidate(train, H)), x)
 
 
 def loo_error(H: HypothesisClass, sample: Sequence[tuple[int, int]],
@@ -258,10 +246,10 @@ def topk_vote(lists: Iterable[Iterable[int]], ell: int) -> ListPrediction:
 class PrefixVotePredictor:
     """Top-ell vote over one-inclusion predictors trained on sample prefixes.
 
-    Prefix lengths run from ceil(n/4) to n-1.  Consecutive prefixes almost
-    always consolidate to the same state, so states are grouped with
-    multiplicities and predictions are looked up in ``cache``, a
-    ``PredictionTable`` for this (H, ell) that predictors may share.
+    Prefix lengths run from ceil(n/4) to n-1.  The states are built by, and
+    predictions looked up in, ``cache``: a ``PredictionTable`` for this
+    (H, ell) that predictors may share.  Consecutive prefixes almost always
+    consolidate to the same state, so states are grouped with multiplicities.
     """
 
     def __init__(self, H: HypothesisClass, sample: Sequence[tuple[int, int]],
@@ -288,9 +276,9 @@ class PrefixVotePredictor:
             running_labels[c] = y
             running_counts[c] = running_counts.get(c, 0) + 1
             # the sample is realizable, so a coordinate keeps its label: the
-            # state changes only when c is new or has just been seen twice
+            # state can change only when c is new or has just been seen twice
             if running_counts[c] <= 2:
-                state = _state_of(running_labels, running_counts)
+                state = table.state(running_labels, running_counts)
             if self.t_start <= t + 1 <= n - 1:
                 self._state_by_t.append(state)
                 weights[state] = weights.get(state, 0) + 1

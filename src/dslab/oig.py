@@ -36,7 +36,6 @@ __all__ = [
     "outdegrees",
     "orientation_to_json",
     "format_ratio",
-    "parse_ratio",
 ]
 
 
@@ -69,10 +68,6 @@ class EdgeGroup:
 class OneInclusionGraph:
     base: HypothesisClass
     by_direction: tuple[tuple[EdgeGroup, ...], ...]
-
-    @property
-    def n_directions(self) -> int:
-        return len(self.by_direction)
 
     @property
     def n_vertices(self) -> int:
@@ -598,7 +593,3 @@ def orientation_to_json(sigma: Orientation) -> str:
 def format_ratio(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
-
-def parse_ratio(s: str) -> Fraction:
-    num, _, den = s.partition("/")
-    return Fraction(int(num), int(den) if den else 1)

@@ -362,11 +362,12 @@ def per_point_predictor_loss(predict, menu, S) -> Fraction:
                     len(S))
 
 
-def per_prefix_states(H: HypothesisClass, sample, t_start: int):
-    """The consolidated state of every prefix ``sample[:t]``, t_start <= t < len(sample)."""
-    from dslab.learn import _consolidate, _state_of
+def per_prefix_states(table, sample, t_start: int):
+    """The state ``table`` builds for every prefix ``sample[:t]``,
+    consolidated from scratch, t_start <= t < len(sample)."""
+    from dslab.learn import _consolidate
 
-    return [_state_of(*_consolidate(sample[:t], H)) for t in range(t_start, len(sample))]
+    return [table.state(*_consolidate(sample[:t], table.H)) for t in range(t_start, len(sample))]
 
 
 # -- per-point oracles for exact evaluation over a distribution's support ------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import brute_min_max_outdegree, naive_edges
-from dslab.hclass import HypothesisClass, gen_cube, gen_random
+from dslab.hclass import HypothesisClass, class_id, gen_cube, gen_random
 from dslab.oig import (build_oig, density, max_density_subfamily,
                        min_max_orientation, mu, mu_prime)
 from dslab.dims import ds_dimension, vc_dimension
@@ -70,9 +70,9 @@ def test_c02_randomized_theorem_audit(crit2_classes):
     for H in crit2_classes:
         for ell in (1, 2, 3):
             rep = audit_theorem(H, ell)
-            assert rep.authoritative, (H.meta, ell)
-            assert rep.passed, (H.meta, ell, rep.to_dict())
-            assert rep.verdicts["spanning"], (H.meta, ell)
+            assert rep.authoritative, (class_id(H), ell)
+            assert rep.passed, (class_id(H), ell, rep.to_dict())
+            assert rep.verdicts["spanning"], (class_id(H), ell)
             assert rep.d_nat <= rep.d_ds
     elapsed = time.time() - t0
     assert elapsed < 1800
@@ -152,7 +152,7 @@ def test_c07_loo_bound():
             sample = [(int(x), h[int(x) - 1]) for x in xs]
             ell = int(rng.integers(1, 3))
             m_n, t_star = loo_error(H, sample, ell)
-            assert m_n <= t_star <= d_ds[ell], (H.meta, ell, m_n, t_star)
+            assert m_n <= t_star <= d_ds[ell], (class_id(H), ell, m_n, t_star)
             runs += 1
     assert runs == 200
     print("\nACCEPTANCE 7 PASS: M_n <= t_star <= d_DS on 200 seeded realizable "

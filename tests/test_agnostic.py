@@ -17,7 +17,7 @@ from dslab import agnostic, cli
 from dslab.errors import BudgetError, CertificateError
 from dslab.hclass import HypothesisClass, gen_cube, gen_random, save_class
 from dslab.learn import (ListPrediction, PredictionTable, PrefixVotePredictor,
-                         SyntheticDistribution, _consolidate, _state_of, oig_list_predict)
+                         SyntheticDistribution, _consolidate, oig_list_predict)
 from dslab.agnostic import (_boost_member, _fit_inside_menu, agnostic_pipeline,
                             build_list_cover, inside_menu_erm, mw_menu)
 
@@ -65,19 +65,20 @@ def test_cover_respects_member_list_bound():
     H = gen_cube(3, 1, 1, 3)
     D = SyntheticDistribution.uniform_realizable(H, 1)
     S1 = draw(D, 7, 30)
-    j = math.ceil(math.log2(30))
-    cover = build_list_cover(H, S1, d=4, j=j, ell=1, rng=np.random.default_rng(3))
+    j, ell = math.ceil(math.log2(30)), 1
+    cover = build_list_cover(H, S1, d=4, j=j, ell=ell, rng=np.random.default_rng(3))
     assert cover.uncovered == ()
     for member in cover.members:
         assert len(member.subsamples) <= j
         for x in range(1, H.n + 1):
-            assert len(member.predict(x)) <= member.list_bound
+            assert len(member.predict(x)) <= max(1, len(member.subsamples) * ell)
 
 
 def test_cover_consolidates_each_boosting_attempt_once(monkeypatch):
     # every attempt consolidates its subsample and fills one label table;
     # a member keeps the states of its chosen subsamples, so building it
-    # consolidates nothing again
+    # consolidates nothing again.  Coordinates 2 and 3 are constant, so at
+    # ell = 1 they count as live however often a subsample repeats them
     calls = {"_consolidate": 0, "_label_table": 0}
     for name in calls:
         def counted(*args, _f=getattr(agnostic, name), _name=name):
@@ -90,9 +91,15 @@ def test_cover_consolidates_each_boosting_attempt_once(monkeypatch):
     assert sum(len(m.subsamples) for m in cover.members) > 0
     assert calls["_consolidate"] == calls["_label_table"] > 0
     monkeypatch.undo()
+    repeated_light = 0
     for member in cover.members:
-        assert member._states == tuple(_state_of(*_consolidate(sub, H))
+        assert member._states == tuple(member.table.state(*_consolidate(sub, H))
                                        for sub in member.subsamples)
+        for sub, state in zip(member.subsamples, member._states):
+            seen = [c for c, _y in sub]
+            assert state == tuple((c, y, seen.count(c) == 1 or c > 1) for c, y in sorted(set(sub)))
+            repeated_light += any(seen.count(c) > 1 for c in (2, 3))
+    assert repeated_light > 0
 
 
 def test_mw_menu_weight_dynamics():
@@ -139,14 +146,16 @@ def test_menu_union_and_size_bound():
     H = gen_cube(3, 1, 1, 3)
     D = SyntheticDistribution.uniform_realizable(H, 0)
     S1, S2 = draw(D, 8, 20), draw(D, 9, 6)
-    cover = build_list_cover(H, S1, d=4, j=4, rng=np.random.default_rng(8))
+    ell = 1
+    cover = build_list_cover(H, S1, d=4, j=4, ell=ell, rng=np.random.default_rng(8))
     menu = mw_menu(cover, S2, rng=np.random.default_rng(9))
     for x in range(1, H.n + 1):
         union = set()
         for _t, m in menu.trace[:-1]:
             union.update(cover.members[m].predict(x))
         assert menu.predict(x) == union
-        assert len(menu.predict(x)) <= menu.list_bound
+        assert len(menu.predict(x)) <= sum(max(1, len(cover.members[m].subsamples) * ell)
+                                           for _t, m in menu.trace[:-1])
 
 
 def test_single_member_menu():

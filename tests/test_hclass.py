@@ -9,7 +9,7 @@ from dslab.algebra import audit_theorem
 from dslab.errors import BudgetError
 import dslab.hclass as hclass
 from dslab.hclass import (HypothesisClass, class_id, dumps_class, gen_cube, gen_random, load_class,
-                          loads_class, off_groups, restrict, save_class, to_csv, walk)
+                          loads_class, off_groups, restrict, save_class, walk)
 from dslab.oig import mu, mu_prime, mu_with_witness
 
 
@@ -23,10 +23,10 @@ def test_load_simple(tmp_path):
 
 def test_load_dedups_with_counter(tmp_path):
     p = tmp_path / "c.json"
-    p.write_text('{"k":3,"n":2,"hyps":[[1,1],[1,1]]}')
+    p.write_text('{"k":3,"n":2,"hyps":[[1,2],[1,1],[1,2]]}')
     H = load_class(p)
-    assert len(H) == 1
-    assert H.meta["duplicates_removed"] == 1
+    assert len(H) == 2
+    assert H.hyps == ((1, 1), (1, 2))
 
 
 def test_load_label_out_of_range(tmp_path):
@@ -176,11 +176,6 @@ def test_gen_random_saturation_and_determinism():
     assert gen_random(3, 4, 20, seed=3) == gen_random(3, 4, 20, seed=3)
     with pytest.raises(ValueError):
         gen_random(2, 2, 5, seed=0)
-
-
-def test_csv_export():
-    H = gen_cube(3, 1, 1, 2)
-    assert to_csv(H).splitlines() == ["1,1", "2,1", "3,1"]
 
 
 def test_canonical_serialization_is_order_insensitive():

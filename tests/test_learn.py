@@ -108,7 +108,8 @@ def test_loo_square():
 
 
 def test_loo_error_above_t_star_raises_certificate_error(monkeypatch):
-    monkeypatch.setattr(learn, "outdegrees", lambda G, sigma: [G.n_directions + 1] * G.n_vertices)
+    monkeypatch.setattr(learn, "outdegrees",
+                        lambda G, sigma: [len(G.by_direction) + 1] * G.n_vertices)
     with pytest.raises(CertificateError):
         loo_error(gen_cube(2, 1, 2, 2), [(1, 1), (2, 2)], 1)
 
@@ -148,51 +149,64 @@ def test_topk_exclusion_bound():
 
 
 def _table_cases():
-    """(H, ell, states) for prediction tables: seeded random classes at ell
+    """(H, ell, samples) for prediction tables: seeded random classes at ell
     1-3, then a class with k = 1, one with ell >= k, and one with k > ell
-    whose edges all have at most ell members.  Each state consolidates a
-    realizable sample; samples repeat coordinates, and each sequence of
-    coordinates is labeled by three rows, so states share their coordinates
-    and dead sets under other labels."""
+    whose edges all have at most ell members.  Each sample is a realizable
+    one, consolidated to (labels, counts); samples repeat coordinates, and
+    each sequence of coordinates is labeled by three rows, so states share
+    their coordinates and live directions under other labels."""
     rng = np.random.default_rng(48)
     cases = [(random_class(rng, k_max=5, size_max=30), 1 + trial % 3) for trial in range(90)]
     cases += [(HypothesisClass(k=1, n=3, hyps=((1, 1, 1),)), 1),
               (gen_cube(3, 2, 2, 3), 3),
               (HypothesisClass(k=3, n=3, hyps=((1, 1, 1), (1, 2, 1), (2, 1, 1), (3, 3, 3))), 2)]
     for H, ell in cases:
-        states = []
+        samples = []
         for _ in range(4):
             xs = rng.integers(1, H.n + 1, size=int(rng.integers(0, 2 * H.n + 1)))
             for h in rng.choice(H.hyps, 3):
-                sample = [(int(x), int(h[x - 1])) for x in xs]
-                states.append(learn._state_of(*learn._consolidate(sample, H)))
-        yield H, ell, states
+                samples.append(learn._consolidate([(int(x), int(h[x - 1])) for x in xs], H))
+        yield H, ell, samples
+
+
+def _raw_state(y_of, counts):
+    """A sample's state as the graph oracle reads it: every coordinate seen
+    more than once is dead, whatever its number of labels."""
+    return tuple((c, y_of[c], counts[c] == 1) for c in sorted(y_of))
 
 
 def _training_edge(H, state, x):
     """The members of the test-direction edge that ``state``'s labels key."""
-    W = restrict(H, tuple(c for c, _y, _once in state) + (x,))
-    return dict(off_groups(W, W.n - 1))[tuple(y for _c, y, _once in state)]
+    W = restrict(H, tuple(c for c, _y, _live in state) + (x,))
+    return dict(off_groups(W, W.n - 1))[tuple(y for _c, y, _live in state)]
 
 
 def test_a_table_and_every_sibling_a_miss_fills_match_the_graph_oracle():
-    # a miss records the answer of every live test-direction edge's state;
-    # each entry must be what the whole graph's orientation gives that state
-    filled = read = dead = 0
-    for H, ell, states in _table_cases():
+    # a coordinate with at most ell labels is live however often it was
+    # seen, and a miss records the answer of every live test-direction
+    # edge's state; each entry must be what the whole graph's orientation
+    # gives, with that coordinate's direction dead or not
+    filled = read = merged = dead = 0
+    for H, ell, samples in _table_cases():
+        light = {c for c in range(1, H.n + 1) if len(H.labels_at(c)) <= ell}
         table = learn.PredictionTable(H, ell)
         asked = set()
-        for state in states:
+        for y_of, counts in samples:
+            state, raw = table.state(y_of, counts), _raw_state(y_of, counts)
+            assert state == tuple((c, y, once or c in light) for c, y, once in raw)
+            merged += state != raw
             for x in range(1, H.n + 1):
                 before = set(table._known)
                 read += (state, x) in before and (state, x) not in asked  # a sibling's flow
                 asked.add((state, x))
-                assert table.predict(state, x) == graph_prediction(H, state, x, ell)
+                assert table.predict(state, x) == graph_prediction(H, raw, x, ell)
                 for sibling, x2 in table._known.keys() - before - {(state, x)}:
-                    assert table._known[sibling, x2] == graph_prediction(H, sibling, x2, ell)
+                    light_dead = tuple((c, y, live and c not in light) for c, y, live in sibling)
+                    assert (table._known[sibling, x2] == graph_prediction(H, sibling, x2, ell)
+                            == graph_prediction(H, light_dead, x2, ell))
                     filled += 1
-                    dead += not all(once for _c, _y, once in sibling)
-    assert filled > 120 and dead > 50 and read > 40
+                    dead += not all(live for _c, _y, live in sibling)
+    assert filled > 120 and dead > 50 and read > 40 and merged > 100
 
 
 def test_an_unrealizable_state_raises_on_both_paths():
@@ -223,11 +237,11 @@ def test_audits_tables_and_the_pipeline_build_no_graph(monkeypatch):
             if name in vars(mod):
                 monkeypatch.setattr(mod, name, refuse)
     assert [audit_theorem(H, ell).t_star for H, ell in audits] == t_star
-    for H, ell, states in cases:
+    for H, ell, samples in cases:
         table = learn.PredictionTable(H, ell)
-        for state in states:
+        for sample in samples:
             for x in range(1, H.n + 1):
-                table.predict(state, x)
+                table.predict(table.state(*sample), x)
     H = gen_cube(3, 1, 2, 4)
     D = SyntheticDistribution.with_label_noise(H, target=0, noise=Fraction(1, 10))
     dslab.agnostic_pipeline(H, D, ell=1, n1=20, T=20, n3=40, delta=0.1, seed=0)
@@ -243,9 +257,10 @@ def test_a_training_edge_of_at_most_ell_members_runs_no_flow(monkeypatch):
 
     monkeypatch.setattr(oig, "maximum_flow", counted)
     small = large = 0
-    for H, ell, states in _table_cases():
-        for state in states:
-            for x in set(range(1, H.n + 1)) - {c for c, _y, _once in state}:
+    for H, ell, samples in _table_cases():
+        for sample in samples:
+            state = learn.PredictionTable(H, ell).state(*sample)
+            for x in set(range(1, H.n + 1)) - {c for c, _y, _live in state}:
                 size = len(_training_edge(H, state, x))
                 flows.clear()
                 learn.PredictionTable(H, ell).predict(state, x)
@@ -255,33 +270,47 @@ def test_a_training_edge_of_at_most_ell_members_runs_no_flow(monkeypatch):
     assert small > 500 and large > 350
 
 
-def test_no_table_orients_one_projection_and_dead_set_twice(monkeypatch):
-    # one flow serves every labeling of the training coordinates: after it,
-    # each state with those coordinates and dead set is a hit or needs no flow
-    orient, predict = learn._orient_live, learn._predict_from_state
-    oriented, asking = [], []
+def test_no_table_orients_one_projection_and_live_edge_list_twice(monkeypatch):
+    # one flow serves every labeling of the training coordinates, and a
+    # coordinate with at most ell labels is live however often it was seen.
+    # In a product class those are the only directions with no live edge in
+    # any projection, so no table orients the live edges of one projection
+    # (coordinates and x) twice: not over samples that repeat coordinates,
+    # and not in the agnostic pipeline
+    predict, restrict, orient = learn.PredictionTable.predict, learn.restrict, learn._orient_live
+    asking, oriented = [None, None], []
 
-    def record_predict(H, state, x, ell):
-        asking[:] = [(tuple(c for c, _y, _once in state) + (x,),
-                      tuple(once for _c, _y, once in state))]
-        return predict(H, state, x, ell)
+    def record_predict(table, state, x):
+        asking[0] = table
+        return predict(table, state, x)
+
+    def record_restrict(H, coords):
+        asking[1] = tuple(coords)
+        return restrict(H, coords)
 
     def record_orient(live, n_rows, ell):
-        oriented.append(asking[0])
+        oriented.append((*asking, tuple(live)))
         return orient(live, n_rows, ell)
 
-    monkeypatch.setattr(learn, "_predict_from_state", record_predict)
+    monkeypatch.setattr(learn.PredictionTable, "predict", record_predict)
+    monkeypatch.setattr(learn, "restrict", record_restrict)
     monkeypatch.setattr(learn, "_orient_live", record_orient)
-    total = 0
-    for H, ell, states in _table_cases():
-        oriented.clear()
+    rng = np.random.default_rng(49)
+    for H, ell in ((gen_cube(3, 1, 2, 4), 1), (gen_cube(4, 2, 2, 3), 2),
+                   (gen_cube(4, 3, 1, 3), 3), (gen_cube(5, 2, 3, 4), 2)):
         table = learn.PredictionTable(H, ell)
-        for state in states:
-            for x in range(1, H.n + 1):
-                table.predict(state, x)
-        assert len(set(oriented)) == len(oriented)
-        total += len(oriented)
-    assert total > 100
+        for _ in range(12):
+            xs = rng.integers(1, H.n + 1, size=int(rng.integers(1, 2 * H.n + 1))).tolist()
+            light_again = [c for c in xs if len(H.labels_at(c)) <= ell]
+            for h in rng.choice(H.hyps, 3):
+                for sample in (xs, xs + light_again):
+                    y_of, counts = learn._consolidate([(c, int(h[c - 1])) for c in sample], H)
+                    for x in range(1, H.n + 1):
+                        table.predict(table.state(y_of, counts), x)
+    H = gen_cube(3, 1, 2, 4)
+    D = SyntheticDistribution.with_label_noise(H, target=0, noise=Fraction(1, 10))
+    dslab.agnostic_pipeline(H, D, ell=1, n1=40, T=20, n3=80, delta=0.1, seed=0)
+    assert len(set(oriented)) == len(oriented) > 25
 
 
 def test_prefix_predictor_needs_eight_points():
@@ -331,17 +360,23 @@ def test_prefix_vote_is_majority_of_prefix_predictions():
 @given(st.integers(2, 4), st.integers(1, 4), st.data())
 def test_prefix_states_match_per_prefix_recomputation(k, n, data):
     # the states are kept incrementally; each must equal the state of its
-    # prefix consolidated from scratch, and the weights must count them
+    # prefix consolidated from scratch, and the weights must count them.  A
+    # coordinate is live when its prefix saw it once or H has at most ell
+    # labels there
     rows = data.draw(st.lists(st.tuples(*[st.integers(1, k)] * n), min_size=1,
                               max_size=6, unique=True))
     H = HypothesisClass(k=k, n=n, hyps=tuple(sorted(rows)))
     h = data.draw(st.sampled_from(H.hyps))
     xs = data.draw(st.lists(st.integers(1, n), min_size=8, max_size=30))
     sample = [(x, h[x - 1]) for x in xs]
-    pred = PrefixVotePredictor(H, sample, data.draw(st.integers(1, 2)))
-    want = per_prefix_states(H, sample, pred.t_start)
+    ell = data.draw(st.integers(1, 2))
+    pred = PrefixVotePredictor(H, sample, ell)
+    want = per_prefix_states(learn.PredictionTable(H, ell), sample, pred.t_start)
     assert pred._state_by_t == want
     assert pred._weighted_states == sorted((s, want.count(s)) for s in set(want))
+    for t, state in enumerate(want, pred.t_start):
+        assert state == tuple((c, h[c - 1], xs[:t].count(c) == 1 or len(H.labels_at(c)) <= ell)
+                              for c in sorted(set(xs[:t])))
 
 
 def test_prefix_vote_singleton_class_constant():
