@@ -21,8 +21,8 @@ the state (``CoordState``) records which coordinates were seen, their labels,
 and whether each direction is live -- which is what makes caching sound.  A
 ``PredictionTable`` owns that format: it builds the states for its (H, ell)
 and is the one prediction cache, memoized by (state, x).  The orientation
-never reads the training labels, so one flow serves every labeling of the
-same coordinates: a miss fills the table for all of them.
+never reads the training labels, so one orientation serves every labeling
+of the same coordinates: a miss fills the table for all of them.
 
 Probabilities under a ``SyntheticDistribution`` are exact: each is the mass
 of the support points a boolean mask marks, summed as integer numerators
@@ -132,10 +132,11 @@ class PredictionTable:
       orientation, so it is answered with no flow.
     - Otherwise ``oig._orient_live`` orients the live edges (more than ell
       members) of the live directions, in ``build_oig``'s edge order; a dead
-      direction holds only singletons.  That flow depends on (coordinates,
-      live directions, ell) and never reads the training labels, so every
-      live test-direction edge's key labels a sibling state, the asked one
-      among them, and the miss writes each sibling's answer into the memo.
+      direction holds only singletons.  That orientation depends on
+      (coordinates, live directions, ell) and never reads the training
+      labels, so every live test-direction edge's key labels a sibling
+      state, the asked one among them, and the miss writes each sibling's
+      answer into the memo.
 
     Raises RealizabilityError when no row of W carries the training labels.
     """

@@ -144,12 +144,16 @@ def density(W: HypothesisClass, ell: int) -> Fraction:
 # is an orientation of maximum outdegree t_star = ceil(mu) (Hakimi 1965).
 # ``_orient_live`` orients a list of live edges with no graph object: the
 # audit and the list predictor hand it ``off_groups``' live edges directly,
-# and since the flow never reads the training labels, one flow answers every
-# labeling of a projection's training coordinates.
+# and since the answer never reads the training labels, one orientation
+# answers every labeling of a projection's training coordinates.
 # Each answer is checked as a fractional orientation, the LP dual of the
 # density (Charikar 2000), which bounds every F's density by lam without
-# trusting the flow code: mu's final flow, and the 0/1 choices of the
-# orientation returned at t_star.
+# trusting the flow code: mu's final flow or its uniform x (below), and the
+# 0/1 choices of the orientation returned at t_star.  Both searches build
+# no network when the cheapest dual already meets the cheapest primal: the
+# uniform x(e, v) = ell/|e| settles a density search whose floor it reaches
+# or whose rows all carry its bound, and an orientation with no row in more
+# live edges than ceil(density) takes each edge's first ell members.
 # mu_prime's gross objective is not supermodular and still enumerates all
 # 2^|W| bitmasks.
 
@@ -279,11 +283,12 @@ def _excess(edges: Sequence[tuple[int, ...]], rows, ell: int) -> int:
     return sum(max(sum(v in rows for v in e) - ell, 0) for e in edges)
 
 
-def _check_fractional_orientation(edges: Sequence[tuple[int, ...]], ell: int,
-                                  lam: Fraction, flows: list[list[int]]) -> None:
+def _check_fractional_orientation(edges: Sequence[tuple[int, ...]], ell: int, p: int, q: int,
+                                  flows: list[list[int]]) -> None:
     """Certify that no F has excess(F) > lam*|F|, lam = p/q, by the LP dual
-    of the density (Charikar 2000): ``flows[j][i]`` = x(e, v) for the i-th
-    member v of the j-th edge e must satisfy, in integers,
+    of the density (Charikar 2000).  x is in units of 1/q, and (p, q) need
+    not be reduced: ``flows[j][i]`` = x(e, v) for the i-th member v of the
+    j-th edge e must satisfy, in integers,
 
         0 <= x(e, v) <= q,
         sum over v of x(e, v) <= q * min(ell, |e|)    per edge,
@@ -294,7 +299,7 @@ def _check_fractional_orientation(edges: Sequence[tuple[int, ...]], ell: int,
     over edges, q * excess(F) <= sum over v in F of (q * d_v - x_v) <= p * |F|.
     Arithmetic on ``flows`` alone; a failure raises CertificateError.
     """
-    p, q = lam.numerator, lam.denominator
+    lam = Fraction(p, q)
     if len(flows) != len(edges):
         raise CertificateError(f"flow at lam={lam} covers {len(flows)} of {len(edges)} edges")
     outdeg: dict[int, int] = {}  # q * d_v - x_v
@@ -340,48 +345,96 @@ def _densest_subfamily(live: list[tuple[int, ...]], n_rows: int, ell: int,
     lexicographically first, maximizer as ascending row indices; or None
     when no F beats ``floor`` (by default -1, which every F beats).
 
-    ``_cut_search`` on the live edges, stepping to each cut's exact ratio,
-    from lam = max(W's own density, ``floor``); its final flow must pass
-    ``_check_fractional_orientation``, so no F is denser than the final lam.
-    If the first flow saturates every sink arc at lam = floor, the answer is
-    None after that one flow.  Otherwise every later flow is solved from
-    zero, so the final lam and its residual graph are the ones the search
-    from W's own density reaches.  At the maximum, the smallest maximizer
-    containing v is the set of vertices that reach v in the residual graph
-    (none if the source does, or if v's sink arc is 0); it is checked to
-    reach the maximum, or CertificateError.  With no live edge every F has
-    density 0: the answer is row 0 alone, or None for a floor of 0 or more.
+    First the uniform fractional orientation x(e, v) = ell/|e|, in units of
+    1/q, q the lcm of the live edge sizes: row v carries the load p_v = sum
+    over live e at v of q(|e| - ell)/|e|, and since
+    (m - ell)_+ <= m(|e| - ell)/|e| for 0 <= m <= |e|, no F is denser than
+    p/q, p = max p_v.  It settles two cases with no flow, each certified by
+    ``_check_fractional_orientation`` on that x at (p, q):
+    - p/q <= ``floor``: the answer is None.
+    - W's own density is p/q, so every row carries p: W is a maximizer.  A
+      maximizer F meets the bound with equality, which needs m = 0 or
+      m = |e| on every live edge, so F is a union of connected components
+      of the live edges; each component reaches p/q, so the smallest
+      maximizer is the smallest, then lexicographically first, component.
+
+    Otherwise ``_cut_search`` runs on the live edges, stepping to each cut's
+    exact ratio, from lam = max(W's own density, ``floor``); its final flow
+    must pass ``_check_fractional_orientation``, so no F is denser than the
+    final lam.  If the first flow saturates every sink arc at lam = floor,
+    the answer is None after that one flow.  Otherwise every later flow is
+    solved from zero, so the final lam and its residual graph are the ones
+    the search from W's own density reaches.  At the maximum, the smallest
+    maximizer containing v is the set of vertices that reach v in the
+    residual graph (none if the source does, or if v's sink arc is 0).
+    Either way the maximizer is checked to reach the maximum, or
+    CertificateError.  With no live edge every F has density 0: the answer
+    is row 0 alone, or None for a floor of 0 or more.
     """
     if not live:
         return None if floor >= 0 else (Fraction(0), (0,))
-    net = _Network(live, n_rows, ell)
-    start = max(Fraction(sum(len(e) - ell for e in live), n_rows), floor)
-    lam, cap, flows = _cut_search(net, live, ell, start, Fraction)
-    _check_fractional_orientation(live, ell, lam, flows)
-    if lam <= floor:
-        return None
-    p, q = lam.numerator, lam.denominator
+    q = math.lcm(*map(len, live))
+    load = [0] * n_rows
+    for e in live:
+        w = (len(e) - ell) * (q // len(e))
+        for v in e:
+            load[v] += w
+    p, excess = max(load), sum(len(e) - ell for e in live)
+    lam = Fraction(p, q)
+    if excess * q == p * n_rows or lam <= floor:
+        _check_fractional_orientation(live, ell, p, q, [[ell * q // len(e)] * len(e) for e in live])
+        if lam <= floor:
+            return None
+        best = _smallest_component(live, n_rows)
+    else:
+        net = _Network(live, n_rows, ell)
+        start = max(Fraction(excess, n_rows), floor)
+        lam, cap, flows = _cut_search(net, live, ell, start, Fraction)
+        p, q = lam.numerator, lam.denominator
+        _check_fractional_orientation(live, ell, p, q, flows)
+        if lam <= floor:
+            return None
 
-    # Maximizers are closed under union and non-empty intersection, so the
-    # minimal ones are disjoint and each is the ancestor set of every member.
-    # An ancestor set that its own vertex reaches in full is minimal: its
-    # other members need no search of their own.
-    from_source = _residual_reach(net, cap, 0, True)
-    row_nodes = range(net.n_edges + 1, net.sink)
-    best, settled = None, set()
-    for a in net.sink_arcs:
-        u = net.head[a ^ 1]
-        if net.coef[a][0] * q <= p or u in from_source or u in settled:
-            continue
-        anc = _residual_reach(net, cap, u, False).intersection(row_nodes)
-        if anc <= _residual_reach(net, cap, u, True):
-            settled |= anc
-        rows = tuple(net.rows(anc))
-        if best is None or (len(rows), rows) < (len(best), best):
-            best = rows
+        # Maximizers are closed under union and non-empty intersection, so the
+        # minimal ones are disjoint and each is the ancestor set of every member.
+        # An ancestor set that its own vertex reaches in full is minimal: its
+        # other members need no search of their own.
+        from_source = _residual_reach(net, cap, 0, True)
+        row_nodes = range(net.n_edges + 1, net.sink)
+        best, settled = None, set()
+        for a in net.sink_arcs:
+            u = net.head[a ^ 1]
+            if net.coef[a][0] * q <= p or u in from_source or u in settled:
+                continue
+            anc = _residual_reach(net, cap, u, False).intersection(row_nodes)
+            if anc <= _residual_reach(net, cap, u, True):
+                settled |= anc
+            rows = tuple(net.rows(anc))
+            if best is None or (len(rows), rows) < (len(best), best):
+                best = rows
     if best is None or _excess(live, best, ell) * q != p * len(best):
         raise CertificateError(f"residual graph at density {lam} holds no maximizer")
     return lam, best
+
+
+def _smallest_component(edges: Sequence[tuple[int, ...]], n_rows: int) -> tuple[int, ...]:
+    """The smallest, then lexicographically first, connected component of
+    the ``n_rows`` rows under ``edges``, as ascending row indices."""
+    root = list(range(n_rows))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    for e in edges:
+        r = find(e[0])
+        for v in e[1:]:
+            root[find(v)] = r
+    parts: dict[int, list[int]] = {}
+    for v in range(n_rows):
+        parts.setdefault(find(v), []).append(v)
+    return min(map(tuple, parts.values()), key=lambda rows: (len(rows), rows))
 
 
 def _best_subfamily_mask(edges: list[tuple[int, ...]], n_rows: int) -> Fraction:
@@ -418,20 +471,6 @@ def max_density_subfamily(W: HypothesisClass, ell: int) -> tuple[Fraction, Hypot
     return val, _rows_to_class(W, rows)
 
 
-def _density_bound(live: list[tuple[int, ...]], n_rows: int, ell: int) -> Fraction:
-    """max over rows v of the sum over ``live`` edges e at v of
-    (|e| - ell)/|e|, summed in integers over the lcm of the live edge sizes.
-    No subfamily of the ``n_rows`` rows is denser:
-    (x - ell)_+ <= x(|e| - ell)/|e| for 0 <= x <= |e|."""
-    lcm = math.lcm(*map(len, live))
-    per_row = [0] * n_rows
-    for e in live:
-        w = (len(e) - ell) * (lcm // len(e))
-        for v in e:
-            per_row[v] += w
-    return Fraction(max(per_row), lcm)
-
-
 def mu_with_witness(H: HypothesisClass, n_samples: int,
                     ell: int) -> tuple[Fraction, tuple[int, ...], HypothesisClass]:
     """Maximum ell-density over restrictions: value, coordinates, subfamily.
@@ -442,10 +481,12 @@ def mu_with_witness(H: HypothesisClass, n_samples: int,
     subset: a repeated direction only carries singleton edges (its off
     positions already pin the repeated value), and extra context coordinates
     only refine edge groups.  Witness ties break toward smaller, then
-    lexicographically earlier, coordinate sets, so a restriction whose
-    ``_density_bound`` is no better is skipped, and every other search
-    starts at the best so far (``_densest_subfamily``'s floor): one flow and
-    its dual check settle a restriction that does not beat it.
+    lexicographically earlier, coordinate sets, so each restriction's search
+    has the best so far as its floor (``_densest_subfamily``): a restriction
+    whose uniform fractional orientation is no better is settled with no
+    flow, one that does not beat the floor after one flow, and one whose
+    rows all carry the uniform bound with no flow either; each answer is
+    certified by its dual check.
 
     Only sets of coordinates with more than ell labels are walked.  If j has
     at most ell, every direction-j edge has at most ell members; split a
@@ -461,10 +502,7 @@ def mu_with_witness(H: HypothesisClass, n_samples: int,
         raise ValueError("n_samples must be >= 1")
     best = (Fraction(-1), (), None)
     for T, W in walk(H, ell, range(1, min(n_samples, H.n) + 1)):
-        live = _live_edges(W, ell)
-        if best[2] is not None and _density_bound(live, len(W), ell) <= best[0]:
-            continue
-        got = _densest_subfamily(live, len(W), ell, best[0])
+        got = _densest_subfamily(_live_edges(W, ell), len(W), ell, best[0])
         if got is not None:
             best = (got[0], T, _rows_to_class(W, got[1]))
     if best[2] is None:
@@ -506,21 +544,25 @@ def _orient_live(live: Sequence[tuple[int, ...]], n_rows: int,
     value t, and the members each live edge picks, in edge order.
 
     An edge with |e| <= ell keeps every member, so it adds 0 to every
-    vertex's outdegree and to every excess(F): it never enters the network,
-    and a t is feasible on the live edges exactly when it is feasible with
-    the small edges added.  ``_cut_search`` runs over the live edges,
-    stepping to the ceiling of each cut's ratio, so lam stays an integer t
-    and each vertex's sink arc is (d_v - t)_+, d_v its live degree.  Each
-    cut's F carries excess(F) > t*|F| outdegree in every orientation, so no
-    maximum is below the next t; the search starts at F = all rows.  Once
-    every sink arc saturates, each live edge picks the members its flow
-    covers, padded in member order up to ell.
+    vertex's outdegree and to every excess(F): it is left out, and a t is
+    feasible on the live edges exactly when it is feasible with the small
+    edges added.  Every orientation gives the rows excess(W) outdegree in
+    all, so no t is below t0 = ceil(excess(W)/n_rows).  If no row's live
+    degree d_v exceeds t0, each edge picks its first ell members and t0 is
+    reached with no flow.  Otherwise ``_cut_search`` runs over the live
+    edges from t0, stepping to the ceiling of each cut's ratio, so lam stays
+    an integer t and each vertex's sink arc is (d_v - t)_+.  Each cut's F
+    carries excess(F) > t*|F| outdegree in every orientation, so no maximum
+    is below the next t.  Once every sink arc saturates, each live edge
+    picks the members its flow covers, padded in member order up to ell
+    (with no row above t0 the flow is zero, and the padding is the first
+    ell members, the same picks).
 
-    So t is certified minimal by its cuts, and the padded picks are
+    So t is certified minimal by t0 and the cuts, and the picks are
     certified to reach it by ``_check_fractional_orientation`` at lam = t.
     The checks are arithmetic, independent of the flow; a failure raises
     CertificateError.  The answer depends on the edges alone, so callers
-    that share the live edges share one flow.
+    that share the live edges share one answer.
     """
     if not live:  # nothing to orient: outdegree 0 by construction
         return 0, []
@@ -528,17 +570,24 @@ def _orient_live(live: Sequence[tuple[int, ...]], n_rows: int,
     def ceil_ratio(ex: int, size: int) -> Fraction:
         return Fraction(-(-ex // size))
 
-    net = _Network(live, n_rows, ell)
-    start = ceil_ratio(sum(len(e) - ell for e in live), n_rows)
-    lam, _cap, flows = _cut_search(net, live, ell, start, ceil_ratio)
-    chosen, picks = [], []
-    for e, xs in zip(live, flows):
-        got = {v for v, x in zip(e, xs) if x}
-        pad = [v for v in e if v not in got][:ell - len(got)]  # in member order
-        chosen.append(tuple(sorted(got.union(pad))))
-        picks.append([int(v in chosen[-1]) for v in e])
-    _check_fractional_orientation(live, ell, lam, picks)
-    return int(lam), chosen
+    t = -(-sum(len(e) - ell for e in live) // n_rows)
+    deg = [0] * n_rows
+    for e in live:
+        for v in e:
+            deg[v] += 1
+    if max(deg) <= t:
+        chosen = [e[:ell] for e in live]
+    else:
+        net = _Network(live, n_rows, ell)
+        lam, _cap, flows = _cut_search(net, live, ell, Fraction(t), ceil_ratio)
+        t, chosen = int(lam), []
+        for e, xs in zip(live, flows):
+            got = {v for v, x in zip(e, xs) if x}
+            pad = [v for v in e if v not in got][:ell - len(got)]  # in member order
+            chosen.append(tuple(sorted(got.union(pad))))
+    picks = [[int(v in c) for v in e] for e, c in zip(live, chosen)]
+    _check_fractional_orientation(live, ell, t, 1, picks)
+    return t, chosen
 
 
 def min_max_orientation(G: OneInclusionGraph, ell: int) -> tuple[Orientation, int]:

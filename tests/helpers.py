@@ -66,9 +66,9 @@ def brute_mu(H: HypothesisClass, n_samples: int, ell: int) -> Fraction:
 
 
 def unpruned_mu_with_witness(H: HypothesisClass, n_samples: int, ell: int):
-    """``mu_with_witness`` with no density bound and no floor: every
-    restriction goes through the min-cut search from its own density, and
-    the best is replaced only on a strict increase."""
+    """``mu_with_witness`` with no floor and no skipped coordinate: every
+    restriction goes through ``max_density_subfamily``, and the best is
+    replaced only on a strict increase."""
     from dslab.hclass import restrict
     from dslab.oig import max_density_subfamily
 
@@ -79,6 +79,21 @@ def unpruned_mu_with_witness(H: HypothesisClass, n_samples: int, ell: int):
             if val > best[0]:
                 best = (val, T, F)
     return best
+
+
+def uniform_bound(live, n_rows: int, ell: int) -> Fraction:
+    """The density bound of the uniform fractional orientation
+    x(e, v) = ell/|e| on the ``live`` edges: the largest sum over the live
+    edges e at a row of (|e| - ell)/|e| (0 with no live edge)."""
+    return max((sum(Fraction(len(e) - ell, len(e)) for e in live if v in e)
+                for v in range(n_rows)), default=Fraction(0))
+
+
+def is_flat(live, n_rows: int, ell: int) -> bool:
+    """Is every row in at most ceil(excess / n_rows) of the ``live`` edges,
+    excess the sum of |e| - ell over them?"""
+    t0 = -(-sum(len(e) - ell for e in live) // n_rows)
+    return all(sum(v in e for e in live) <= t0 for v in range(n_rows))
 
 
 def brute_min_max_outdegree(G, ell: int) -> int:

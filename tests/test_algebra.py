@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from helpers import (enumerated_spanning, evaluate, fraction_rank, is_prime, random_class,
-                     subclasses, unpruned_mu_with_witness)
+                     subclasses, uniform_bound, unpruned_mu_with_witness)
 import dslab.algebra as algebra
 from dslab.errors import BudgetError, CertificateError
 from dslab.hclass import HypothesisClass, class_id, gen_cube, gen_random, restrict
@@ -16,7 +16,7 @@ from dslab.algebra import (audit_theorem, check_spanning,
                            direction_subspace_dim, eval_matrix, extract_basis,
                            in_direction_subspace, monomial_set, rank_bareiss,
                            rank_exact, rank_mod_p)
-from dslab.oig import (_density_bound, _live_edges, build_oig, density,
+from dslab.oig import (_densest_subfamily, _live_edges, build_oig, density,
                        max_density_subfamily, mu_with_witness)
 
 
@@ -464,5 +464,9 @@ def test_density_bound_and_restriction_memo_change_no_result(case):
             W = restrict(H, T)
             live = _live_edges(W, ell)
             assert live == [g.members for g in build_oig(W).edges() if len(g) > ell]
-            assert _density_bound(live, len(W), ell) >= max_density_subfamily(W, ell)[0]
+            # the uniform fractional orientation x(e, v) = ell/|e| bounds every
+            # subfamily, so a search from a floor at that bound answers None
+            bound = uniform_bound(live, len(W), ell)
+            assert bound >= max_density_subfamily(W, ell)[0]
+            assert _densest_subfamily(live, len(W), ell, bound) is None
     assert audit_theorem(H, ell, ns).to_json() == audit_theorem(H, ell, ns).to_json()

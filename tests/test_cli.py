@@ -174,10 +174,14 @@ def test_cut_down_natarajan_witness_exits_two(square, capsys, monkeypatch):
     assert code == EXIT_VERDICT_FAIL and out == "" and "certificate" in err
 
 
-def test_residual_graph_without_a_maximizer_exits_two(square, capsys, monkeypatch):
+def test_residual_graph_without_a_maximizer_exits_two(tmp_path, capsys, monkeypatch):
     # a residual reach that lies that the source reaches every node leaves
     # no row to root a maximizer at, so the density search must refuse its
-    # own answer rather than return one
+    # own answer rather than return one.  In the L {11, 12, 21} at ell 1 the
+    # corner carries more than the uniform load, so its search takes a flow
+    # (every row of the square carries the same load: it needs none)
+    ell_shape = tmp_path / "ell_shape.json"
+    save_class(HypothesisClass(k=2, n=2, hyps=((1, 1), (1, 2), (2, 1))), ell_shape)
     honest = oig._residual_reach
 
     def source_reaches_all(net, cap, start, forward):
@@ -186,10 +190,10 @@ def test_residual_graph_without_a_maximizer_exits_two(square, capsys, monkeypatc
 
     monkeypatch.setattr(oig, "_residual_reach", source_reaches_all)
     with pytest.raises(CertificateError, match="holds no maximizer"):
-        oig.mu(load_class(square), 2, 1)
-    code, out, err = run(capsys, "mu", "--class", square, "--ell", "1")
+        oig.mu(load_class(ell_shape), 2, 1)
+    code, out, err = run(capsys, "mu", "--class", str(ell_shape), "--ell", "1")
     assert code == EXIT_VERDICT_FAIL and out == ""
-    assert err == "dslab mu: certificate failed: residual graph at density 1/2 holds no maximizer\n"
+    assert err == "dslab mu: certificate failed: residual graph at density 2/3 holds no maximizer\n"
 
 
 LYING_FLOWS = """

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import (graph_prediction, per_point_best_hypothesis, per_point_list_error,
-                     per_prefix_states, random_class)
+from helpers import (graph_prediction, is_flat, per_point_best_hypothesis,
+                     per_point_list_error, per_prefix_states, random_class)
 import dslab
 import dslab.learn as learn
 import dslab.oig as oig
@@ -248,26 +248,39 @@ def test_audits_tables_and_the_pipeline_build_no_graph(monkeypatch):
 
 
 def test_a_training_edge_of_at_most_ell_members_runs_no_flow(monkeypatch):
-    # such an edge keeps every member in every orientation: no flow is needed
-    honest, flows = oig.maximum_flow, []
+    # such an edge keeps every member in every orientation: nothing is
+    # oriented.  A larger one orients the live edges, which takes a flow
+    # exactly when a row lies in more of them than ceil(excess / |W|)
+    honest_flow, honest_orient, flows, oriented = oig.maximum_flow, learn._orient_live, [], []
 
     def counted(net, cap):
         flows.append(None)
-        honest(net, cap)
+        honest_flow(net, cap)
+
+    def recorded(live, n_rows, ell):
+        oriented.append((live, n_rows))
+        return honest_orient(live, n_rows, ell)
 
     monkeypatch.setattr(oig, "maximum_flow", counted)
-    small = large = 0
+    monkeypatch.setattr(learn, "_orient_live", recorded)
+    small = flat = flowed = 0
     for H, ell, samples in _table_cases():
         for sample in samples:
             state = learn.PredictionTable(H, ell).state(*sample)
             for x in set(range(1, H.n + 1)) - {c for c, _y, _live in state}:
                 size = len(_training_edge(H, state, x))
-                flows.clear()
+                flows.clear(), oriented.clear()
                 learn.PredictionTable(H, ell).predict(state, x)
-                assert bool(flows) == (size > ell)
+                assert len(oriented) == (size > ell)
+                if oriented:
+                    (live, n_rows), = oriented
+                    assert bool(flows) == (not is_flat(live, n_rows, ell))
+                else:
+                    assert not flows
                 small += size <= ell
-                large += size > ell
-    assert small > 500 and large > 350
+                flat += bool(oriented) and not flows
+                flowed += bool(flows)
+    assert small > 500 and flat > 300 and flowed > 100
 
 
 def test_no_table_orients_one_projection_and_live_edge_list_twice(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -9,9 +10,9 @@ from hypothesis import example, given, strategies as st
 
 import dslab.oig as oig
 from helpers import (brute_max_density, brute_max_density_witness,
-                     brute_min_max_outdegree, brute_mu, naive_density,
+                     brute_min_max_outdegree, brute_mu, is_flat, naive_density,
                      naive_edges, random_class, scipy_flow_assignment, subclasses,
-                     unpruned_mu_with_witness)
+                     uniform_bound, unpruned_mu_with_witness)
 from dslab.algebra import audit_theorem
 from dslab.errors import BudgetError, CertificateError
 from dslab.hclass import HypothesisClass, gen_cube, gen_random, restrict
@@ -411,31 +412,27 @@ def test_orientation_flow_matches_scipy_oracle(G, ell):
 
 def test_orientation_network_holds_only_the_live_edges(monkeypatch):
     # an edge with |e| <= ell keeps every member in every orientation, so it
-    # never enters the network; dead directions hold only singletons
-    built = []
-
-    class Recorded(oig._Network):
-        def __init__(self, edges, n_rows, ell):
-            built.append(list(edges))
-            super().__init__(edges, n_rows, ell)
-
-    monkeypatch.setattr(oig, "_Network", Recorded)
+    # never enters the network; dead directions hold only singletons.  The
+    # network is built only when a row lies in more live edges than
+    # ceil(excess / |W|); otherwise the first ell members reach that bound
+    built = _recorded_networks(monkeypatch)
     rng = np.random.default_rng(23)
-    flows = small = 0
-    for seed in range(30):
+    flows = flat = small = 0
+    for seed in range(60):
         dead = rng.choice(3, 1 + seed % 2, replace=False).tolist()
         G = build_oig(gen_random(3, 3, 14, seed), dead_dirs=dead)
         for ell in (1, 2):
             built.clear()
             sigma, _t = min_max_orientation(G, ell)
             live = [e.members for e in G.edges() if len(e) > ell]
-            assert built == ([live] if live else [])
-            flows += bool(live)
+            assert built == ([] if is_flat(live, G.n_vertices, ell) else [live])
+            flows += bool(built)
+            flat += bool(live) and not built
             for e, (_d, _key, chosen) in zip(G.edges(), sigma.assign):
                 if len(e) <= ell:
                     assert chosen == e.members
                     small += 1
-    assert flows > 40 and small > 1000
+    assert flows > 30 and flat > 60 and small > 3000
 
 
 @pytest.mark.parametrize("search", ["density", "orientation"])
@@ -523,19 +520,89 @@ def test_mu_over_heavy_coordinates_equals_the_full_walk_on_every_small_subclass(
                     assert mu_with_witness(H, ns, ell) == unpruned_mu_with_witness(H, ns, ell)
 
 
-def test_a_density_search_from_a_floor_at_or_above_the_maximum_stops_after_one_flow(monkeypatch):
+def _recorded_networks(monkeypatch) -> list:
+    """Record the edge list of every ``_Network`` built from now on."""
+    built = []
+
+    class Recorded(oig._Network):
+        def __init__(self, edges, n_rows, ell):
+            built.append(list(edges))
+            super().__init__(edges, n_rows, ell)
+
+    monkeypatch.setattr(oig, "_Network", Recorded)
+    return built
+
+
+def test_a_density_search_settled_with_no_flow_matches_the_brute_force_witness(monkeypatch):
+    # when every row carries the uniform bound, W is a maximizer and the
+    # smallest, then first, maximizer is the smallest, then first, connected
+    # component of the live edges
+    built = _recorded_networks(monkeypatch)
+    cases = [(H, ell) for cube in (gen_cube(3, 1, 2, 2), gen_cube(2, 1, 3, 3))
+             for H in subclasses(cube) for ell in (1, 2)]
+    cases += [(W, ell) for W, ell, _live, _want, _rows in _warm_start_cases()]
+    settled = split = 0
+    for W, ell in cases:
+        live = oig._live_edges(W, ell)
+        built.clear()
+        got = oig._densest_subfamily(live, len(W), ell)
+        if built or not live:
+            continue
+        want, F = brute_max_density_witness(W, ell)
+        assert got == (want, tuple(W.row_index(h) for h in F.hyps))
+        assert want == naive_density(W, ell) == uniform_bound(live, len(W), ell)
+        settled += 1
+        split += len(got[1]) < len(W)
+    assert settled > 100 and split > 20
+
+
+def test_a_flat_orientation_reaches_the_brute_force_minimum(monkeypatch):
+    # when no row lies in more live edges than t0 = ceil(excess / |W|), the
+    # first ell members of each edge reach t0, which no orientation beats
+    built = _recorded_networks(monkeypatch)
+    rng = np.random.default_rng(28)
+    flat = 0
+    for _ in range(600):
+        G = build_oig(random_class(rng, k_max=3, n_max=3, size_max=8))
+        for ell in (1, 2):
+            live = [e for e in G.edges() if len(e) > ell]
+            if not live or math.prod(math.comb(len(e), ell) for e in live) > 5000:
+                continue
+            built.clear()
+            sigma, t = min_max_orientation(G, ell)
+            if built:
+                continue
+            assert t == brute_min_max_outdegree(G, ell) == max(outdegrees(G, sigma))
+            flat += 1
+    assert flat > 200
+
+
+def test_a_density_search_from_a_floor_at_or_above_the_maximum_runs_at_most_one_flow(monkeypatch):
+    # a floor at or above the uniform bound is settled with no flow; any
+    # other floor at or above the maximum takes exactly one
     honest, calls = oig.maximum_flow, []
 
     def counted(net, cap):
         calls.append(None)
         honest(net, cap)
 
+    cases = [(W, ell, live, want) for W, ell, live, want, _rows in _warm_start_cases()]
+    for seed in range(20):
+        H = gen_random(3, 3, 14, seed)
+        for ell in (1, 2):
+            live = oig._live_edges(H, ell)
+            cases.append((H, ell, live, oig._densest_subfamily(live, len(H), ell)[0]))
     monkeypatch.setattr(oig, "maximum_flow", counted)
-    for W, ell, live, want, _rows in _warm_start_cases():
-        for floor in (want, want + Fraction(1, 3), want + 2):
+    settled = flowed = 0
+    for W, ell, live, want in cases:
+        bound = uniform_bound(live, len(W), ell)
+        for floor in {want, (want + bound) / 2, want + Fraction(1, 3), want + 2}:
             calls.clear()
             assert oig._densest_subfamily(live, len(W), ell, floor) is None
-            assert len(calls) == (1 if live else 0)
+            assert len(calls) == (0 if bound <= floor else 1)
+            settled += bool(live) and not calls
+            flowed += bool(calls)
+    assert settled > 100 and flowed > 100
 
 
 def test_a_zeroed_flow_at_a_floor_below_the_maximum_is_caught(monkeypatch):
@@ -564,59 +631,89 @@ def test_a_zeroed_flow_at_a_floor_below_the_maximum_is_caught(monkeypatch):
 
 
 @pytest.mark.parametrize("flows, lam, fails", [
-    ([[1, 1, 1]], Fraction(2, 3), None),
-    ([[2, 1, 0]], Fraction(2, 3), "leaves row 2 outdegree 1 > lam"),
-    ([[2, 2, 1]], Fraction(2, 3), "no fractional orientation"),
-    ([[4, -1, 0]], Fraction(2, 3), "no fractional orientation"),
-    ([[1, 1]], Fraction(2, 3), "no fractional orientation"),
-    ([], Fraction(2, 3), "covers 0 of 1 edges"),
-    ([[0, 0, 0]], Fraction(1, 2), "outdegree 1 > lam"),
+    ([[1, 1, 1]], (2, 3), None),
+    ([[2, 1, 0]], (2, 3), "leaves row 2 outdegree 1 > lam"),
+    ([[2, 2, 1]], (2, 3), "no fractional orientation"),
+    ([[4, -1, 0]], (2, 3), "no fractional orientation"),
+    ([[1, 1]], (2, 3), "no fractional orientation"),
+    ([], (2, 3), "covers 0 of 1 edges"),
+    ([[0, 0, 0]], (1, 2), "outdegree 1 > lam"),
+    # lam = 2/3 at the unit 6: x is in sixths, and messages read lam reduced
+    ([[2, 2, 2]], (4, 6), None),
+    ([[3, 2, 1]], (4, 6), "lam=2/3 leaves row 2 outdegree 5/6 > lam"),
+    ([[3, 3, 1]], (4, 6), "lam=2/3 is no fractional orientation"),
 ])
 def test_fractional_orientation_certificate(flows, lam, fails):
     # one edge of three rows at ell 1 has density 2/3; at lam = 2/3 the one
     # certificate gives each row a third of the edge's one pick
     if fails is None:
-        oig._check_fractional_orientation([(0, 1, 2)], 1, lam, flows)
+        oig._check_fractional_orientation([(0, 1, 2)], 1, *lam, flows)
     else:
         with pytest.raises(CertificateError, match=fails):
-            oig._check_fractional_orientation([(0, 1, 2)], 1, lam, flows)
+            oig._check_fractional_orientation([(0, 1, 2)], 1, *lam, flows)
 
 
-def test_each_flow_backed_answer_is_certified_once(monkeypatch):
+def test_every_answer_is_certified_once(monkeypatch):
     # the orientation is checked as returned, 0/1 choices at lam = t, not as
-    # the raw flow it was read from; the density search checks its final flow
-    checks, searches = [], []
-    check, search = oig._check_fractional_orientation, oig._cut_search
+    # the raw flow it was read from, also when no flow ran; the density
+    # search checks its final flow, or, when it runs none, the uniform
+    # fractional orientation x(e, v) = ell/|e| in units of the lcm of |e|
+    checks, searches, answers = [], [], []
+    check, search, densest = oig._check_fractional_orientation, oig._cut_search, oig._densest_subfamily
 
-    def record_check(edges, ell, lam, flows):
-        checks.append((list(edges), ell, lam, flows))
-        check(edges, ell, lam, flows)
+    def record_check(edges, ell, p, q, flows):
+        checks.append((list(edges), ell, p, q, flows))
+        check(edges, ell, p, q, flows)
 
     def record_search(*args):
         searches.append(search(*args))
         return searches[-1]
 
+    def record_densest(live, n_rows, ell, floor):
+        checks.clear(), searches.clear()
+        got = densest(live, n_rows, ell, floor)
+        answers.append((list(live), n_rows, ell, got, list(checks), list(searches)))
+        return got
+
     monkeypatch.setattr(oig, "_check_fractional_orientation", record_check)
     monkeypatch.setattr(oig, "_cut_search", record_search)
-    padded = 0
+    monkeypatch.setattr(oig, "_densest_subfamily", record_densest)
+    padded = flat = 0
     for seed in range(60):
         H = gen_random(3, 3, 14, seed=seed)
         G = build_oig(H)
         for ell in (1, 2):
             checks.clear(), searches.clear()
             sigma, t = min_max_orientation(G, ell)
-            (_lam, _cap, raw), = searches
             live = [(e, chosen) for e, (_d, _key, chosen) in zip(G.edges(), sigma.assign)
                     if len(e) > ell]
             picks = [[int(v in chosen) for v in e.members] for e, chosen in live]
-            assert checks == [([e.members for e, _chosen in live], ell, Fraction(t), picks)]
-            padded += picks != raw
+            assert checks == [([e.members for e, _chosen in live], ell, t, 1, picks)]
+            if searches:
+                (_lam, _cap, raw), = searches
+                padded += picks != raw
+            else:
+                flat += 1
         for ell in (1, 2):
-            checks.clear(), searches.clear()
             mu_with_witness(H, 3, ell)
-            assert searches and [(lam, flows) for _e, _l, lam, flows in checks] == \
-                [(lam, flows) for lam, _cap, flows in searches]
-    assert padded == 120
+    assert flat > 10 and padded == 120 - flat
+    kinds = {"none": 0, "tight": 0, "flow": 0}
+    for live, n_rows, ell, got, done, ran in answers:
+        if not live:
+            assert done == [] and ran == []
+            continue
+        if ran:
+            (lam, _cap, flows), = ran
+            assert done == [(live, ell, lam.numerator, lam.denominator, flows)]
+            kinds["flow"] += 1
+            continue
+        q = math.lcm(*map(len, live))
+        p = uniform_bound(live, n_rows, ell) * q
+        assert p.denominator == 1
+        assert done == [(live, ell, p, q, [[ell * q // len(e)] * len(e) for e in live])]
+        kinds["none" if got is None else "tight"] += 1
+    assert min(kinds.values()) > 100
+
 
 
 def test_mu_refuses_no_samples():
@@ -706,3 +803,22 @@ def test_ratio_format_roundtrip():
     x = Fraction(22, 7)
     assert Fraction(format_ratio(x)) == x
     assert format_ratio(Fraction(3)) == "3/1"
+
+
+# sha256 of every (mu, T_star, witness rows) and (t_star, orientation JSON)
+# below, computed while every density search and orientation ran a flow
+GOLDEN_DIGEST = "939f8239b8ad6334c10fd53532ffae10aaaa2efe48eac6c905a6918b6bdac151"
+
+
+def test_densities_witnesses_and_orientations_are_pinned():
+    rng = np.random.default_rng(28)
+    classes = [random_class(rng, k_max=4, n_max=4, size_max=16) for _ in range(200)]
+    classes += [gen_random(3, 3, 14, seed) for seed in range(40)]
+    digest = hashlib.sha256()
+    for H in classes:
+        for ell in (1, 2, 3):
+            val, T, F = mu_with_witness(H, H.n, ell)
+            sigma, t = min_max_orientation(build_oig(H), ell)
+            line = f"{format_ratio(val)} {T} {F.hyps} {t} {orientation_to_json(sigma)}\n"
+            digest.update(line.encode())
+    assert digest.hexdigest() == GOLDEN_DIGEST
