@@ -257,9 +257,12 @@ def load_class(path) -> HypothesisClass:
         return loads_class(fh.read())
 
 
+# json.dumps builds an encoder per call when given options; one serves every class
+_CLASS_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dumps_class(H: HypothesisClass) -> str:
-    return json.dumps({"k": H.k, "n": H.n, "hyps": [list(h) for h in H.hyps]},
-                      sort_keys=True, separators=(",", ":"))
+    return _CLASS_JSON.encode({"k": H.k, "n": H.n, "hyps": [list(h) for h in H.hyps]})
 
 
 def class_id(H: HypothesisClass) -> str:

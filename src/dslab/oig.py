@@ -131,31 +131,38 @@ def density(W: HypothesisClass, ell: int) -> Fraction:
     return Fraction(num, len(W))
 
 
-# -- min cuts: exact subfamily search and orientation targets ----------------
+# -- density searches and min-cut orientations ------------------------------
 #
 # The edges of a subfamily F <= W are W's edges intersected with F, so the
 # excess f(F) = sum over edges of (|e & F| - ell)_+ sees only edges with
 # |e| > ell.  f is supermodular (a convex function of a modular one), so
-# max f(F)/|F| is a maximum-density subgraph problem (Goldberg 1984), which
-# ``_cut_search`` solves by parametric min cuts.  Stepping lam to each cut's
-# exact ratio is Dinkelbach's iteration, whose final residual graph holds
-# every maximizer (Picard & Queyranne 1980): that gives mu.  Stepping to the
-# ceiling keeps lam an integer t, and the final flow on the same live edges
-# is an orientation of maximum outdegree t_star = ceil(mu) (Hakimi 1965).
+# max f(F)/|F| is a maximum-density subgraph problem (Goldberg 1984).  Its
+# LP dual is a fractional orientation (Charikar 2000): each live edge shares
+# ell units among its members, and a row's load is the part of its edges it
+# does not hold; if no row's load is above lam, no F is denser than lam.
+# ``_densest_subfamily`` starts from the uniform x(e, v) = ell/|e|, which
+# settles a search whose floor it reaches or whose rows all carry its bound.
+# Otherwise ``_balance`` moves load from row to row along residual arcs until
+# no row is above lam, or finds rows denser than lam, and lam steps to their
+# exact ratio (Dinkelbach's iteration).  The balanced residual row graph
+# holds every maximizer (the row form of Picard & Queyranne 1980): that
+# gives mu and its witness with no network.
+# Orientations run on a cut network (``_Network``, Dinic's ``maximum_flow``).
+# ``_cut_search`` steps lam to the ceiling of each cut's ratio, so lam stays
+# an integer t, and the final flow on the live edges is an orientation of
+# maximum outdegree t_star = ceil(mu) (Hakimi 1965).  A density does not
+# depend on which optimal x is found, but an orientation's picks do, and
+# they are read off that flow.  One with no row in more live edges than
+# ceil(density) takes each edge's first ell members with no network.
 # ``_orient_live`` orients a list of live edges with no graph object: the
 # audit and the list predictor hand it ``off_groups``' live edges directly,
 # and since the answer never reads the training labels, one orientation
 # answers every labeling of a projection's training coordinates.
-# Each answer is checked as a fractional orientation, the LP dual of the
-# density (Charikar 2000), which bounds every F's density by lam without
-# trusting the flow code: mu's final flow or its uniform x (below), and the
-# 0/1 choices of the orientation returned at t_star.  Both searches build
-# no network when the cheapest dual already meets the cheapest primal: the
-# uniform x(e, v) = ell/|e| settles a density search whose floor it reaches
-# or whose rows all carry its bound, and an orientation with no row in more
-# live edges than ceil(density) takes each edge's first ell members.
-# mu_prime's gross objective is not supermodular and still enumerates all
-# 2^|W| bitmasks.
+# Each answer is checked by ``_check_fractional_orientation``, which bounds
+# every F's density by lam without trusting the search code: a density
+# search's balanced or uniform x, and the 0/1 choices of the orientation
+# returned at t_star.  mu_prime's gross objective is not supermodular and
+# still enumerates all 2^|W| bitmasks.
 
 
 class _Network:
@@ -262,15 +269,14 @@ def maximum_flow(net: _Network, cap: list[int]) -> None:
                 u = head[path.pop() ^ 1]
 
 
-def _residual_reach(net: _Network, cap: list[int], start: int, forward: bool) -> set[int]:
-    """Nodes ``start`` reaches in the residual graph, or (``forward=False``)
-    the nodes that reach ``start``."""
+def _residual_reach(net: _Network, cap: list[int], start: int) -> set[int]:
+    """The nodes that reach ``start`` in the residual graph."""
     adj, head = net.adj, net.head
     seen, stack = {start}, [start]
     while stack:
         u = stack.pop()
         for a in adj[u]:
-            if cap[a if forward else a ^ 1] and head[a] not in seen:
+            if cap[a ^ 1] and head[a] not in seen:
                 seen.add(head[a])
                 stack.append(head[a])
     return seen
@@ -322,9 +328,11 @@ def _cut_search(net: _Network, edges: Sequence[tuple[int, ...]], ell: int,
     A flow that leaves a sink arc unsaturated is a min cut whose sink side F
     (the rows that reach the sink in the residual graph) has
     excess(F) > lam*|F| (``_excess`` over ``edges``).  The next lam is
-    ``step(excess(F), |F|)``; unless it is larger, the cut certifies nothing
+    ``step(excess(F), |F|)``: ``_orient_live`` steps to the ceiling, so lam
+    stays an integer t, and the scipy oracle test steps nowhere to pin the
+    flow at one t.  Unless the next lam is larger, the cut certifies nothing
     and CertificateError is raised.  These cuts bound the answer from below;
-    the final flow is not checked here, and each caller certifies its own
+    the final flow is not checked here, and ``_orient_live`` certifies its
     answer from above with ``_check_fractional_orientation``.
     """
     while True:
@@ -332,7 +340,7 @@ def _cut_search(net: _Network, edges: Sequence[tuple[int, ...]], ell: int,
         maximum_flow(net, cap)
         if not any(cap[a] for a in net.sink_arcs):
             return lam, cap, net.member_flows(cap)
-        F = net.rows(_residual_reach(net, cap, net.sink, False))
+        F = net.rows(_residual_reach(net, cap, net.sink))
         nxt = step(_excess(edges, F, ell), len(F))
         if nxt <= lam:
             raise CertificateError(f"min cut at lam={lam} found no subfamily denser than lam")
@@ -345,12 +353,18 @@ def _densest_subfamily(live: list[tuple[int, ...]], n_rows: int, ell: int,
     lexicographically first, maximizer as ascending row indices; or None
     when no F beats ``floor`` (by default -1, which every F beats).
 
-    First the uniform fractional orientation x(e, v) = ell/|e|, in units of
-    1/q, q the lcm of the live edge sizes: row v carries the load p_v = sum
-    over live e at v of q(|e| - ell)/|e|, and since
-    (m - ell)_+ <= m(|e| - ell)/|e| for 0 <= m <= |e|, no F is denser than
-    p/q, p = max p_v.  It settles two cases with no flow, each certified by
-    ``_check_fractional_orientation`` on that x at (p, q):
+    The search works on fractional orientations x of the live edges, the
+    LP dual of the density (Charikar 2000): each edge e shares ell units
+    among its members, 0 <= x(e, v) <= 1, and row v carries the load
+    sum over live e at v of 1 - x(e, v).  If no row carries more than lam,
+    no F is denser than lam (``_check_fractional_orientation``).
+
+    First the uniform x(e, v) = ell/|e|, in units of 1/q, q the lcm of the
+    live edge sizes: row v carries the load p_v = sum over live e at v of
+    q(|e| - ell)/|e|, and since (m - ell)_+ <= m(|e| - ell)/|e| for
+    0 <= m <= |e|, no F is denser than p/q, p = max p_v.  It settles two
+    cases as it stands, each certified by ``_check_fractional_orientation``
+    on that x at (p, q):
     - p/q <= ``floor``: the answer is None.
     - W's own density is p/q, so every row carries p: W is a maximizer.  A
       maximizer F meets the bound with equality, which needs m = 0 or
@@ -358,15 +372,22 @@ def _densest_subfamily(live: list[tuple[int, ...]], n_rows: int, ell: int,
       of the live edges; each component reaches p/q, so the smallest
       maximizer is the smallest, then lexicographically first, component.
 
-    Otherwise ``_cut_search`` runs on the live edges, stepping to each cut's
-    exact ratio, from lam = max(W's own density, ``floor``); its final flow
-    must pass ``_check_fractional_orientation``, so no F is denser than the
-    final lam.  If the first flow saturates every sink arc at lam = floor,
-    the answer is None after that one flow.  Otherwise every later flow is
-    solved from zero, so the final lam and its residual graph are the ones
-    the search from W's own density reaches.  At the maximum, the smallest
-    maximizer containing v is the set of vertices that reach v in the
-    residual graph (none if the source does, or if v's sink arc is 0).
+    Otherwise lam starts at max(W's own density, ``floor``), and
+    ``_balance`` moves load from the uniform x, in units of 1/U with
+    U = q * den(lam), until no row carries more than lam.  If it gets stuck,
+    it returns rows R denser than lam; lam steps to R's density
+    (Dinkelbach's iteration) and the balance starts again from the uniform
+    x, and a step that does not rise raises CertificateError.  The balanced
+    x must pass ``_check_fractional_orientation`` at lam, so no F is denser
+    than lam: at lam = ``floor`` the answer is None.  Every other lam is the
+    density of W or of some R, so it is the maximum, whichever balanced x
+    was found.  At the maximum, F is a maximizer exactly when each of its
+    rows carries lam and no residual arc of ``_balance`` leaves F: for a
+    maximizer the dual bound excess(F) <= load(F) <= lam * |F| is an
+    equality, edge by edge, and that closes F; a closed F has
+    excess(F) >= load(F), as ``_balance`` shows for R.  So the minimal
+    maximizers are the sink components of the residual row graph whose
+    rows all carry lam, and ``_smallest_sink`` picks the smallest.
     Either way the maximizer is checked to reach the maximum, or
     CertificateError.  With no live edge every F has density 0: the answer
     is row 0 alone, or None for a floor of 0 or more.
@@ -387,34 +408,172 @@ def _densest_subfamily(live: list[tuple[int, ...]], n_rows: int, ell: int,
             return None
         best = _smallest_component(live, n_rows)
     else:
-        net = _Network(live, n_rows, ell)
-        start = max(Fraction(excess, n_rows), floor)
-        lam, cap, flows = _cut_search(net, live, ell, start, Fraction)
-        p, q = lam.numerator, lam.denominator
-        _check_fractional_orientation(live, ell, p, q, flows)
+        lam = max(Fraction(excess, n_rows), floor)
+        while True:
+            b = lam.denominator
+            unit, p = q * b, lam.numerator * q  # U and lam * U
+            x = [[ell * unit // len(e)] * len(e) for e in live]
+            loads = [v * b for v in load]
+            stuck = _balance(live, x, loads, p, unit)
+            if stuck is None:
+                break
+            nxt = Fraction(_excess(live, stuck, ell), len(stuck))
+            if nxt <= lam:
+                raise CertificateError(f"balance at lam={lam} found no subfamily denser than lam")
+            lam = nxt
+        q = unit
+        _check_fractional_orientation(live, ell, p, q, x)
         if lam <= floor:
             return None
-
-        # Maximizers are closed under union and non-empty intersection, so the
-        # minimal ones are disjoint and each is the ancestor set of every member.
-        # An ancestor set that its own vertex reaches in full is minimal: its
-        # other members need no search of their own.
-        from_source = _residual_reach(net, cap, 0, True)
-        row_nodes = range(net.n_edges + 1, net.sink)
-        best, settled = None, set()
-        for a in net.sink_arcs:
-            u = net.head[a ^ 1]
-            if net.coef[a][0] * q <= p or u in from_source or u in settled:
-                continue
-            anc = _residual_reach(net, cap, u, False).intersection(row_nodes)
-            if anc <= _residual_reach(net, cap, u, True):
-                settled |= anc
-            rows = tuple(net.rows(anc))
-            if best is None or (len(rows), rows) < (len(best), best):
-                best = rows
-    if best is None or _excess(live, best, ell) * q != p * len(best):
+        best = _smallest_sink(live, x, loads, p, q)
+    if not best or _excess(live, best, ell) * q != p * len(best):
         raise CertificateError(f"residual graph at density {lam} holds no maximizer")
     return lam, best
+
+
+def _balance(live: Sequence[tuple[int, ...]], x: list[list[int]], load: list[int],
+             cap: int, unit: int) -> list[int] | None:
+    """Move load between rows until none carries more than ``cap``, in place
+    on ``x`` and ``load``; None once that holds.  ``x[j][i]`` is
+    unit * x(e, v) for the i-th member v of the j-th ``live`` edge e, so
+    each edge's entries sum to ell * unit, and ``load[v]`` is the sum over
+    live e at v of unit - x[j][i].
+
+    A residual arc w -> u runs through a live edge e holding both when
+    x(e, w) < 1 and x(e, u) > 0: raising x(e, w) and lowering x(e, u) by
+    the same amount moves load from w to u and keeps e's sum.  One sweep
+    over the edges first pushes along single arcs from rows above ``cap``
+    to rows below it.  Then each round walks breadth-first from the rows
+    above ``cap`` to the nearest row below it (``_nearest_below``) and
+    pushes along that path; a shortest path uses each edge once.
+
+    If no row above ``cap`` reaches a row below it, the rows they reach are
+    returned, ascending: call them R.  No arc leaves R, so an edge with
+    members on both sides has x = 1 on its members in R, which then take no
+    load from it, or x = 0 on its members outside R, which leaves all of
+    its ell * unit in R.  Either way the edge adds at most
+    unit * (|e & R| - ell)_+ to load(R), so unit * excess(R) >= load(R)
+    > cap * |R|: R is denser than cap / unit.
+    """
+    for xs, e in zip(x, live):
+        for i, w in enumerate(e):
+            if load[w] > cap and xs[i] < unit:
+                for k, u in enumerate(e):
+                    if load[u] < cap and xs[k]:
+                        push = min(load[w] - cap, cap - load[u], unit - xs[i], xs[k])
+                        xs[i] += push
+                        xs[k] -= push
+                        load[w] -= push
+                        load[u] += push
+                        if load[w] == cap or xs[i] == unit:
+                            break
+    over = [v for v, got in enumerate(load) if got > cap]
+    if not over:
+        return None
+    at: list[list[int]] = [[] for _ in load]  # the live edges at each row
+    for j, e in enumerate(live):
+        for v in e:
+            at[v].append(j)
+    while over:
+        parent: dict[int, tuple[int, int, int, int] | None] = dict.fromkeys(over)
+        end = _nearest_below(live, at, x, load, cap, unit, parent)
+        if end is None:
+            return sorted(parent)
+        path, v = [], end
+        while parent[v] is not None:
+            w, j, i, k = parent[v]
+            path.append((j, i, k))
+            v = w
+        push = min(load[v] - cap, cap - load[end],
+                   min(min(unit - x[j][i], x[j][k]) for j, i, k in path))
+        if push <= 0:  # each round must move load, or the balance would not end
+            raise CertificateError(f"balance at lam={Fraction(cap, unit)} found a path that moves no load")
+        for j, i, k in path:
+            x[j][i] += push
+            x[j][k] -= push
+        load[v] -= push
+        load[end] += push
+        if load[v] == cap:
+            over.remove(v)
+    return None
+
+
+def _nearest_below(live: Sequence[tuple[int, ...]], at: list[list[int]], x: list[list[int]],
+                   load: list[int], cap: int, unit: int,
+                   parent: dict[int, tuple[int, int, int, int] | None]) -> int | None:
+    """Walk ``_balance``'s residual arcs breadth-first from the rows keyed in
+    ``parent``, recording for each row reached the arc (w, edge, position
+    of w, position of the row) that reached it; return the first row reached
+    with load below ``cap``, or None once every reachable row is keyed."""
+    queue = list(parent)
+    for w in queue:
+        for j in at[w]:
+            e, xs = live[j], x[j]
+            i = e.index(w)
+            if xs[i] == unit:
+                continue
+            for k, u in enumerate(e):
+                if xs[k] and u not in parent:
+                    parent[u] = (w, j, i, k)
+                    if load[u] < cap:
+                        return u
+                    queue.append(u)
+    return None
+
+
+def _smallest_sink(live: Sequence[tuple[int, ...]], x: list[list[int]], load: list[int],
+                   cap: int, unit: int) -> tuple[int, ...] | None:
+    """The smallest, then lexicographically first, sink component of the
+    residual row graph of ``_balance`` on ``x`` whose rows all carry
+    ``cap``, ascending; None if there is none.  One pass of Tarjan's
+    strongly connected components, iterative: a component is complete only
+    after every component it reaches, so it is a sink exactly when no row
+    in it has an arc to a row outside it."""
+    n = len(load)
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for e, xs in zip(live, x):
+        gets = [u for u, got in zip(e, xs) if got]
+        for w, got in zip(e, xs):
+            if got < unit:
+                succ[w] += gets
+    index, low, on_stack = [-1] * n, [0] * n, [False] * n
+    stack: list[int] = []
+    best, count = None, 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, arcs = work[-1]
+            for u in arcs:
+                if index[u] < 0:
+                    index[u] = low[u] = count
+                    count += 1
+                    stack.append(u)
+                    on_stack[u] = True
+                    work.append((u, iter(succ[u])))
+                    break
+                if on_stack[u] and index[u] < low[v]:
+                    low[v] = index[u]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:  # v roots a component: pop it
+                    rows = []
+                    while not rows or rows[-1] != v:
+                        rows.append(stack.pop())
+                        on_stack[rows[-1]] = False
+                    inside = set(rows)
+                    if all(load[u] == cap and inside.issuperset(succ[u]) for u in rows):
+                        rows = tuple(sorted(rows))
+                        if best is None or (len(rows), rows) < (len(best), best):
+                            best = rows
+    return best
 
 
 def _smallest_component(edges: Sequence[tuple[int, ...]], n_rows: int) -> tuple[int, ...]:
@@ -464,9 +623,9 @@ def _rows_to_class(W: HypothesisClass, rows) -> HypothesisClass:
 
 
 def max_density_subfamily(W: HypothesisClass, ell: int) -> tuple[Fraction, HypothesisClass]:
-    """Best ell-density over all non-empty subfamilies of ``W``, exact by min
-    cuts, with the smallest, then lexicographically first, maximizer as
-    witness."""
+    """Best ell-density over all non-empty subfamilies of ``W``, exact by
+    ``_densest_subfamily``, with the smallest, then lexicographically first,
+    maximizer as witness."""
     val, rows = _densest_subfamily(_live_edges(W, ell), len(W), ell)
     return val, _rows_to_class(W, rows)
 
@@ -483,10 +642,10 @@ def mu_with_witness(H: HypothesisClass, n_samples: int,
     only refine edge groups.  Witness ties break toward smaller, then
     lexicographically earlier, coordinate sets, so each restriction's search
     has the best so far as its floor (``_densest_subfamily``): a restriction
-    whose uniform fractional orientation is no better is settled with no
-    flow, one that does not beat the floor after one flow, and one whose
-    rows all carry the uniform bound with no flow either; each answer is
-    certified by its dual check.
+    whose uniform fractional orientation is no better, or whose rows all
+    carry the uniform bound, is settled by that orientation as it stands,
+    and one that does not beat the floor after one balance at the floor;
+    each answer is certified by its dual check.
 
     Only sets of coordinates with more than ell labels are walked.  If j has
     at most ell, every direction-j edge has at most ell members; split a

@@ -55,6 +55,29 @@ def brute_max_density_witness(W: HypothesisClass, ell: int) -> tuple[Fraction, H
     return best
 
 
+def brute_densest_rows(W: HypothesisClass, ell: int) -> tuple[Fraction, tuple[int, ...]]:
+    """Maximum density over all 2^|W| - 1 non-empty row sets F, each scored
+    on ``naive_edges(W)`` as sum of (|e & F| - ell)_+ over |F|, and the
+    smallest, then lexicographically first, maximizer as ascending row
+    indices.  The row sets are int64 bitmasks, counted with numpy."""
+    import math
+
+    import numpy as np
+
+    n = len(W)
+    masks = np.arange(1, 1 << n, dtype=np.int64)
+    excess = np.zeros(len(masks), dtype=np.int64)
+    for _i, members in naive_edges(W):
+        hit = np.bitwise_count(masks & sum(1 << v for v in members)).astype(np.int64)
+        excess += np.maximum(hit - ell, 0)
+    common = math.lcm(*range(1, n + 1))  # compare excess/|F| over one denominator
+    score = excess * (common // np.bitwise_count(masks).astype(np.int64))
+    top = int(score.max())
+    rows = min((tuple(v for v in range(n) if m >> v & 1) for m in masks[score == top].tolist()),
+               key=lambda r: (len(r), r))
+    return Fraction(top, common), rows
+
+
 def brute_mu(H: HypothesisClass, n_samples: int, ell: int) -> Fraction:
     from dslab.hclass import restrict
 

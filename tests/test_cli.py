@@ -175,22 +175,18 @@ def test_cut_down_natarajan_witness_exits_two(square, capsys, monkeypatch):
 
 
 def test_residual_graph_without_a_maximizer_exits_two(tmp_path, capsys, monkeypatch):
-    # a residual reach that lies that the source reaches every node leaves
-    # no row to root a maximizer at, so the density search must refuse its
-    # own answer rather than return one.  In the L {11, 12, 21} at ell 1 the
-    # corner carries more than the uniform load, so its search takes a flow
-    # (every row of the square carries the same load: it needs none)
+    # a sink-component pass that finds no component of balanced rows, or
+    # offers no rows or a row set below the maximum, must make the density
+    # search refuse its own answer rather than return one.  In the L
+    # {11, 12, 21} at ell 1 the corner carries more than the uniform load,
+    # so its search balances the loads (every row of the square carries the
+    # same load: it needs no balance)
     ell_shape = tmp_path / "ell_shape.json"
     save_class(HypothesisClass(k=2, n=2, hyps=((1, 1), (1, 2), (2, 1))), ell_shape)
-    honest = oig._residual_reach
-
-    def source_reaches_all(net, cap, start, forward):
-        return set(range(net.sink + 1)) if (start, forward) == (0, True) else honest(
-            net, cap, start, forward)
-
-    monkeypatch.setattr(oig, "_residual_reach", source_reaches_all)
-    with pytest.raises(CertificateError, match="holds no maximizer"):
-        oig.mu(load_class(ell_shape), 2, 1)
+    for lie in (None, (), (0,)):  # (0,) is the corner alone, of density 0
+        monkeypatch.setattr(oig, "_smallest_sink", lambda live, x, load, cap, unit: lie)
+        with pytest.raises(CertificateError, match="holds no maximizer"):
+            oig.mu(load_class(ell_shape), 2, 1)
     code, out, err = run(capsys, "mu", "--class", str(ell_shape), "--ell", "1")
     assert code == EXIT_VERDICT_FAIL and out == ""
     assert err == "dslab mu: certificate failed: residual graph at density 2/3 holds no maximizer\n"
@@ -222,11 +218,6 @@ def overfull_cover(net, cap):  # every edge covers all its members
                 cap[a ^ 1] = 1
 
 
-def zeroed_residual(net, cap):  # a real flow that then claims every sink arc full
-    honest(net, cap)
-    no_cover(net, cap)
-
-
 lies = {"no cover": no_cover, "thin cut": lambda net, cap: None, "overfull cover": overfull_cover}
 for name, lie in lies.items():
     oig.maximum_flow = lie
@@ -235,9 +226,18 @@ for name, lie in lies.items():
     except CertificateError as exc:
         print(name, "caught:", exc)
 
-# on this class the lie once passed every other check, reporting mu = 9/7 for 3/2
+# a real density balance that then claims every row balanced: on this class
+# a zeroed flow once passed every other check, reporting mu = 9/7 for 3/2
 H = gen_random(3, 3, 14, seed=60)
-oig.maximum_flow = zeroed_residual
+oig.maximum_flow = honest
+honest_balance = oig._balance
+
+
+def stops_short(live, x, load, cap, unit):
+    honest_balance(live, x, load, cap, unit)
+
+
+oig._balance = stops_short
 for name, run in {"density": lambda: oig.max_density_subfamily(H, 1),
                   "audit": lambda: audit_theorem(H, 1)}.items():
     try:
@@ -259,8 +259,8 @@ def test_orientation_certificates_survive_python_O():
         "no cover caught: flow at lam=1 leaves row 3 outdegree 2 > lam",
         "thin cut caught: min cut at lam=1 found no subfamily denser than lam",
         "overfull cover caught: flow at lam=1 is no fractional orientation of edge (0, 2)",
-        "density caught: flow at lam=9/7 leaves row 12 outdegree 3 > lam",
-        "audit caught: flow at lam=9/7 leaves row 12 outdegree 3 > lam"]
+        "density caught: flow at lam=9/7 leaves row 1 outdegree 4/3 > lam",
+        "audit caught: flow at lam=9/7 leaves row 1 outdegree 4/3 > lam"]
 
 
 def test_no_bare_assert_in_the_package():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import dslab.oig as oig
-from helpers import (brute_max_density, brute_max_density_witness,
+from helpers import (brute_densest_rows, brute_max_density, brute_max_density_witness,
                      brute_min_max_outdegree, brute_mu, is_flat, naive_density,
                      naive_edges, random_class, scipy_flow_assignment, subclasses,
                      uniform_bound, unpruned_mu_with_witness)
@@ -440,10 +440,15 @@ def test_a_flow_that_routes_nothing_fails_the_cut_certificate(search, monkeypatc
     # with no flow every row with a positive sink arc reaches the sink, and
     # that cut is never strictly denser than the lam that built it.  Only an
     # orientation can have no such row, when no row's live degree is above
-    # its starting t: then its padded picks are certified without any flow
+    # its starting t: then its padded picks are certified without any flow.
+    # A density balance that moves nothing and calls every row stuck offers
+    # W, which is no denser than the lam it starts from
     cases = [(build_oig(gen_random(3, 3, 14, seed)), ell) for seed in range(25) for ell in (1, 2)]
     t_star = [min_max_orientation(G, ell)[1] for G, ell in cases]
-    monkeypatch.setattr(oig, "maximum_flow", lambda net, cap: None)
+    if search == "density":
+        monkeypatch.setattr(oig, "_balance", lambda live, x, load, cap, unit: list(range(len(load))))
+    else:
+        monkeypatch.setattr(oig, "maximum_flow", lambda net, cap: None)
     raised = 0
     for (G, ell), want in zip(cases, t_star):
         try:
@@ -463,29 +468,38 @@ def test_a_flow_that_routes_nothing_fails_the_cut_certificate(search, monkeypatc
 
 @pytest.mark.parametrize("search", ["density", "orientation", "audit"])
 def test_a_flow_with_zeroed_sink_residuals_is_caught_or_harmless(search, monkeypatch):
-    # a real flow that then claims every sink arc saturated: its cuts still
-    # rise, so only the fractional-orientation check can see that it stopped
-    # below mu (e.g. 9/7 for 3/2 at seed 60, ell 1)
+    # a real flow that then claims every sink arc saturated, and a real
+    # density balance that then claims every row balanced: their cuts and
+    # stuck sets still rise, so only the fractional-orientation check can
+    # see that they stopped below mu (e.g. 9/7 for 3/2 at seed 60, ell 1)
     run = {"density": max_density_subfamily,
            "orientation": lambda H, ell: min_max_orientation(build_oig(H), ell),
            "audit": audit_theorem}[search]
-    honest = oig.maximum_flow
+    honest = oig.maximum_flow, oig._balance
 
     def zeroed(net, cap):
-        honest(net, cap)
+        honest[0](net, cap)
         for a in net.sink_arcs:
             cap[a] = 0
 
+    def short(live, x, load, cap, unit):
+        honest[1](live, x, load, cap, unit)
+
+    caught = 0
     for seed in range(200):
         H = gen_random(3, 3, 14, seed)
         for ell in (1, 2):
             want = run(H, ell)
             monkeypatch.setattr(oig, "maximum_flow", zeroed)
+            monkeypatch.setattr(oig, "_balance", short)
             try:
                 assert run(H, ell) == want
             except CertificateError as exc:
                 assert "fractional orientation" in str(exc) or "outdegree" in str(exc)
-            monkeypatch.setattr(oig, "maximum_flow", honest)
+                caught += 1
+            monkeypatch.setattr(oig, "maximum_flow", honest[0])
+            monkeypatch.setattr(oig, "_balance", honest[1])
+    assert caught > 0 or search == "orientation"  # no zeroed orientation flow here misleads
 
 
 def _warm_start_cases():
@@ -507,6 +521,33 @@ def test_a_density_search_from_a_floor_below_the_maximum_ends_where_the_cold_one
             if floor < want:
                 assert oig._densest_subfamily(live, len(W), ell, floor) == (want, rows)
         assert mu_with_witness(W, W.n, ell) == unpruned_mu_with_witness(W, W.n, ell)
+
+
+def test_density_searches_match_the_brute_force_over_every_row_set(monkeypatch):
+    # value and smallest, then lexicographically first, maximizer against
+    # all 2^|W| - 1 row sets, from floors below, at and above the maximum,
+    # on every subclass of [3]^2 and [2]^3 and on 40 seeded 14-row classes.
+    # Edges of 5 rows at ell 2 let a row hold a whole unit of an edge whose
+    # other members still hold some: the balance must not walk out of it
+    balances = _recorded_balances(monkeypatch)
+    cases = [(H, ell) for cube in (gen_cube(3, 1, 2, 2), gen_cube(2, 1, 3, 3))
+             for H in subclasses(cube) for ell in (1, 2)]
+    cases += [(gen_random(k, n, 14, seed), ell)
+              for seed in range(20) for k, n in ((3, 3), (5, 2)) for ell in (1, 2)]
+    found = stepped = 0
+    for W, ell in cases:
+        live = oig._live_edges(W, ell)
+        want, rows = brute_densest_rows(W, ell)
+        own = naive_density(W, ell)
+        for floor in {Fraction(-1), Fraction(0), own, (own + want) / 2, want - Fraction(1, 97)}:
+            if floor < want:
+                balances.clear()
+                assert oig._densest_subfamily(live, len(W), ell, floor) == (want, rows)
+                found += bool(balances)
+                stepped += len(balances) > 1
+        for floor in {want, want + Fraction(1, 3), uniform_bound(live, len(W), ell)}:
+            assert oig._densest_subfamily(live, len(W), ell, floor) is None
+    assert found > 3000 and stepped > 1500
 
 
 def test_mu_over_heavy_coordinates_equals_the_full_walk_on_every_small_subclass():
@@ -533,20 +574,38 @@ def _recorded_networks(monkeypatch) -> list:
     return built
 
 
+def _recorded_balances(monkeypatch) -> list:
+    """Record what every ``_balance`` from now on returns: None once
+    balanced, or the stuck rows, which must be denser than cap / unit."""
+    honest, balances = oig._balance, []
+
+    def recorded(live, x, load, cap, unit):
+        ell = sum(x[0]) // unit  # each live edge's entries start at ell * unit
+        balances.append(honest(live, x, load, cap, unit))
+        if balances[-1] is not None:
+            stuck = set(balances[-1])
+            excess = sum(max(len(stuck.intersection(e)) - ell, 0) for e in live)
+            assert excess * unit > cap * len(stuck), "stuck rows no denser than the cap"
+        return balances[-1]
+
+    monkeypatch.setattr(oig, "_balance", recorded)
+    return balances
+
+
 def test_a_density_search_settled_with_no_flow_matches_the_brute_force_witness(monkeypatch):
     # when every row carries the uniform bound, W is a maximizer and the
     # smallest, then first, maximizer is the smallest, then first, connected
-    # component of the live edges
-    built = _recorded_networks(monkeypatch)
+    # component of the live edges, with no balance run
+    balances = _recorded_balances(monkeypatch)
     cases = [(H, ell) for cube in (gen_cube(3, 1, 2, 2), gen_cube(2, 1, 3, 3))
              for H in subclasses(cube) for ell in (1, 2)]
     cases += [(W, ell) for W, ell, _live, _want, _rows in _warm_start_cases()]
     settled = split = 0
     for W, ell in cases:
         live = oig._live_edges(W, ell)
-        built.clear()
+        balances.clear()
         got = oig._densest_subfamily(live, len(W), ell)
-        if built or not live:
+        if balances or not live:
             continue
         want, F = brute_max_density_witness(W, ell)
         assert got == (want, tuple(W.row_index(h) for h in F.hyps))
@@ -577,43 +636,37 @@ def test_a_flat_orientation_reaches_the_brute_force_minimum(monkeypatch):
     assert flat > 200
 
 
-def test_a_density_search_from_a_floor_at_or_above_the_maximum_runs_at_most_one_flow(monkeypatch):
-    # a floor at or above the uniform bound is settled with no flow; any
-    # other floor at or above the maximum takes exactly one
-    honest, calls = oig.maximum_flow, []
-
-    def counted(net, cap):
-        calls.append(None)
-        honest(net, cap)
-
+def test_a_density_search_builds_no_network_and_balances_once_from_a_floor_at_the_maximum(monkeypatch):
+    # no density search builds a cut network.  A floor at or above the
+    # uniform bound is settled with no balance; any other floor at or above
+    # the maximum takes exactly one, which ends balanced
+    built = _recorded_networks(monkeypatch)
     cases = [(W, ell, live, want) for W, ell, live, want, _rows in _warm_start_cases()]
     for seed in range(20):
         H = gen_random(3, 3, 14, seed)
         for ell in (1, 2):
             live = oig._live_edges(H, ell)
             cases.append((H, ell, live, oig._densest_subfamily(live, len(H), ell)[0]))
-    monkeypatch.setattr(oig, "maximum_flow", counted)
-    settled = flowed = 0
+    balances = _recorded_balances(monkeypatch)
+    settled = balanced = 0
     for W, ell, live, want in cases:
         bound = uniform_bound(live, len(W), ell)
         for floor in {want, (want + bound) / 2, want + Fraction(1, 3), want + 2}:
-            calls.clear()
+            balances.clear()
             assert oig._densest_subfamily(live, len(W), ell, floor) is None
-            assert len(calls) == (0 if bound <= floor else 1)
-            settled += bool(live) and not calls
-            flowed += bool(calls)
-    assert settled > 100 and flowed > 100
+            assert balances == ([] if bound <= floor else [None])
+            settled += bool(live) and not balances
+            balanced += bool(balances)
+    assert settled > 100 and balanced > 100 and built == []
 
 
 def test_a_zeroed_flow_at_a_floor_below_the_maximum_is_caught(monkeypatch):
-    # the warm start's one-flow answer rests on the dual check alone: a flow
-    # that claims every sink arc saturated below the maximum must fail it
-    honest = oig.maximum_flow
+    # the warm start's one-balance answer rests on the dual check alone: a
+    # balance that claims every row balanced below the maximum must fail it
+    honest = oig._balance
 
-    def zeroed(net, cap):
-        honest(net, cap)
-        for a in net.sink_arcs:
-            cap[a] = 0
+    def short(live, x, load, cap, unit):  # moves load honestly, never reports stuck rows
+        honest(live, x, load, cap, unit)
 
     cases = []
     for seed in range(60):
@@ -623,7 +676,7 @@ def test_a_zeroed_flow_at_a_floor_below_the_maximum_is_caught(monkeypatch):
             want = oig._densest_subfamily(live, len(H), ell)[0]
             own = naive_density(H, ell)
             cases += [(H, ell, live, floor) for floor in (own, (own + want) / 2) if floor < want]
-    monkeypatch.setattr(oig, "maximum_flow", zeroed)
+    monkeypatch.setattr(oig, "_balance", short)
     for H, ell, live, floor in cases:
         with pytest.raises(CertificateError, match="outdegree .* > lam"):
             oig._densest_subfamily(live, len(H), ell, floor)
@@ -656,27 +709,35 @@ def test_fractional_orientation_certificate(flows, lam, fails):
 def test_every_answer_is_certified_once(monkeypatch):
     # the orientation is checked as returned, 0/1 choices at lam = t, not as
     # the raw flow it was read from, also when no flow ran; the density
-    # search checks its final flow, or, when it runs none, the uniform
-    # fractional orientation x(e, v) = ell/|e| in units of the lcm of |e|
-    checks, searches, answers = [], [], []
-    check, search, densest = oig._check_fractional_orientation, oig._cut_search, oig._densest_subfamily
+    # search runs no cut search and checks the x of its last balance at
+    # lam = cap / unit, or, when it runs none, the uniform fractional
+    # orientation x(e, v) = ell/|e| in units of the lcm of |e|
+    checks, searches, balances, answers = [], [], [], []
+    check, search = oig._check_fractional_orientation, oig._cut_search
+    balance, densest = oig._balance, oig._densest_subfamily
 
     def record_check(edges, ell, p, q, flows):
-        checks.append((list(edges), ell, p, q, flows))
+        checks.append((list(edges), ell, p, q, [list(xs) for xs in flows]))
         check(edges, ell, p, q, flows)
 
     def record_search(*args):
         searches.append(search(*args))
         return searches[-1]
 
+    def record_balance(live, x, load, cap, unit):
+        got = balance(live, x, load, cap, unit)
+        balances.append(([list(xs) for xs in x], cap, unit, got))
+        return got
+
     def record_densest(live, n_rows, ell, floor):
-        checks.clear(), searches.clear()
+        checks.clear(), searches.clear(), balances.clear()
         got = densest(live, n_rows, ell, floor)
-        answers.append((list(live), n_rows, ell, got, list(checks), list(searches)))
+        answers.append((list(live), n_rows, ell, got, list(checks), list(searches), list(balances)))
         return got
 
     monkeypatch.setattr(oig, "_check_fractional_orientation", record_check)
     monkeypatch.setattr(oig, "_cut_search", record_search)
+    monkeypatch.setattr(oig, "_balance", record_balance)
     monkeypatch.setattr(oig, "_densest_subfamily", record_densest)
     padded = flat = 0
     for seed in range(60):
@@ -697,22 +758,25 @@ def test_every_answer_is_certified_once(monkeypatch):
         for ell in (1, 2):
             mu_with_witness(H, 3, ell)
     assert flat > 10 and padded == 120 - flat
-    kinds = {"none": 0, "tight": 0, "flow": 0}
-    for live, n_rows, ell, got, done, ran in answers:
+    kinds = {"none": 0, "tight": 0, "balanced": 0, "stepped": 0}
+    for live, n_rows, ell, got, done, ran, moved in answers:
+        assert ran == []
         if not live:
-            assert done == [] and ran == []
+            assert done == [] and moved == []
             continue
-        if ran:
-            (lam, _cap, flows), = ran
-            assert done == [(live, ell, lam.numerator, lam.denominator, flows)]
-            kinds["flow"] += 1
+        if moved:
+            *stuck, (x, cap, unit, last) = moved
+            assert last is None and all(rows for _x, _cap, _unit, rows in stuck)
+            assert done == [(live, ell, cap, unit, x)]
+            kinds["balanced"] += 1
+            kinds["stepped"] += bool(stuck)
             continue
         q = math.lcm(*map(len, live))
         p = uniform_bound(live, n_rows, ell) * q
         assert p.denominator == 1
         assert done == [(live, ell, p, q, [[ell * q // len(e)] * len(e) for e in live])]
         kinds["none" if got is None else "tight"] += 1
-    assert min(kinds.values()) > 100
+    assert kinds["stepped"] > 20 and min(kinds[k] for k in ("none", "tight", "balanced")) > 100
 
 
 
