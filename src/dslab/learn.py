@@ -8,7 +8,7 @@ maximum ell-outdegree, and reads the prediction off the edge matching the
 training labels.  Only the live edges (more than ell members) are oriented,
 straight from ``hclass.off_groups``, with no graph object: an edge of at
 most ell members keeps every member, so a training edge that small needs no
-flow at all.
+orientation at all.
 
 Repeated coordinates are handled by reduction: a direction whose coordinate
 occurs more than once in the projection tuple carries only singleton edges
@@ -129,7 +129,7 @@ class PredictionTable:
     orientation of W's graph, with the directions that are not live dead,
     keeps on that edge.
     - A training edge of at most ell members keeps them all in every
-      orientation, so it is answered with no flow.
+      orientation, so it is answered with no orientation.
     - Otherwise ``oig._orient_live`` orients the live edges (more than ell
       members) of the live directions, in ``build_oig``'s edge order; a dead
       direction holds only singletons.  That orientation depends on

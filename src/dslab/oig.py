@@ -40,11 +40,13 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # only for bench/tracing.py's oig.csr_matrix span; goes when that span does
-    if name == "csr_matrix":
-        from scipy.sparse import csr_matrix
-        globals()[name] = csr_matrix
-        return csr_matrix
+    # only for bench/tracing.py's oig.csr_matrix and oig.maximum_flow spans,
+    # which name scipy's objects (dslab calls neither); goes when they do
+    if name in ("csr_matrix", "maximum_flow"):
+        import scipy.sparse.csgraph
+        home = scipy.sparse.csgraph if name == "maximum_flow" else scipy.sparse
+        globals()[name] = got = getattr(home, name)
+        return got
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -131,7 +133,7 @@ def density(W: HypothesisClass, ell: int) -> Fraction:
     return Fraction(num, len(W))
 
 
-# -- density searches and min-cut orientations ------------------------------
+# -- density searches and orientations --------------------------------------
 #
 # The edges of a subfamily F <= W are W's edges intersected with F, so the
 # excess f(F) = sum over edges of (|e & F| - ell)_+ sees only edges with
@@ -147,13 +149,11 @@ def density(W: HypothesisClass, ell: int) -> Fraction:
 # exact ratio (Dinkelbach's iteration).  The balanced residual row graph
 # holds every maximizer (the row form of Picard & Queyranne 1980): that
 # gives mu and its witness with no network.
-# Orientations run on a cut network (``_Network``, Dinic's ``maximum_flow``).
-# ``_cut_search`` steps lam to the ceiling of each cut's ratio, so lam stays
-# an integer t, and the final flow on the live edges is an orientation of
-# maximum outdegree t_star = ceil(mu) (Hakimi 1965).  A density does not
-# depend on which optimal x is found, but an orientation's picks do, and
-# they are read off that flow.  One with no row in more live edges than
-# ceil(density) takes each edge's first ell members with no network.
+# An orientation is the same balance in whole units: x starts at each edge's
+# first ell members, lam steps to the ceiling of each stuck set's ratio, so
+# it stays an integer t, and the balanced 0/1 x is an orientation of maximum
+# outdegree t_star = ceil(mu) (Hakimi 1965).  A density does not depend on
+# which optimal x is found, but an orientation's picks do.
 # ``_orient_live`` orients a list of live edges with no graph object: the
 # audit and the list predictor hand it ``off_groups``' live edges directly,
 # and since the answer never reads the training labels, one orientation
@@ -163,123 +163,6 @@ def density(W: HypothesisClass, ell: int) -> Fraction:
 # search's balanced or uniform x, and the 0/1 choices of the orientation
 # returned at t_star.  mu_prime's gross objective is not supermodular and
 # still enumerates all 2^|W| bitmasks.
-
-
-class _Network:
-    """The cut network on ``edges`` (ascending row tuples over ``n_rows``
-    rows), with every arc capacity a function of a parameter lam = p/q:
-
-        source -> edge    q * min(ell, |e|)
-        edge -> member    q
-        row -> sink       (q * d_v - p)_+, d_v the number of edges at v
-
-    Node 0 is the source, node j the j-th edge (1-based), node E + 1 + v row
-    v, and the last node the sink.  Arc a runs to ``head[a]``, arc a ^ 1 is
-    its reverse, and ``adj[u]`` lists the arcs at u by ascending head, the
-    order in which scipy's maximum_flow walks them, so both find the same flow.
-    So an edge's arcs to its members are its even arcs, in member order.
-    """
-
-    def __init__(self, edges: Sequence[tuple[int, ...]], n_rows: int, ell: int):
-        E = len(edges)
-        self.n_edges, self.sink = E, E + n_rows + 1
-        adj: list[list[int]] = [[] for _ in range(self.sink + 1)]
-        head: list[int] = []
-        coef: list[tuple[int, int]] = []  # capacity at p/q: max(q*coef[0] - p*coef[1], 0)
-
-        def arc(u: int, v: int, per_q: int, per_p: int) -> None:
-            adj[u].append(len(head))
-            head.append(v)
-            coef.append((per_q, per_p))
-            adj[v].append(len(head))
-            head.append(u)
-            coef.append((0, 0))
-
-        deg = [0] * n_rows
-        for j, e in enumerate(edges, 1):
-            arc(0, j, min(ell, len(e)), 0)
-            for v in e:
-                deg[v] += 1
-                arc(j, E + 1 + v, 1, 0)
-        self.sink_arcs = []  # the arc from row v to the sink, by v
-        for v, d in enumerate(deg):
-            self.sink_arcs.append(len(head))
-            arc(E + 1 + v, self.sink, d, 1)
-        self.adj, self.head, self.coef = adj, head, coef
-
-    def capacities(self, p: int, q: int = 1) -> list[int]:
-        return [max(q * a - p * b, 0) for a, b in self.coef]
-
-    def member_flows(self, cap: list[int]) -> list[list[int]]:
-        """The flow from each edge to each of its members, in member order,
-        read off the reverse residual capacities ``cap``."""
-        return [[cap[a ^ 1] for a in self.adj[j] if not a & 1]
-                for j in range(1, self.n_edges + 1)]
-
-    def rows(self, nodes) -> list[int]:
-        """The rows among ``nodes``, ascending."""
-        first, sink = self.n_edges + 1, self.sink
-        return sorted(u - first for u in nodes if first <= u < sink)
-
-
-def maximum_flow(net: _Network, cap: list[int]) -> None:
-    """Dinic's max-flow from the source to the sink of ``net``, in place:
-    ``cap`` ends as the residual capacities.
-
-    Capacities are Python ints, so scaled capacities cannot overflow.  Paths
-    are walked iteratively, so long residual paths cannot exhaust the
-    recursion limit.
-    """
-    adj, head, source, sink = net.adj, net.head, 0, net.sink
-    n = len(adj)
-    while True:
-        level = [-1] * n
-        level[source] = 0
-        queue = [source]
-        for u in queue:
-            for a in adj[u]:
-                if cap[a] and level[head[a]] < 0:
-                    level[head[a]] = level[u] + 1
-                    queue.append(head[a])
-        if level[sink] < 0:
-            return
-        nxt = [0] * n
-        path: list[int] = []
-        u = source
-        while True:
-            if u == sink:
-                push = min(cap[a] for a in path)
-                for a in path:
-                    cap[a] -= push
-                    cap[a ^ 1] += push
-                path.clear()
-                u = source
-                continue
-            arcs, i = adj[u], nxt[u]
-            while i < len(arcs) and not (cap[arcs[i]] and level[head[arcs[i]]] == level[u] + 1):
-                i += 1
-            nxt[u] = i
-            if i < len(arcs):
-                path.append(arcs[i])
-                u = head[arcs[i]]
-            elif u == source:
-                break
-            else:  # dead end for this phase: retreat one arc
-                level[u] = -1
-                u = head[path.pop() ^ 1]
-
-
-def _residual_reach(net: _Network, cap: list[int], start: int) -> set[int]:
-    """The nodes that reach ``start`` in the residual graph."""
-    adj, head = net.adj, net.head
-    seen, stack = {start}, [start]
-    while stack:
-        u = stack.pop()
-        for a in adj[u]:
-            if cap[a ^ 1] and head[a] not in seen:
-                seen.add(head[a])
-                stack.append(head[a])
-    return seen
 
 
 def _excess(edges: Sequence[tuple[int, ...]], rows, ell: int) -> int:
@@ -317,34 +200,6 @@ def _check_fractional_orientation(edges: Sequence[tuple[int, ...]], ell: int, p:
     for v, out in outdeg.items():
         if out > p:
             raise CertificateError(f"flow at lam={lam} leaves row {v} outdegree {Fraction(out, q)} > lam")
-
-
-def _cut_search(net: _Network, edges: Sequence[tuple[int, ...]], ell: int,
-                lam: Fraction, step) -> tuple[Fraction, list[int], list[list[int]]]:
-    """The first lam, from ``lam`` up, at which one ``maximum_flow`` on
-    ``net`` saturates every sink arc; that flow's residual capacities; and its
-    edge-to-member flows (``_Network.member_flows``).
-
-    A flow that leaves a sink arc unsaturated is a min cut whose sink side F
-    (the rows that reach the sink in the residual graph) has
-    excess(F) > lam*|F| (``_excess`` over ``edges``).  The next lam is
-    ``step(excess(F), |F|)``: ``_orient_live`` steps to the ceiling, so lam
-    stays an integer t, and the scipy oracle test steps nowhere to pin the
-    flow at one t.  Unless the next lam is larger, the cut certifies nothing
-    and CertificateError is raised.  These cuts bound the answer from below;
-    the final flow is not checked here, and ``_orient_live`` certifies its
-    answer from above with ``_check_fractional_orientation``.
-    """
-    while True:
-        cap = net.capacities(lam.numerator, lam.denominator)
-        maximum_flow(net, cap)
-        if not any(cap[a] for a in net.sink_arcs):
-            return lam, cap, net.member_flows(cap)
-        F = net.rows(_residual_reach(net, cap, net.sink))
-        nxt = step(_excess(edges, F, ell), len(F))
-        if nxt <= lam:
-            raise CertificateError(f"min cut at lam={lam} found no subfamily denser than lam")
-        lam = nxt
 
 
 def _densest_subfamily(live: list[tuple[int, ...]], n_rows: int, ell: int,
@@ -443,17 +298,20 @@ def _balance(live: Sequence[tuple[int, ...]], x: list[list[int]], load: list[int
     x(e, w) < 1 and x(e, u) > 0: raising x(e, w) and lowering x(e, u) by
     the same amount moves load from w to u and keeps e's sum.  One sweep
     over the edges first pushes along single arcs from rows above ``cap``
-    to rows below it.  Then each round walks breadth-first from the rows
-    above ``cap`` to the nearest row below it (``_nearest_below``) and
-    pushes along that path; a shortest path uses each edge once.
+    to rows below it.  Then, for each row still above ``cap`` in turn, each
+    round walks breadth-first from that row alone to the nearest row below
+    ``cap`` (``_nearest_below``) and pushes along that path; a shortest
+    path uses each edge once.  At ``unit`` 1 every push is 1, so a 0/1 x
+    stays 0/1.
 
-    If no row above ``cap`` reaches a row below it, the rows they reach are
+    If a row above ``cap`` reaches no row below it, the rows it reaches are
     returned, ascending: call them R.  No arc leaves R, so an edge with
     members on both sides has x = 1 on its members in R, which then take no
     load from it, or x = 0 on its members outside R, which leaves all of
     its ell * unit in R.  Either way the edge adds at most
     unit * (|e & R| - ell)_+ to load(R), so unit * excess(R) >= load(R)
-    > cap * |R|: R is denser than cap / unit.
+    > cap * |R|, since every row of R carries at least ``cap`` and the row
+    it was reached from more: R is denser than cap / unit.
     """
     for xs, e in zip(x, live):
         for i, w in enumerate(e):
@@ -474,27 +332,26 @@ def _balance(live: Sequence[tuple[int, ...]], x: list[list[int]], load: list[int
     for j, e in enumerate(live):
         for v in e:
             at[v].append(j)
-    while over:
-        parent: dict[int, tuple[int, int, int, int] | None] = dict.fromkeys(over)
-        end = _nearest_below(live, at, x, load, cap, unit, parent)
-        if end is None:
-            return sorted(parent)
-        path, v = [], end
-        while parent[v] is not None:
-            w, j, i, k = parent[v]
-            path.append((j, i, k))
-            v = w
-        push = min(load[v] - cap, cap - load[end],
-                   min(min(unit - x[j][i], x[j][k]) for j, i, k in path))
-        if push <= 0:  # each round must move load, or the balance would not end
-            raise CertificateError(f"balance at lam={Fraction(cap, unit)} found a path that moves no load")
-        for j, i, k in path:
-            x[j][i] += push
-            x[j][k] -= push
-        load[v] -= push
-        load[end] += push
-        if load[v] == cap:
-            over.remove(v)
+    for start in over:  # a push ends at or below cap, so no row joins them
+        while load[start] > cap:
+            parent: dict[int, tuple[int, int, int, int] | None] = {start: None}
+            end = _nearest_below(live, at, x, load, cap, unit, parent)
+            if end is None:
+                return sorted(parent)
+            path, v = [], end
+            while v != start:
+                w, j, i, k = parent[v]
+                path.append((j, i, k))
+                v = w
+            push = min(load[start] - cap, cap - load[end],
+                       min(min(unit - x[j][i], x[j][k]) for j, i, k in path))
+            if push <= 0:  # each round must move load, or the balance would not end
+                raise CertificateError(f"balance at lam={Fraction(cap, unit)} found a path that moves no load")
+            for j, i, k in path:
+                x[j][i] += push
+                x[j][k] -= push
+            load[start] -= push
+            load[end] += push
     return None
 
 
@@ -706,47 +563,37 @@ def _orient_live(live: Sequence[tuple[int, ...]], n_rows: int,
     vertex's outdegree and to every excess(F): it is left out, and a t is
     feasible on the live edges exactly when it is feasible with the small
     edges added.  Every orientation gives the rows excess(W) outdegree in
-    all, so no t is below t0 = ceil(excess(W)/n_rows).  If no row's live
-    degree d_v exceeds t0, each edge picks its first ell members and t0 is
-    reached with no flow.  Otherwise ``_cut_search`` runs over the live
-    edges from t0, stepping to the ceiling of each cut's ratio, so lam stays
-    an integer t and each vertex's sink arc is (d_v - t)_+.  Each cut's F
-    carries excess(F) > t*|F| outdegree in every orientation, so no maximum
-    is below the next t.  Once every sink arc saturates, each live edge
-    picks the members its flow covers, padded in member order up to ell
-    (with no row above t0 the flow is zero, and the padding is the first
-    ell members, the same picks).
+    all, so no t is below t0 = ceil(excess(W)/n_rows).  The picks start at
+    each edge's first ell members, the 0/1 fractional orientation x at
+    ``unit`` 1, and ``_balance`` moves them from t0 up, in place, until no
+    row's outdegree is above t.  Each time it is stuck, its rows R carry
+    excess(R) > t*|R| outdegree in every orientation, so no maximum is below
+    ceil(excess(R)/|R|), and t steps there from the same x; a step that does
+    not rise raises CertificateError.  Every push moves one pick, so each
+    edge keeps exactly ell picks: the members at which x is 1.  With no row
+    above t0 nothing moves, and the picks are the first ell members.
 
-    So t is certified minimal by t0 and the cuts, and the picks are
+    So t is certified minimal by t0 and the stuck sets, and the picks are
     certified to reach it by ``_check_fractional_orientation`` at lam = t.
-    The checks are arithmetic, independent of the flow; a failure raises
+    The checks are arithmetic, independent of the balance; a failure raises
     CertificateError.  The answer depends on the edges alone, so callers
     that share the live edges share one answer.
     """
     if not live:  # nothing to orient: outdegree 0 by construction
         return 0, []
-
-    def ceil_ratio(ex: int, size: int) -> Fraction:
-        return Fraction(-(-ex // size))
-
     t = -(-sum(len(e) - ell for e in live) // n_rows)
-    deg = [0] * n_rows
+    x = [[1] * ell + [0] * (len(e) - ell) for e in live]
+    load = [0] * n_rows
     for e in live:
-        for v in e:
-            deg[v] += 1
-    if max(deg) <= t:
-        chosen = [e[:ell] for e in live]
-    else:
-        net = _Network(live, n_rows, ell)
-        lam, _cap, flows = _cut_search(net, live, ell, Fraction(t), ceil_ratio)
-        t, chosen = int(lam), []
-        for e, xs in zip(live, flows):
-            got = {v for v, x in zip(e, xs) if x}
-            pad = [v for v in e if v not in got][:ell - len(got)]  # in member order
-            chosen.append(tuple(sorted(got.union(pad))))
-    picks = [[int(v in c) for v in e] for e, c in zip(live, chosen)]
-    _check_fractional_orientation(live, ell, t, 1, picks)
-    return t, chosen
+        for v in e[ell:]:
+            load[v] += 1
+    while (stuck := _balance(live, x, load, t, 1)) is not None:
+        nxt = -(-_excess(live, stuck, ell) // len(stuck))
+        if nxt <= t:
+            raise CertificateError(f"balance at lam={t} found no subfamily denser than lam")
+        t = nxt
+    _check_fractional_orientation(live, ell, t, 1, x)
+    return t, [tuple(v for v, got in zip(e, xs) if got) for e, xs in zip(live, x)]
 
 
 def min_max_orientation(G: OneInclusionGraph, ell: int) -> tuple[Orientation, int]:
@@ -755,7 +602,8 @@ def min_max_orientation(G: OneInclusionGraph, ell: int) -> tuple[Orientation, in
     A wrapper over ``_orient_live`` for callers that hold the graph and read
     the orientation edge by edge (``dslab orient``, ``loo_error`` through
     ``outdegrees``, and the demos): the live edges (|e| > ell) are oriented
-    in graph order, and every other edge keeps all its members.
+    in graph order, each picking exactly ell members, and every other edge
+    keeps all its members.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")

@@ -107,7 +107,7 @@ def test_c04_orientation_equality(crit1_classes, crit2_classes):
     elapsed = time.time() - t0
     assert exhaustive_checked > 500
     print(f"\nACCEPTANCE 4 PASS: t_star = ceil(max subfamily density) on all "
-          f"criteria 1-2 classes; flow matched exhaustive search on "
+          f"criteria 1-2 classes; orientation matched exhaustive search on "
           f"{exhaustive_checked} small graphs ({elapsed:.1f}s)")
 
 

@@ -109,20 +109,19 @@ def test_orient_command(square, capsys):
     assert len(doc["orientation"]["edges"]) == 4
 
 
-def saturate_without_flow(net, cap):
-    """A lying max-flow: every sink arc saturated, no edge covering a row."""
-    for a in net.sink_arcs:
-        cap[a] = 0
+def balanced_without_moving(live, x, load, cap, unit):
+    """A lying balance: it reports every row balanced and moves no load."""
+    return None
 
 
 def test_failed_minimality_certificate_exits_two(square, capsys, monkeypatch):
     # the square's t_star = 1 equals ceil(density), where the search starts,
-    # so t = 1 is the only target it asks for; a flow that lies there (it
-    # covers no vertex) is padded to each edge's first member, which leaves
+    # so t = 1 is the only cap it balances at; a balance that lies there (it
+    # moves nothing) leaves each edge's first member picked, which leaves
     # row 3 both its edges as outdegree, and the orientation must fail the
     # fractional-orientation check, not be returned
     G = oig.build_oig(load_class(square))
-    monkeypatch.setattr(oig, "maximum_flow", saturate_without_flow)
+    monkeypatch.setattr(oig, "_balance", balanced_without_moving)
     with pytest.raises(CertificateError, match=r"lam=1 leaves row 3 outdegree 2 > lam"):
         oig.min_max_orientation(G, 1)
     code, out, err = run(capsys, "orient", "--class", square, "--ell", "1")
@@ -130,11 +129,11 @@ def test_failed_minimality_certificate_exits_two(square, capsys, monkeypatch):
 
 
 def test_cut_not_denser_than_t_exits_two(square, capsys, monkeypatch):
-    # a flow that routes nothing calls t = 1 infeasible, and its cut is the
-    # whole square, whose density is exactly 1, not above it
+    # a balance that calls every row stuck calls t = 1 infeasible, and its
+    # stuck set is the whole square, whose density is exactly 1, not above it
     G = oig.build_oig(load_class(square))
-    monkeypatch.setattr(oig, "maximum_flow", lambda net, cap: None)
-    with pytest.raises(CertificateError, match="lam=1"):
+    monkeypatch.setattr(oig, "_balance", lambda live, x, load, cap, unit: list(range(len(load))))
+    with pytest.raises(CertificateError, match="balance at lam=1 found no subfamily denser"):
         oig.min_max_orientation(G, 1)
     code, out, err = run(capsys, "orient", "--class", square, "--ell", "1")
     assert code == EXIT_VERDICT_FAIL and out == "" and "certificate" in err
@@ -192,7 +191,7 @@ def test_residual_graph_without_a_maximizer_exits_two(tmp_path, capsys, monkeypa
     assert err == "dslab mu: certificate failed: residual graph at density 2/3 holds no maximizer\n"
 
 
-LYING_FLOWS = """
+LYING_BALANCES = """
 import sys
 from dslab import oig
 from dslab.algebra import audit_theorem
@@ -202,25 +201,19 @@ from dslab.hclass import gen_cube, gen_random
 if not sys.flags.optimize:
     sys.exit(3)
 G = oig.build_oig(gen_cube(2, 1, 2, 2))
-honest = oig.maximum_flow
+honest = oig._balance
 
 
-def no_cover(net, cap):
-    for a in net.sink_arcs:
-        cap[a] = 0
+def overfull(live, x, load, cap, unit):  # every edge picks all its members
+    for xs in x:
+        xs[:] = [unit] * len(xs)
 
 
-def overfull_cover(net, cap):  # every edge covers all its members
-    no_cover(net, cap)
-    for j in range(1, net.n_edges + 1):
-        for a in net.adj[j]:
-            if not a & 1:
-                cap[a ^ 1] = 1
-
-
-lies = {"no cover": no_cover, "thin cut": lambda net, cap: None, "overfull cover": overfull_cover}
+lies = {"no move": lambda live, x, load, cap, unit: None,
+        "every row stuck": lambda live, x, load, cap, unit: list(range(len(load))),
+        "overfull picks": overfull}
 for name, lie in lies.items():
-    oig.maximum_flow = lie
+    oig._balance = lie
     try:
         oig.min_max_orientation(G, 1)
     except CertificateError as exc:
@@ -229,12 +222,10 @@ for name, lie in lies.items():
 # a real density balance that then claims every row balanced: on this class
 # a zeroed flow once passed every other check, reporting mu = 9/7 for 3/2
 H = gen_random(3, 3, 14, seed=60)
-oig.maximum_flow = honest
-honest_balance = oig._balance
 
 
 def stops_short(live, x, load, cap, unit):
-    honest_balance(live, x, load, cap, unit)
+    honest(live, x, load, cap, unit)
 
 
 oig._balance = stops_short
@@ -252,15 +243,15 @@ def test_orientation_certificates_survive_python_O():
     # must not be asserts
     src = Path(oig.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-O", "-c", LYING_FLOWS], env=env,
+    proc = subprocess.run([sys.executable, "-O", "-c", LYING_BALANCES], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "no cover caught: flow at lam=1 leaves row 3 outdegree 2 > lam",
-        "thin cut caught: min cut at lam=1 found no subfamily denser than lam",
-        "overfull cover caught: flow at lam=1 is no fractional orientation of edge (0, 2)",
-        "density caught: flow at lam=9/7 leaves row 1 outdegree 4/3 > lam",
-        "audit caught: flow at lam=9/7 leaves row 1 outdegree 4/3 > lam"]
+        "no move caught: flow at lam=1 leaves row 3 outdegree 2 > lam",
+        "every row stuck caught: balance at lam=1 found no subfamily denser than lam",
+        "overfull picks caught: flow at lam=1 is no fractional orientation of edge (0, 2)",
+        "density caught: flow at lam=9/7 leaves row 8 outdegree 3/2 > lam",
+        "audit caught: flow at lam=9/7 leaves row 8 outdegree 3/2 > lam"]
 
 
 def test_no_bare_assert_in_the_package():
@@ -297,6 +288,8 @@ import dslab, dslab.cli
 assert "scipy.sparse" not in sys.modules, "importing dslab loaded scipy.sparse"
 import scipy.sparse
 assert dslab.oig.csr_matrix is scipy.sparse.csr_matrix
+import scipy.sparse.csgraph
+assert dslab.oig.maximum_flow is scipy.sparse.csgraph.maximum_flow
 try:
     dslab.oig.no_such_name
 except AttributeError:
@@ -321,8 +314,8 @@ assert rep.results["excess_err"] == 0.0
 @pytest.mark.parametrize("script", [FOOTPRINT, WITHOUT_SCIPY], ids=["footprint", "without_scipy"])
 def test_the_runtime_does_not_import_scipy(script):
     # scipy is a test and bench dependency only: dslab resolves
-    # oig.csr_matrix on first access, for the benchmark tracer, and runs
-    # with scipy blocked
+    # oig.csr_matrix and oig.maximum_flow on first access, for the
+    # benchmark tracer, and runs with scipy blocked
     src = Path(oig.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=120)

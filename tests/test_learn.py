@@ -249,38 +249,43 @@ def test_audits_tables_and_the_pipeline_build_no_graph(monkeypatch):
 
 def test_a_training_edge_of_at_most_ell_members_runs_no_flow(monkeypatch):
     # such an edge keeps every member in every orientation: nothing is
-    # oriented.  A larger one orients the live edges, which takes a flow
-    # exactly when a row lies in more of them than ceil(excess / |W|)
-    honest_flow, honest_orient, flows, oriented = oig.maximum_flow, learn._orient_live, [], []
+    # oriented or balanced.  A larger one orients the live edges, whose
+    # balance moves no load when no row lies in more of them than
+    # ceil(excess / |W|)
+    honest_balance, honest_orient, balances, oriented = oig._balance, learn._orient_live, [], []
 
-    def counted(net, cap):
-        flows.append(None)
-        honest_flow(net, cap)
+    def counted(live, x, load, cap, unit):
+        before = list(load)
+        got = honest_balance(live, x, load, cap, unit)
+        balances.append(load != before)
+        return got
 
     def recorded(live, n_rows, ell):
         oriented.append((live, n_rows))
         return honest_orient(live, n_rows, ell)
 
-    monkeypatch.setattr(oig, "maximum_flow", counted)
+    monkeypatch.setattr(oig, "_balance", counted)
     monkeypatch.setattr(learn, "_orient_live", recorded)
-    small = flat = flowed = 0
+    small = flat = moved = 0
     for H, ell, samples in _table_cases():
         for sample in samples:
             state = learn.PredictionTable(H, ell).state(*sample)
             for x in set(range(1, H.n + 1)) - {c for c, _y, _live in state}:
                 size = len(_training_edge(H, state, x))
-                flows.clear(), oriented.clear()
+                balances.clear(), oriented.clear()
                 learn.PredictionTable(H, ell).predict(state, x)
                 assert len(oriented) == (size > ell)
                 if oriented:
                     (live, n_rows), = oriented
-                    assert bool(flows) == (not is_flat(live, n_rows, ell))
+                    if is_flat(live, n_rows, ell):
+                        assert balances == [False]
+                        flat += 1
+                    assert balances
                 else:
-                    assert not flows
+                    assert not balances
                 small += size <= ell
-                flat += bool(oriented) and not flows
-                flowed += bool(flows)
-    assert small > 500 and flat > 300 and flowed > 100
+                moved += any(balances)
+    assert small > 500 and flat > 300 and moved > 100
 
 
 def test_no_table_orients_one_projection_and_live_edge_list_twice(monkeypatch):

@@ -382,124 +382,116 @@ def orientation_graphs(draw):
 @example(build_oig(restrict(gen_cube(3, 2, 2, 3), (2, 3, 2), allow_repeats=True)), 2)  # not dead
 @example(build_oig(HypothesisClass(k=3, n=2, hyps=((1, 1), (2, 1), (3, 3)))), 1)  # (3, 3): live degree 0
 def test_orientation_flow_matches_scipy_oracle(G, ell):
-    # on all of G's edges, where every sink arc is n_dirs - t, and on the
-    # live ones that min_max_orientation solves, where a row's sink arc is
-    # (d_v - t)_+ and may be 0 below t
+    # t is feasible exactly when scipy's max-flow saturates every sink arc of
+    # the orientation network: on all of G's edges, where every sink arc is
+    # n_dirs - t, and on the live ones that min_max_orientation balances,
+    # where a row's sink arc is (d_v - t)_+ and may be 0 below t.  From each
+    # edge's first ell members, _balance at cap t must end balanced exactly
+    # then, on 0/1 picks of ell members each, and be stuck otherwise on rows
+    # denser than t
     every = list(G.edges())
     for edges in (every, [e for e in every if len(e) > ell]):
         members = [e.members for e in edges]
-        net = oig._Network(members, G.n_vertices, ell)
-        first_row = net.n_edges + 1
         for t in range(len(G.by_direction) + 1):
-            cuts = []
-
-            def stay(ex, size):  # record the cut, and refuse to step past t
-                cuts.append((ex, size))
-                return Fraction(t)
-
-            try:
-                _lam, cap, _flows = oig._cut_search(net, members, ell, Fraction(t), stay)
-            except CertificateError:
-                (ex, size), = cuts  # the min cut's sink side is denser than t
-                assert ex > t * size
-                picked = None
+            x = [[1] * min(ell, len(e)) + [0] * (len(e) - ell) for e in members]
+            load = [0] * G.n_vertices
+            for e in members:
+                for v in e[ell:]:
+                    load[v] += 1
+            stuck = oig._balance(members, x, load, t, 1)
+            if stuck is None:
+                out = [0] * G.n_vertices
+                for e, xs in zip(members, x):
+                    assert set(xs) <= {0, 1} and sum(xs) == min(ell, len(e))
+                    for v, got in zip(e, xs):
+                        out[v] += 1 - got
+                assert out == load and max(out) <= t
             else:
-                picked = [{net.head[a] - first_row for a in net.adj[j] if not a & 1 and cap[a ^ 1]}
-                          for j in range(1, first_row)]
-            assert picked == scipy_flow_assignment(G, edges, ell, t)
+                assert oig._excess(members, stuck, ell) > t * len(stuck)
+            assert (stuck is None) == (scipy_flow_assignment(G, edges, ell, t) is not None)
     check_orientation_oracle(G, ell)
 
 
-def test_orientation_network_holds_only_the_live_edges(monkeypatch):
+def test_orientation_balance_holds_only_the_live_edges(monkeypatch):
     # an edge with |e| <= ell keeps every member in every orientation, so it
-    # never enters the network; dead directions hold only singletons.  The
-    # network is built only when a row lies in more live edges than
-    # ceil(excess / |W|); otherwise the first ell members reach that bound
-    built = _recorded_networks(monkeypatch)
+    # never enters the balance; dead directions hold only singletons.  When
+    # no row lies in more live edges than ceil(excess / |W|), one balance
+    # moves nothing: the first ell members reach that bound
+    honest, balanced = oig._balance, []
+
+    def recorded(live, x, load, cap, unit):
+        before = list(load)
+        got = honest(live, x, load, cap, unit)
+        balanced.append((list(live), unit, got, load != before))
+        return got
+
+    monkeypatch.setattr(oig, "_balance", recorded)
     rng = np.random.default_rng(23)
-    flows = flat = small = 0
+    moved = stepped = flat = small = 0
     for seed in range(60):
         dead = rng.choice(3, 1 + seed % 2, replace=False).tolist()
         G = build_oig(gen_random(3, 3, 14, seed), dead_dirs=dead)
         for ell in (1, 2):
-            built.clear()
+            balanced.clear()
             sigma, _t = min_max_orientation(G, ell)
             live = [e.members for e in G.edges() if len(e) > ell]
-            assert built == ([] if is_flat(live, G.n_vertices, ell) else [live])
-            flows += bool(built)
-            flat += bool(live) and not built
+            assert all(edges == live and unit == 1 for edges, unit, _got, _moved in balanced)
+            if not live:
+                assert balanced == []
+            elif is_flat(live, G.n_vertices, ell):
+                assert [(got, did) for _edges, _unit, got, did in balanced] == [(None, False)]
+                flat += 1
+            moved += any(did for *_rest, did in balanced)
+            stepped += len(balanced) > 1
             for e, (_d, _key, chosen) in zip(G.edges(), sigma.assign):
                 if len(e) <= ell:
                     assert chosen == e.members
                     small += 1
-    assert flows > 30 and flat > 60 and small > 3000
+    assert moved > 30 and stepped > 5 and flat > 60 and small > 3000
 
 
 @pytest.mark.parametrize("search", ["density", "orientation"])
 def test_a_flow_that_routes_nothing_fails_the_cut_certificate(search, monkeypatch):
-    # with no flow every row with a positive sink arc reaches the sink, and
-    # that cut is never strictly denser than the lam that built it.  Only an
-    # orientation can have no such row, when no row's live degree is above
-    # its starting t: then its padded picks are certified without any flow.
-    # A density balance that moves nothing and calls every row stuck offers
-    # W, which is no denser than the lam it starts from
+    # a balance that moves nothing and calls every row stuck offers W, which
+    # is no denser than the lam a density search starts from, nor than the
+    # ceiling of W's density, where an orientation starts: every search must
+    # refuse it, flat orientations included
     cases = [(build_oig(gen_random(3, 3, 14, seed)), ell) for seed in range(25) for ell in (1, 2)]
-    t_star = [min_max_orientation(G, ell)[1] for G, ell in cases]
-    if search == "density":
-        monkeypatch.setattr(oig, "_balance", lambda live, x, load, cap, unit: list(range(len(load))))
-    else:
-        monkeypatch.setattr(oig, "maximum_flow", lambda net, cap: None)
-    raised = 0
-    for (G, ell), want in zip(cases, t_star):
-        try:
-            if search == "density":
-                max_density_subfamily(G.base, ell)
-            else:
-                sigma, t = min_max_orientation(G, ell)
-        except CertificateError as exc:
-            assert "found no subfamily denser" in str(exc)
-            raised += 1
-            continue
-        assert search == "orientation" and t == want and max(outdegrees(G, sigma)) == t
-        assert all(sum(v in e.members for e in G.edges() if len(e) > ell) <= t
-                   for v in range(G.n_vertices))
-    assert raised == len(cases) if search == "density" else 0 < raised < len(cases)
+    monkeypatch.setattr(oig, "_balance", lambda live, x, load, cap, unit: list(range(len(load))))
+    run = {"density": lambda G, ell: max_density_subfamily(G.base, ell),
+           "orientation": min_max_orientation}[search]
+    for G, ell in cases:
+        with pytest.raises(CertificateError, match="found no subfamily denser"):
+            run(G, ell)
 
 
 @pytest.mark.parametrize("search", ["density", "orientation", "audit"])
 def test_a_flow_with_zeroed_sink_residuals_is_caught_or_harmless(search, monkeypatch):
-    # a real flow that then claims every sink arc saturated, and a real
-    # density balance that then claims every row balanced: their cuts and
-    # stuck sets still rise, so only the fractional-orientation check can
-    # see that they stopped below mu (e.g. 9/7 for 3/2 at seed 60, ell 1)
+    # a real balance that then claims every row balanced: its stuck sets
+    # still rise, so only the fractional-orientation check can see that it
+    # stopped below mu (e.g. 9/7 for 3/2 at seed 60, ell 1) or below t_star.
+    # No orientation of the 14-row classes steps t; some of the 20-row ones do
     run = {"density": max_density_subfamily,
            "orientation": lambda H, ell: min_max_orientation(build_oig(H), ell),
            "audit": audit_theorem}[search]
-    honest = oig.maximum_flow, oig._balance
-
-    def zeroed(net, cap):
-        honest[0](net, cap)
-        for a in net.sink_arcs:
-            cap[a] = 0
+    honest = oig._balance
 
     def short(live, x, load, cap, unit):
-        honest[1](live, x, load, cap, unit)
+        honest(live, x, load, cap, unit)
 
     caught = 0
-    for seed in range(200):
-        H = gen_random(3, 3, 14, seed)
+    for H in [gen_random(3, 3, 14, seed) for seed in range(200)] + [
+            gen_random(3, 4, 20, seed) for seed in range(20)]:
         for ell in (1, 2):
             want = run(H, ell)
-            monkeypatch.setattr(oig, "maximum_flow", zeroed)
             monkeypatch.setattr(oig, "_balance", short)
             try:
                 assert run(H, ell) == want
             except CertificateError as exc:
                 assert "fractional orientation" in str(exc) or "outdegree" in str(exc)
                 caught += 1
-            monkeypatch.setattr(oig, "maximum_flow", honest[0])
-            monkeypatch.setattr(oig, "_balance", honest[1])
-    assert caught > 0 or search == "orientation"  # no zeroed orientation flow here misleads
+            monkeypatch.setattr(oig, "_balance", honest)
+    assert caught > 0
 
 
 def _warm_start_cases():
@@ -561,19 +553,6 @@ def test_mu_over_heavy_coordinates_equals_the_full_walk_on_every_small_subclass(
                     assert mu_with_witness(H, ns, ell) == unpruned_mu_with_witness(H, ns, ell)
 
 
-def _recorded_networks(monkeypatch) -> list:
-    """Record the edge list of every ``_Network`` built from now on."""
-    built = []
-
-    class Recorded(oig._Network):
-        def __init__(self, edges, n_rows, ell):
-            built.append(list(edges))
-            super().__init__(edges, n_rows, ell)
-
-    monkeypatch.setattr(oig, "_Network", Recorded)
-    return built
-
-
 def _recorded_balances(monkeypatch) -> list:
     """Record what every ``_balance`` from now on returns: None once
     balanced, or the stuck rows, which must be denser than cap / unit."""
@@ -615,32 +594,31 @@ def test_a_density_search_settled_with_no_flow_matches_the_brute_force_witness(m
     assert settled > 100 and split > 20
 
 
-def test_a_flat_orientation_reaches_the_brute_force_minimum(monkeypatch):
+def test_a_flat_orientation_reaches_the_brute_force_minimum():
     # when no row lies in more live edges than t0 = ceil(excess / |W|), the
-    # first ell members of each edge reach t0, which no orientation beats
-    built = _recorded_networks(monkeypatch)
+    # first ell members of each edge reach t0, which no orientation beats;
+    # every other orientation must reach the minimum too
     rng = np.random.default_rng(28)
-    flat = 0
+    flat = other = 0
     for _ in range(600):
         G = build_oig(random_class(rng, k_max=3, n_max=3, size_max=8))
         for ell in (1, 2):
-            live = [e for e in G.edges() if len(e) > ell]
+            live = [e.members for e in G.edges() if len(e) > ell]
             if not live or math.prod(math.comb(len(e), ell) for e in live) > 5000:
                 continue
-            built.clear()
             sigma, t = min_max_orientation(G, ell)
-            if built:
-                continue
             assert t == brute_min_max_outdegree(G, ell) == max(outdegrees(G, sigma))
-            flat += 1
-    assert flat > 200
+            if is_flat(live, G.n_vertices, ell):
+                flat += 1
+            else:
+                other += 1
+    assert flat > 200 and other > 50
 
 
 def test_a_density_search_builds_no_network_and_balances_once_from_a_floor_at_the_maximum(monkeypatch):
-    # no density search builds a cut network.  A floor at or above the
-    # uniform bound is settled with no balance; any other floor at or above
-    # the maximum takes exactly one, which ends balanced
-    built = _recorded_networks(monkeypatch)
+    # a floor at or above the uniform bound is settled with no balance; any
+    # other floor at or above the maximum takes exactly one, which ends
+    # balanced
     cases = [(W, ell, live, want) for W, ell, live, want, _rows in _warm_start_cases()]
     for seed in range(20):
         H = gen_random(3, 3, 14, seed)
@@ -657,7 +635,7 @@ def test_a_density_search_builds_no_network_and_balances_once_from_a_floor_at_th
             assert balances == ([] if bound <= floor else [None])
             settled += bool(live) and not balances
             balanced += bool(balances)
-    assert settled > 100 and balanced > 100 and built == []
+    assert settled > 100 and balanced > 100
 
 
 def test_a_zeroed_flow_at_a_floor_below_the_maximum_is_caught(monkeypatch):
@@ -707,22 +685,18 @@ def test_fractional_orientation_certificate(flows, lam, fails):
 
 
 def test_every_answer_is_certified_once(monkeypatch):
-    # the orientation is checked as returned, 0/1 choices at lam = t, not as
-    # the raw flow it was read from, also when no flow ran; the density
-    # search runs no cut search and checks the x of its last balance at
+    # the orientation is checked as returned, 0/1 choices at lam = t: the x
+    # of its last balance, at cap t and unit 1, after stuck ones at lower
+    # caps; the density search checks the x of its last balance at
     # lam = cap / unit, or, when it runs none, the uniform fractional
-    # orientation x(e, v) = ell/|e| in units of the lcm of |e|
-    checks, searches, balances, answers = [], [], [], []
-    check, search = oig._check_fractional_orientation, oig._cut_search
-    balance, densest = oig._balance, oig._densest_subfamily
+    # orientation x(e, v) = ell/|e| in units of the lcm of |e|.  No
+    # orientation of the 14-row classes steps t; some of the 20-row ones do
+    checks, balances, answers = [], [], []
+    check, balance, densest = oig._check_fractional_orientation, oig._balance, oig._densest_subfamily
 
     def record_check(edges, ell, p, q, flows):
         checks.append((list(edges), ell, p, q, [list(xs) for xs in flows]))
         check(edges, ell, p, q, flows)
-
-    def record_search(*args):
-        searches.append(search(*args))
-        return searches[-1]
 
     def record_balance(live, x, load, cap, unit):
         got = balance(live, x, load, cap, unit)
@@ -730,37 +704,38 @@ def test_every_answer_is_certified_once(monkeypatch):
         return got
 
     def record_densest(live, n_rows, ell, floor):
-        checks.clear(), searches.clear(), balances.clear()
+        checks.clear(), balances.clear()
         got = densest(live, n_rows, ell, floor)
-        answers.append((list(live), n_rows, ell, got, list(checks), list(searches), list(balances)))
+        answers.append((list(live), n_rows, ell, got, list(checks), list(balances)))
         return got
 
     monkeypatch.setattr(oig, "_check_fractional_orientation", record_check)
-    monkeypatch.setattr(oig, "_cut_search", record_search)
     monkeypatch.setattr(oig, "_balance", record_balance)
     monkeypatch.setattr(oig, "_densest_subfamily", record_densest)
-    padded = flat = 0
-    for seed in range(60):
-        H = gen_random(3, 3, 14, seed=seed)
+    oriented = stepped = 0
+    for H in [gen_random(3, 3, 14, seed) for seed in range(60)] + [
+            gen_random(3, 4, 20, seed) for seed in range(40)]:
         G = build_oig(H)
         for ell in (1, 2):
-            checks.clear(), searches.clear()
+            checks.clear(), balances.clear()
             sigma, t = min_max_orientation(G, ell)
             live = [(e, chosen) for e, (_d, _key, chosen) in zip(G.edges(), sigma.assign)
                     if len(e) > ell]
             picks = [[int(v in chosen) for v in e.members] for e, chosen in live]
+            if not live:  # outdegree 0 by construction: nothing to check
+                assert checks == balances == [] and t == 0
+                continue
             assert checks == [([e.members for e, _chosen in live], ell, t, 1, picks)]
-            if searches:
-                (_lam, _cap, raw), = searches
-                padded += picks != raw
-            else:
-                flat += 1
+            *stuck, last = balances
+            assert last == (picks, t, 1, None)
+            assert all(rows and unit == 1 and cap < t for _x, cap, unit, rows in stuck)
+            oriented += 1
+            stepped += bool(stuck)
         for ell in (1, 2):
             mu_with_witness(H, 3, ell)
-    assert flat > 10 and padded == 120 - flat
+    assert oriented > 190 and stepped > 5
     kinds = {"none": 0, "tight": 0, "balanced": 0, "stepped": 0}
-    for live, n_rows, ell, got, done, ran, moved in answers:
-        assert ran == []
+    for live, n_rows, ell, got, done, moved in answers:
         if not live:
             assert done == [] and moved == []
             continue
@@ -869,20 +844,27 @@ def test_ratio_format_roundtrip():
     assert format_ratio(Fraction(3)) == "3/1"
 
 
-# sha256 of every (mu, T_star, witness rows) and (t_star, orientation JSON)
-# below, computed while every density search and orientation ran a flow
-GOLDEN_DIGEST = "939f8239b8ad6334c10fd53532ffae10aaaa2efe48eac6c905a6918b6bdac151"
+# sha256 of every (mu, T_star, witness rows, t_star) line below, computed
+# while every density search and orientation ran a flow
+GOLDEN_DIGEST = "a34716723f1d9b454a0c127eb0d1c59aa8c314148b8c76929e6da1ac3b4bc974"
+# sha256 of every orientation JSON line below.  Min-max orientations are not
+# unique, so this pins the picks of the balance that finds them; it was last
+# computed when orientations moved from a cut network onto ``_balance``
+ORIENTATION_DIGEST = "459095c88645a6022ef0885263cd25a411c2b33d7333518153369bb021b1d9a6"
 
 
 def test_densities_witnesses_and_orientations_are_pinned():
     rng = np.random.default_rng(28)
     classes = [random_class(rng, k_max=4, n_max=4, size_max=16) for _ in range(200)]
     classes += [gen_random(3, 3, 14, seed) for seed in range(40)]
-    digest = hashlib.sha256()
+    values, picks = hashlib.sha256(), hashlib.sha256()
     for H in classes:
+        G = build_oig(H)
         for ell in (1, 2, 3):
             val, T, F = mu_with_witness(H, H.n, ell)
-            sigma, t = min_max_orientation(build_oig(H), ell)
-            line = f"{format_ratio(val)} {T} {F.hyps} {t} {orientation_to_json(sigma)}\n"
-            digest.update(line.encode())
-    assert digest.hexdigest() == GOLDEN_DIGEST
+            sigma, t = min_max_orientation(G, ell)
+            assert max(outdegrees(G, sigma)) == t
+            values.update(f"{format_ratio(val)} {T} {F.hyps} {t}\n".encode())
+            picks.update(f"{orientation_to_json(sigma)}\n".encode())
+    assert values.hexdigest() == GOLDEN_DIGEST
+    assert picks.hexdigest() == ORIENTATION_DIGEST
