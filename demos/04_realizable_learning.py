@@ -11,7 +11,8 @@ vertices the training edge was assigned.
 import numpy as np
 
 from dslab import gen_cube, loo_error, oig_list_predict, pac_experiment, topk_vote
-from dslab.learn import PrefixVotePredictor, SyntheticDistribution, pac_error_bound
+from dslab.learn import (PredictionTable, PrefixVotePredictor, SyntheticDistribution,
+                         pac_error_bound)
 
 H = gen_cube(3, 1, 2, 4)  # 9 hypotheses over 4 instances
 D = SyntheticDistribution.uniform_realizable(H, target=5)
@@ -29,8 +30,9 @@ for x in range(1, 5):
 m_n, t_star = loo_error(H, sample, 1)
 print("leave-one-out misses:", m_n, "<= t_star =", t_star)
 
-# The deployed predictor votes over all prefixes from n/4 to n-1.
-vote = PrefixVotePredictor(H, sample, 1)
+# The deployed predictor votes over all prefixes from n/4 to n-1; its
+# prediction table fixes the class and the list size.
+vote = PrefixVotePredictor(PredictionTable(H, 1), sample)
 print("prefix lengths:", list(vote.prefix_lengths))
 print("votes:", {x: vote.predict(x).labels for x in range(1, 5)})
 print("aggregation matches topk:", vote.predict(1) ==

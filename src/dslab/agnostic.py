@@ -301,7 +301,7 @@ def inside_menu_erm(H: HypothesisClass, nu: Menu, S3: Sequence[tuple[int, int]],
 
     table = PredictionTable(sub, ell)
     if len(s_plus) >= 8:
-        base_predict = PrefixVotePredictor(sub, s_plus, ell, cache=table).predict
+        base_predict = PrefixVotePredictor(table, s_plus).predict
     else:
         state = table.state(*_consolidate(s_plus, sub))
         base_predict = lambda x: table.predict(state, x)  # noqa: E731

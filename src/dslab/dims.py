@@ -160,7 +160,7 @@ def validate_witness(H: HypothesisClass, w: ShatterWitness) -> bool:
     except ValueError:
         return False
     proj = restrict(H, w.coords)
-    if not set(w.subfamily.hyps) <= set(proj.hyps):
+    if w.ell < 1 or not set(w.subfamily.hyps) <= set(proj.hyps):
         return False
     if w.kind == "DS":
         F = w.subfamily
@@ -194,6 +194,9 @@ def witness_from_json(text: str) -> ShatterWitness:
         raise ValueError("witness JSON must be an object with 'kind', 'ell', a 'coords' list and 'subfamily'")
     if obj["kind"] not in ("DS", "Natarajan"):
         raise ValueError(f"witness JSON 'kind' must be \"DS\" or \"Natarajan\", got {json.dumps(obj['kind'])}")
-    return ShatterWitness(coords=tuple(_json_int(c, "witness JSON coordinate") for c in obj["coords"]),
-                          subfamily=_class_from_json(obj.get("subfamily")), kind=obj["kind"],
-                          ell=_json_int(obj.get("ell"), "witness JSON 'ell'"))
+    w = ShatterWitness(coords=tuple(_json_int(c, "witness JSON coordinate") for c in obj["coords"]),
+                       subfamily=_class_from_json(obj.get("subfamily")), kind=obj["kind"],
+                       ell=_json_int(obj.get("ell"), "witness JSON 'ell'"))
+    if w.ell < 1:
+        raise ValueError(f"witness JSON 'ell' must be >= 1, got {w.ell}")
+    return w

@@ -13,16 +13,15 @@ orientation at all.
 Repeated coordinates are handled by reduction: a direction whose coordinate
 occurs more than once in the projection tuple carries only singleton edges
 (its value is pinned by the other copy), so the graph collapses to the
-distinct coordinates with repeated ones marked dead.  A direction whose
-coordinate has at most ell labels in H carries no live edge either way (its
-edges hold rows that differ only there), so it counts as live however often
-it was seen.  Predictions therefore depend only on (H, state, x, ell), where
-the state (``CoordState``) records which coordinates were seen, their labels,
-and whether each direction is live -- which is what makes caching sound.  A
-``PredictionTable`` owns that format: it builds the states for its (H, ell)
-and is the one prediction cache, memoized by (state, x).  The orientation
-never reads the training labels, so one orientation serves every labeling
-of the same coordinates: a miss fills the table for all of them.
+distinct coordinates, live when seen once.  One with at most ell labels in H
+carries no live edge either way (its edges hold rows that differ only
+there), so it is live however often it was seen.  Predictions depend only on
+(H, state, x, ell), where the state (``CoordState``) records the coordinates
+seen, their labels, and which are live.  A ``PredictionTable`` owns that
+model: it builds the states for its (H, ell), orients their live edges for
+``predict`` and ``loo_error``, and is the one prediction cache, memoized by
+(state, x).  An orientation never reads the training labels, so a miss fills
+the table for every labeling of the same coordinates.
 
 Probabilities under a ``SyntheticDistribution`` are exact: each is the mass
 of the support points a boolean mask marks, summed as integer numerators
@@ -42,7 +41,8 @@ import numpy as np
 from .dims import ds_dimension
 from .errors import CertificateError, RealizabilityError
 from .hclass import HypothesisClass, class_id, off_groups, restrict
-from .oig import _orient_live, build_oig, min_max_orientation, outdegrees
+# min_max_orientation: unused here, kept for bench/tracing.py's learn.min_max_orientation counter
+from .oig import _orient_live, min_max_orientation  # noqa: F401
 
 __all__ = [
     "ListPrediction",
@@ -122,21 +122,19 @@ class PredictionTable:
     """One-inclusion list predictions for one (H, ell), memoized by (state, x).
 
     ``state`` builds the states the table answers, so the key fixes the
-    answer; users that share a table check its ``H`` and ``ell`` against
-    their own.  ``predict`` reads the answer off the training edge, the
-    test-direction edge of W = ``restrict(H, coords + (x,))`` whose key is
-    the training labels: the labels at x of the members that a min-max
-    orientation of W's graph, with the directions that are not live dead,
-    keeps on that edge.
+    answer; a ``PrefixVotePredictor`` takes its class and list size from the
+    table it is given.  ``predict`` reads the answer off the training edge,
+    the test-direction edge of W = ``restrict(H, coords + (x,))`` whose key
+    is the training labels: the labels at x of the members that a min-max
+    orientation of W's graph keeps on that edge, where a direction that is
+    not live holds only singletons (its coordinate was seen again).
     - A training edge of at most ell members keeps them all in every
       orientation, so it is answered with no orientation.
-    - Otherwise ``oig._orient_live`` orients the live edges (more than ell
-      members) of the live directions, in ``build_oig``'s edge order; a dead
-      direction holds only singletons.  That orientation depends on
-      (coordinates, live directions, ell) and never reads the training
-      labels, so every live test-direction edge's key labels a sibling
-      state, the asked one among them, and the miss writes each sibling's
-      answer into the memo.
+    - Otherwise ``_orient`` orients the live edges (more than ell members)
+      of the live directions.  That orientation depends on (coordinates,
+      live directions, ell) and never reads the training labels, so every
+      live test-direction edge's key labels a sibling state, the asked one
+      among them, and the miss writes each sibling's answer into the memo.
 
     Raises RealizabilityError when no row of W carries the training labels.
     """
@@ -153,8 +151,17 @@ class PredictionTable:
     def state(self, y_of: dict[int, int], counts: dict[int, int]) -> CoordState:
         """The state of a consolidated sample (see ``_consolidate``): a
         coordinate is live when it was seen once or has at most ell labels
-        in H, where its direction carries no live edge, dead or not."""
+        in H, where its direction carries no live edge however often seen."""
         return tuple((c, y_of[c], counts[c] == 1 or c in self._light) for c in sorted(y_of))
+
+    def _orient(self, W: HypothesisClass, lives: Sequence[bool]):
+        """Min-max orientation of W's graph when only the ``lives``
+        directions are live: (t, the live edges of those directions in
+        ``build_oig``'s edge order, the members each live edge picks)."""
+        live = [vs for i, on in enumerate(lives) if on
+                for _key, vs in off_groups(W, i) if len(vs) > self.ell]
+        t, picks = _orient_live(live, len(W), self.ell)
+        return t, live, picks
 
     def predict(self, state: CoordState, x: int) -> ListPrediction:
         got = self._known.get((state, x))
@@ -179,9 +186,7 @@ class PredictionTable:
         if len(members) <= self.ell:
             got = self._known[state, x] = labels(members)
             return got
-        live = [vs for i, on in enumerate(lives + (True,)) if on
-                for _key, vs in off_groups(W, i) if len(vs) > self.ell]
-        _t, chosen = _orient_live(live, len(W), self.ell)
+        _t, _live, chosen = self._orient(W, lives + (True,))
         keys = [key for key, vs in groups if len(vs) > self.ell]  # their edges end ``live``
         for key, rows in zip(keys, chosen[len(chosen) - len(keys):]):
             self._known[tuple(zip(coords, key, lives)), x] = labels(rows)
@@ -203,19 +208,18 @@ def loo_error(H: HypothesisClass, sample: Sequence[tuple[int, int]],
 
     Hold-out predictions all share one graph (only the designated test
     direction changes), so the error equals the outdegree of the ground-truth
-    vertex under a single min-max orientation.  Returns (M_n, t_star); a
-    violated M_n <= t_star raises CertificateError.
+    row under a single min-max orientation of the sample's own state: M_n
+    counts the live edges that hold the truth row and do not pick it.
+    Returns (M_n, t_star); a violated M_n <= t_star raises CertificateError.
     """
     if not sample:
         raise ValueError("sample must be non-empty")
-    y_of, counts = _consolidate(sample, H)
-    coords = tuple(sorted(y_of))
-    W = restrict(H, coords)
-    dead = [p for p, c in enumerate(coords) if counts[c] >= 2]
-    G = build_oig(W, dead_dirs=dead)
-    sigma, t_star = min_max_orientation(G, ell)
-    truth = tuple(y_of[c] for c in coords)
-    m_n = outdegrees(G, sigma)[W.row_index(truth)]
+    table = PredictionTable(H, ell)
+    state = table.state(*_consolidate(sample, H))
+    W = restrict(H, tuple(c for c, _y, _live in state))
+    t_star, live, picks = table._orient(W, tuple(live for _c, _y, live in state))
+    truth = W.row_index(tuple(y for _c, y, _live in state))
+    m_n = sum(truth in e and truth not in p for e, p in zip(live, picks))
     if m_n > t_star:
         raise CertificateError(f"leave-one-out error {m_n} exceeds t_star={t_star}")
     return m_n, t_star
@@ -232,6 +236,8 @@ def topk_vote(lists: Iterable[Iterable[int]], ell: int) -> ListPrediction:
     Any label excluded from the output is missing from at least
     ceil(N / (ell + 1)) of the N input lists.
     """
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
     counts: dict[int, int] = {}
     n_lists = 0
     for lst in lists:
@@ -248,21 +254,17 @@ class PrefixVotePredictor:
     """Top-ell vote over one-inclusion predictors trained on sample prefixes.
 
     Prefix lengths run from ceil(n/4) to n-1.  The states are built by, and
-    predictions looked up in, ``cache``: a ``PredictionTable`` for this
-    (H, ell) that predictors may share.  Consecutive prefixes almost always
+    predictions looked up in, ``table``, whose (H, ell) the predictor takes
+    and which predictors may share.  Consecutive prefixes almost always
     consolidate to the same state, so states are grouped with multiplicities.
     """
 
-    def __init__(self, H: HypothesisClass, sample: Sequence[tuple[int, int]],
-                 ell: int, cache: PredictionTable | None = None):
+    def __init__(self, table: PredictionTable, sample: Sequence[tuple[int, int]]):
         n = len(sample)
         if n < 8:
             raise ValueError("prefix voting needs a sample of size >= 8")
-        table = PredictionTable(H, ell) if cache is None else cache
-        if table.ell != ell or table.H != H:
-            raise ValueError("prediction table serves another class or list size")
-        _consolidate(sample, H)  # realizability of the full sample
-        self.ell = ell
+        _consolidate(sample, table.H)  # realizability of the full sample
+        self.ell = table.ell
         self.n = n
         self._table = table
         self._sample = [(int(c), int(y)) for c, y in sample]
@@ -455,7 +457,7 @@ def pac_experiment(H: HypothesisClass, D: SyntheticDistribution, ell: int,
     errors: list[float] = []
     for trial in range(trials):
         sample = D.draw(np.random.default_rng([seed, trial]), m)
-        predictor = PrefixVotePredictor(H, sample, ell, cache=table)
+        predictor = PrefixVotePredictor(table, sample)
         errors.append(float(D.list_error(predictor.predict)))
     ordered = sorted(errors)
     q_idx = min(math.ceil((1 - delta) * trials), trials) - 1

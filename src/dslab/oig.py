@@ -96,26 +96,14 @@ class Orientation:
     assign: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]  # (dir, key, vertices)
 
 
-def build_oig(W: HypothesisClass, dead_dirs: Sequence[int] = ()) -> OneInclusionGraph:
-    """Group the vertices of ``W`` into edges, one partition per direction.
-
-    ``dead_dirs`` (0-based) forces those directions into singleton edges.
-    This models directions that correspond to repeated sample coordinates:
-    two hypotheses that agree off such a position also agree on it, so no
-    non-trivial edge can exist there.  Every other direction's edges are
-    ``hclass.off_groups(W, i)``, grouped once per class.
-    """
-    dead = frozenset(dead_dirs)
-    dirs = []
-    for i in range(W.n):
-        if i in dead:
-            edges = tuple(
-                EdgeGroup(i, h[:i] + h[i + 1:], (v,)) for v, h in enumerate(W.hyps)
-            )
-        else:
-            edges = tuple(EdgeGroup(i, key, vs) for key, vs in off_groups(W, i))
-        dirs.append(edges)
-    return OneInclusionGraph(base=W, by_direction=tuple(dirs))
+def build_oig(W: HypothesisClass) -> OneInclusionGraph:
+    """Group the vertices of ``W`` into edges, one partition per direction:
+    direction i's edges are ``hclass.off_groups(W, i)``, grouped once per
+    class.  A projection that repeats a coordinate (``restrict(...,
+    allow_repeats=True)``) gives each copy's direction only singleton edges:
+    two hypotheses that agree off one copy agree on it too."""
+    return OneInclusionGraph(base=W, by_direction=tuple(
+        tuple(EdgeGroup(i, key, vs) for key, vs in off_groups(W, i)) for i in range(W.n)))
 
 
 def _live_edges(W: HypothesisClass, ell: int) -> list[tuple[int, ...]]:
@@ -600,10 +588,10 @@ def min_max_orientation(G: OneInclusionGraph, ell: int) -> tuple[Orientation, in
     """Orientation minimizing the maximum ell-outdegree, with optimal value.
 
     A wrapper over ``_orient_live`` for callers that hold the graph and read
-    the orientation edge by edge (``dslab orient``, ``loo_error`` through
-    ``outdegrees``, and the demos): the live edges (|e| > ell) are oriented
-    in graph order, each picking exactly ell members, and every other edge
-    keeps all its members.
+    the orientation edge by edge (``dslab orient`` and the demos; the audit
+    and the learner orient live edges with no graph object): the live edges
+    (|e| > ell) are oriented in graph order, each picking exactly ell
+    members, and every other edge keeps all its members.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")

@@ -292,31 +292,57 @@ def random_class(rng, k_max=4, n_max=4, size_max=12) -> HypothesisClass:
     return gen_random(k, n, size, seed=int(rng.integers(0, 2**31)))
 
 
+def repeat_coords(W: HypothesisClass, dead) -> HypothesisClass:
+    """W projected on its own coordinates with each direction in ``dead``
+    (0-based) taken twice, as a sample that saw those coordinates twice
+    projects it: both copies' directions hold only singleton edges, and
+    the other directions' edges and every row keep their order."""
+    from dslab.hclass import restrict
+
+    return restrict(W, [i + 1 for i in range(W.n) for _ in range(1 + (i in dead))],
+                    allow_repeats=True)
+
+
 def graph_prediction(H: HypothesisClass, state, x: int, ell: int):
     """The one-inclusion list prediction as the graph objects give it:
-    restrict H to the trained coordinates and x, build the whole graph with
-    every coordinate seen more than once dead, orient all its edges with
-    ``min_max_orientation``, and scan the orientation for the test edge that
-    the training labels key.  Raises RealizabilityError when none does."""
+    restrict H to the trained coordinates, each one that is not live taken
+    twice, and x (``restrict(..., allow_repeats=True)``), build the whole
+    graph, orient all its edges with ``min_max_orientation``, and scan the
+    orientation for the test edge that the training labels key.  Raises
+    RealizabilityError when none does."""
     from dslab.errors import RealizabilityError
     from dslab.hclass import restrict
     from dslab.learn import ListPrediction
     from dslab.oig import build_oig, min_max_orientation
 
-    trained = {c: y for c, y, _once in state}
+    trained = {c: y for c, y, _live in state}
     if x in trained:
         return ListPrediction((trained[x],))
-    coords = tuple(sorted(trained)) + (x,)
-    W = restrict(H, coords)
-    dead = [p for p, (_c, _y, once) in enumerate(state) if not once]
-    G = build_oig(W, dead_dirs=dead)
-    sigma, _t = min_max_orientation(G, ell)
+    coords = tuple(c for c, _y, live in sorted(state) for _ in range(2 - live)) + (x,)
+    W = restrict(H, coords, allow_repeats=True)
+    sigma, _t = min_max_orientation(build_oig(W), ell)
     test_pos = len(coords) - 1
     target_key = tuple(trained[c] for c in coords[:-1])
     for d, key, chosen in sigma.assign:
         if d == test_pos and key == target_key:
             return ListPrediction(tuple(sorted(W.hyps[v][test_pos] for v in chosen)))
     raise RealizabilityError("no edge matches the training labels")
+
+
+def graph_loo_error(H: HypothesisClass, sample, ell: int) -> tuple[int, int]:
+    """(M_n, t_star) as the graph objects give them: restrict H to the
+    sample's coordinates, each taken as often as it was seen, orient the
+    whole graph with ``min_max_orientation``, and read the outdegree of the
+    row that carries the sample's labels."""
+    from dslab.hclass import restrict
+    from dslab.oig import build_oig, min_max_orientation, outdegrees
+
+    coords = sorted(c for c, _y in sample)
+    W = restrict(H, coords, allow_repeats=True)
+    G = build_oig(W)
+    sigma, t_star = min_max_orientation(G, ell)
+    labels = dict(sample)
+    return outdegrees(G, sigma)[W.row_index(tuple(labels[c] for c in coords))], t_star
 
 
 # -- per-point oracles for the agnostic stages --------------------------------
@@ -406,6 +432,22 @@ def per_prefix_states(table, sample, t_start: int):
     from dslab.learn import _consolidate
 
     return [table.state(*_consolidate(sample[:t], table.H)) for t in range(t_start, len(sample))]
+
+
+def graph_loo_error(H: HypothesisClass, sample, ell: int) -> tuple[int, int]:
+    """(M_n, t_star) as the graph objects give them: restrict H to the
+    sample's coordinates, each taken as often as it was seen, orient the
+    whole graph with ``min_max_orientation``, and read the outdegree of the
+    row that carries the sample's labels."""
+    from dslab.hclass import restrict
+    from dslab.oig import build_oig, min_max_orientation, outdegrees
+
+    coords = sorted(c for c, _y in sample)
+    W = restrict(H, coords, allow_repeats=True)
+    G = build_oig(W)
+    sigma, t_star = min_max_orientation(G, ell)
+    labels = dict(sample)
+    return outdegrees(G, sigma)[W.row_index(tuple(labels[c] for c in coords))], t_star
 
 
 # -- per-point oracles for exact evaluation over a distribution's support ------

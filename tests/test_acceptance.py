@@ -4,6 +4,7 @@ Run with  pytest tests/test_acceptance.py -v -s  to see the per-criterion
 lines as they complete.
 """
 
+import hashlib
 import math
 import time
 from fractions import Fraction
@@ -18,7 +19,7 @@ from dslab.oig import (build_oig, density, max_density_subfamily,
                        min_max_orientation, mu, mu_prime)
 from dslab.dims import ds_dimension, vc_dimension
 from dslab.algebra import audit_theorem, direction_subspace_dim
-from dslab.learn import (PrefixVotePredictor, SyntheticDistribution, loo_error,
+from dslab.learn import (PredictionTable, PrefixVotePredictor, SyntheticDistribution, loo_error,
                          pac_experiment)
 from dslab.agnostic import (agnostic_pipeline, build_list_cover,
                             inside_menu_erm, mw_menu)
@@ -137,11 +138,18 @@ def test_c06_binary_crosscheck():
           f"<= VC on all 255 binary classes ({elapsed:.1f}s)")
 
 
+# sha256 of the 200 "M_n t_star" lines of test_c07_loo_bound, in sample
+# order, pinned while loo_error still oriented the whole graph (a repeated
+# coordinate's direction forced to singleton edges); orienting the live
+# edges of the live directions must give the same pairs
+LOO_DIGEST = "3026f266ef4e8e5c3bec7ff9ed161d43d161684190ce880c976b5778d813b25c"
+
+
 def test_c07_loo_bound():
     classes = [gen_cube(3, 1, 2, 4), gen_cube(4, 2, 2, 3), gen_cube(2, 1, 2, 2),
                gen_random(3, 4, 12, seed=71), gen_random(4, 3, 10, seed=72)]
     rng = np.random.default_rng(77)
-    runs = 0
+    runs, pairs = 0, hashlib.sha256()
     for H in classes:
         d_ds = {ell: ds_dimension(H, ell)[0] for ell in (1, 2)}
         for _ in range(40):
@@ -153,8 +161,9 @@ def test_c07_loo_bound():
             ell = int(rng.integers(1, 3))
             m_n, t_star = loo_error(H, sample, ell)
             assert m_n <= t_star <= d_ds[ell], (class_id(H), ell, m_n, t_star)
+            pairs.update(f"{m_n} {t_star}\n".encode())
             runs += 1
-    assert runs == 200
+    assert runs == 200 and pairs.hexdigest() == LOO_DIGEST
     print("\nACCEPTANCE 7 PASS: M_n <= t_star <= d_DS on 200 seeded realizable "
           "samples over 5 classes")
 
@@ -229,7 +238,7 @@ def test_c10_agnostic_invariants():
                                 seed=run)
         pipeline_errs.append(rep.results["err"])
         sample = D.draw(np.random.default_rng([77, run]), 60)
-        pred = PrefixVotePredictor(H, sample, 1)
+        pred = PrefixVotePredictor(PredictionTable(H, 1), sample)
         realizable_errs.append(float(D.list_error(pred.predict)))
     mean_p = sum(pipeline_errs) / len(pipeline_errs)
     mean_r = sum(realizable_errs) / len(realizable_errs)

@@ -487,7 +487,7 @@ def test_a_kept_point_the_base_predictor_misses_gets_its_own_label_first():
     fit = _fit_inside_menu(H, menu, S3)
     sub = HypothesisClass(k=H.k, n=H.n,
                           hyps=tuple(h for h, keep in zip(H.hyps, fit.consistent) if keep))
-    base = PrefixVotePredictor(sub, fit.s_plus, 1)
+    base = PrefixVotePredictor(PredictionTable(sub, 1), fit.s_plus)
     missed = {(x, y) for x, y in fit.s_plus
               if y not in [lab for lab in base.predict(x).labels if lab in menu.predict(x)]}
     assert missed

@@ -102,6 +102,21 @@ def test_malformed_witness_file_is_a_one_line_error(witness, message, square, tm
     assert err == f"dslab dims: {message}\n"
 
 
+ONE_ROW = {"k": 2, "n": 2, "hyps": [[1, 1]]}
+
+
+@pytest.mark.parametrize("kind, ell", [("DS", 0), ("DS", -2), ("Natarajan", 0)])
+def test_witness_with_a_list_size_below_one_is_a_one_line_error(kind, ell, square, tmp_path, capsys):
+    # one row of the square: a DS group of 1 member has more than ell of
+    # them, and 1 label is ell + 1 of them, so these once read as valid
+    wpath = tmp_path / "w.json"
+    wpath.write_text(json.dumps({"kind": kind, "ell": ell, "coords": [1, 2], "subfamily": ONE_ROW}))
+    code, out, err = run(capsys, "dims", "--class", square, "--ell", "1",
+                         "--validate-witness", str(wpath))
+    assert code == EXIT_ERROR and out == ""
+    assert err == f"dslab dims: witness JSON 'ell' must be >= 1, got {ell}\n"
+
+
 def test_orient_command(square, capsys):
     code, out, _err = run(capsys, "orient", "--class", square, "--ell", "1")
     doc = json.loads(out)

@@ -348,6 +348,19 @@ def test_witness_validation_rejects_tampering():
     assert not validate_witness(H, bad)
 
 
+def test_witness_validation_rejects_a_list_size_below_one():
+    # a one-row subfamily passes both kinds' checks when ell < 1
+    H = gen_cube(2, 1, 2, 2)
+    row = HypothesisClass(k=2, n=2, hyps=((1, 1),))
+    for kind in ("DS", "Natarajan"):
+        assert validate_witness(H, ShatterWitness((1, 2), row, kind, 1)) is False
+        for ell in (0, -2):
+            w = ShatterWitness((1, 2), row, kind, ell)
+            assert validate_witness(H, w) is False
+            with pytest.raises(ValueError, match=f"'ell' must be >= 1, got {ell}"):
+                witness_from_json(witness_to_json(w))
+
+
 @pytest.mark.parametrize("defect", ["coords_out_of_range", "repeated_coords",
                                     "outside_projection", "natarajan_width", "unknown_kind"])
 def test_witness_validation_rejects_each_defect(defect):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import (graph_prediction, is_flat, per_point_best_hypothesis,
+from helpers import (graph_loo_error, graph_prediction, is_flat, per_point_best_hypothesis,
                      per_point_list_error, per_prefix_states, random_class)
 import dslab
 import dslab.learn as learn
@@ -15,7 +15,7 @@ from dslab.errors import CertificateError, RealizabilityError
 from dslab.hclass import HypothesisClass, gen_cube, gen_random, off_groups, restrict
 from dslab.dims import ds_dimension
 from dslab.oig import build_oig, min_max_orientation
-from dslab.learn import (ListPrediction, PrefixVotePredictor,
+from dslab.learn import (ListPrediction, PredictionTable, PrefixVotePredictor,
                          SyntheticDistribution, loo_error, oig_list_predict,
                          pac_error_bound, pac_experiment, topk_vote)
 
@@ -77,15 +77,18 @@ def test_prediction_labels_come_from_consistent_hypotheses():
 
 
 def test_reduced_graph_t_star_matches_full_projection():
+    # loo_error orients the live edges of the distinct coordinates; the
+    # oracle is the un-reduced graph, every sample coordinate taken as often
+    # as it was seen, oriented whole, with M_n the truth row's outdegree
     rng = np.random.default_rng(43)
-    for _ in range(10):
-        H = random_class(rng, size_max=8)
-        sample, _t = random_realizable_sample(rng, H, 5)
-        _m, t_red = loo_error(H, sample, 1)
-        coords = [c for c, _y in sample]
-        W = restrict(H, coords, allow_repeats=True)
-        _sigma, t_full = min_max_orientation(build_oig(W), 1)
-        assert t_red == t_full
+    repeated = 0
+    for _ in range(60):
+        H = random_class(rng, size_max=12)
+        sample, _t = random_realizable_sample(rng, H, int(rng.integers(2, 9)))
+        repeated += len({c for c, _y in sample}) < len(sample)
+        for ell in (1, 2, 3):
+            assert loo_error(H, sample, ell) == graph_loo_error(H, sample, ell)
+    assert repeated > 40
 
 
 def test_rejects_non_realizable_train():
@@ -108,9 +111,10 @@ def test_loo_square():
 
 
 def test_loo_error_above_t_star_raises_certificate_error(monkeypatch):
-    monkeypatch.setattr(learn, "outdegrees",
-                        lambda G, sigma: [len(G.by_direction) + 1] * G.n_vertices)
-    with pytest.raises(CertificateError):
+    # an orientation whose live edges pick no member gives the truth row
+    # outdegree 2 on the square, above the t = 0 it claims
+    monkeypatch.setattr(learn, "_orient_live", lambda live, n_rows, ell: (0, [()] * len(live)))
+    with pytest.raises(CertificateError, match="leave-one-out error 2 exceeds t_star=0"):
         loo_error(gen_cube(2, 1, 2, 2), [(1, 1), (2, 2)], 1)
 
 
@@ -128,6 +132,9 @@ def test_topk_examples():
     assert topk_vote([[1], [1], [2]], 1).labels == (1,)
     assert topk_vote([[1, 2], [1, 3], [2, 3]], 2).labels == (1, 2)
     assert topk_vote([ListPrediction((2, 4))] * 3, 2).labels == (2, 4)
+    for ell in (0, -1):  # once () and (1, 2)
+        with pytest.raises(ValueError, match="ell must be >= 1"):
+            topk_vote([[1], [2], [3]], ell)
 
 
 def test_topk_exclusion_bound():
@@ -171,7 +178,7 @@ def _table_cases():
 
 def _raw_state(y_of, counts):
     """A sample's state as the graph oracle reads it: every coordinate seen
-    more than once is dead, whatever its number of labels."""
+    more than once is not live, whatever its number of labels."""
     return tuple((c, y_of[c], counts[c] == 1) for c in sorted(y_of))
 
 
@@ -185,8 +192,8 @@ def test_a_table_and_every_sibling_a_miss_fills_match_the_graph_oracle():
     # a coordinate with at most ell labels is live however often it was
     # seen, and a miss records the answer of every live test-direction
     # edge's state; each entry must be what the whole graph's orientation
-    # gives, with that coordinate's direction dead or not
-    filled = read = merged = dead = 0
+    # gives, with that coordinate taken once or twice
+    filled = read = merged = repeated = 0
     for H, ell, samples in _table_cases():
         light = {c for c in range(1, H.n + 1) if len(H.labels_at(c)) <= ell}
         table = learn.PredictionTable(H, ell)
@@ -201,12 +208,12 @@ def test_a_table_and_every_sibling_a_miss_fills_match_the_graph_oracle():
                 asked.add((state, x))
                 assert table.predict(state, x) == graph_prediction(H, raw, x, ell)
                 for sibling, x2 in table._known.keys() - before - {(state, x)}:
-                    light_dead = tuple((c, y, live and c not in light) for c, y, live in sibling)
+                    light_twice = tuple((c, y, live and c not in light) for c, y, live in sibling)
                     assert (table._known[sibling, x2] == graph_prediction(H, sibling, x2, ell)
-                            == graph_prediction(H, light_dead, x2, ell))
+                            == graph_prediction(H, light_twice, x2, ell))
                     filled += 1
-                    dead += not all(live for _c, _y, live in sibling)
-    assert filled > 120 and dead > 50 and read > 40 and merged > 100
+                    repeated += not all(live for _c, _y, live in sibling)
+    assert filled > 120 and repeated > 50 and read > 40 and merged > 100
 
 
 def test_an_unrealizable_state_raises_on_both_paths():
@@ -222,12 +229,15 @@ def test_an_unrealizable_state_raises_on_both_paths():
 
 
 def test_audits_tables_and_the_pipeline_build_no_graph(monkeypatch):
-    # the graph objects serve `dslab orient`, the demos and loo_error; the
-    # audit, every prediction and the agnostic pipeline orient live edges
+    # the graph objects serve `dslab orient` and the demos; the audit, every
+    # prediction, loo_error and the agnostic pipeline orient live edges
     audits = [(gen_random(3, 3, 14, seed), ell) for seed in range(12) for ell in (1, 2)]
     t_star = [min_max_orientation(build_oig(restrict(H, oig.mu_with_witness(H, H.n, ell)[1])),
                                   ell)[1] for H, ell in audits]
     cases = list(_table_cases())
+    loo_cases = [(H, ell, [(c, y) for c, y in y_of.items() for _ in range(counts[c])])
+                 for H, ell, samples in cases for y_of, counts in samples if y_of]
+    loo = [graph_loo_error(H, sample, ell) for H, ell, sample in loo_cases]
 
     def refuse(*args, **kwargs):
         raise AssertionError("graph object built on a path that orients live edges only")
@@ -237,6 +247,7 @@ def test_audits_tables_and_the_pipeline_build_no_graph(monkeypatch):
             if name in vars(mod):
                 monkeypatch.setattr(mod, name, refuse)
     assert [audit_theorem(H, ell).t_star for H, ell in audits] == t_star
+    assert [loo_error(H, sample, ell) for H, ell, sample in loo_cases] == loo
     for H, ell, samples in cases:
         table = learn.PredictionTable(H, ell)
         for sample in samples:
@@ -334,33 +345,32 @@ def test_no_table_orients_one_projection_and_live_edge_list_twice(monkeypatch):
 def test_prefix_predictor_needs_eight_points():
     H = gen_cube(2, 1, 2, 2)
     with pytest.raises(ValueError):
-        PrefixVotePredictor(H, [(1, 1)] * 7, 1)
+        PrefixVotePredictor(PredictionTable(H, 1), [(1, 1)] * 7)
 
 
 def test_a_prediction_table_answers_only_for_its_class_and_list_size():
     # H1's table holds label 1 at x = 2 for this sample's state, a label no
-    # row of H2 has; a predictor for H2 (or for another ell) must refuse the
-    # table rather than read it
+    # row of H2 has; a predictor takes its class and list size from the
+    # table it is given, so it reads H1's answers only through H1's table
     H1 = HypothesisClass(k=3, n=2, hyps=((1, 1),))
     H2 = HypothesisClass(k=3, n=2, hyps=((1, 2),))
     sample = [(1, 1)] * 8
-    table = learn.PredictionTable(H1, 1)
-    assert PrefixVotePredictor(H1, sample, 1, cache=table).predict(2).labels == (1,)
-    for H, ell in ((H2, 1), (H1, 2)):
-        with pytest.raises(ValueError, match="another class or list size"):
-            PrefixVotePredictor(H, sample, ell, cache=table)
-    assert PrefixVotePredictor(H2, sample, 1).predict(2).labels == (2,)
-    equal = HypothesisClass(k=3, n=2, hyps=((1, 1),))
-    assert PrefixVotePredictor(equal, sample, 1, cache=table).predict(2).labels == (1,)
+    table = PredictionTable(H1, 1)
+    assert PrefixVotePredictor(table, sample).predict(2).labels == (1,)
+    assert PrefixVotePredictor(PredictionTable(H2, 1), sample).predict(2).labels == (2,)
+    wide = PrefixVotePredictor(PredictionTable(H1, 2), sample)
+    assert wide.ell == 2 and wide.predict(2).labels == (1,)
+    with pytest.raises(RealizabilityError):  # the sample is checked against the table's class
+        PrefixVotePredictor(PredictionTable(H2, 1), [(2, 1)] * 8)
     with pytest.raises(ValueError, match="ell must be >= 1"):
-        learn.PredictionTable(H1, 0)
+        PredictionTable(H1, 0)
 
 
 def test_prefix_count_for_n8():
     H = gen_cube(3, 1, 2, 4)
     D = SyntheticDistribution.uniform_realizable(H, target=0)
     sample = D.draw(np.random.default_rng(0), 8)
-    pred = PrefixVotePredictor(H, sample, 1)
+    pred = PrefixVotePredictor(PredictionTable(H, 1), sample)
     assert list(pred.prefix_lengths) == [2, 3, 4, 5, 6, 7]
 
 
@@ -369,7 +379,7 @@ def test_prefix_vote_is_majority_of_prefix_predictions():
     H = gen_cube(3, 1, 2, 4)
     D = SyntheticDistribution.uniform_realizable(H, target=2)
     sample = D.draw(rng, 12)
-    pred = PrefixVotePredictor(H, sample, 1)
+    pred = PrefixVotePredictor(PredictionTable(H, 1), sample)
     for x in range(1, H.n + 1):
         lists = [pred.predict_prefix(t, x) for t in pred.prefix_lengths]
         assert pred.predict(x) == topk_vote(lists, 1)
@@ -388,7 +398,7 @@ def test_prefix_states_match_per_prefix_recomputation(k, n, data):
     xs = data.draw(st.lists(st.integers(1, n), min_size=8, max_size=30))
     sample = [(x, h[x - 1]) for x in xs]
     ell = data.draw(st.integers(1, 2))
-    pred = PrefixVotePredictor(H, sample, ell)
+    pred = PrefixVotePredictor(PredictionTable(H, ell), sample)
     want = per_prefix_states(learn.PredictionTable(H, ell), sample, pred.t_start)
     assert pred._state_by_t == want
     assert pred._weighted_states == sorted((s, want.count(s)) for s in set(want))
@@ -400,7 +410,7 @@ def test_prefix_states_match_per_prefix_recomputation(k, n, data):
 def test_prefix_vote_singleton_class_constant():
     H = HypothesisClass(k=3, n=2, hyps=((2, 3),))
     sample = [(1, 2), (2, 3)] * 5
-    pred = PrefixVotePredictor(H, sample, 1)
+    pred = PrefixVotePredictor(PredictionTable(H, 1), sample)
     assert pred.predict(1).labels == (2,) and pred.predict(2).labels == (3,)
 
 
@@ -416,7 +426,7 @@ def test_vote_error_bounded_by_average_prefix_error():
         n = 12
         sample = D.draw(rng, n)
         for ell in (1, 2):
-            pred = PrefixVotePredictor(H, sample, ell)
+            pred = PrefixVotePredictor(PredictionTable(H, ell), sample)
             vote_err = D.list_error(pred.predict)
             prefix_errs = [D.list_error(lambda x, t=t: pred.predict_prefix(t, x))
                            for t in pred.prefix_lengths]

@@ -11,7 +11,7 @@ from hypothesis import example, given, strategies as st
 import dslab.oig as oig
 from helpers import (brute_densest_rows, brute_max_density, brute_max_density_witness,
                      brute_min_max_outdegree, brute_mu, is_flat, naive_density,
-                     naive_edges, random_class, scipy_flow_assignment, subclasses,
+                     naive_edges, random_class, repeat_coords, scipy_flow_assignment, subclasses,
                      uniform_bound, unpruned_mu_with_witness)
 from dslab.algebra import audit_theorem
 from dslab.errors import BudgetError, CertificateError
@@ -50,12 +50,14 @@ def test_build_matches_naive_on_random_classes():
         assert got == set(naive_edges(W))
 
 
-def test_build_dead_dirs_forces_singletons():
+def test_a_repeated_coordinate_forces_singletons():
     W = gen_cube(2, 1, 2, 2)
-    G = build_oig(W, dead_dirs=[0])
-    sizes = sorted(len(e) for e in G.by_direction[0])
-    assert sizes == [1, 1, 1, 1]
-    assert all(len(e) == 2 for e in G.by_direction[1])
+    G = build_oig(repeat_coords(W, [0]))
+    assert len(G.by_direction) == 3
+    for i in (0, 1):
+        assert sorted(len(e) for e in G.by_direction[i]) == [1, 1, 1, 1]
+    assert all(len(e) == 2 for e in G.by_direction[2])
+    assert [e.members for e in G.by_direction[2]] == [e.members for e in build_oig(W).by_direction[1]]
 
 
 def test_density_examples():
@@ -328,8 +330,8 @@ def test_orientation_flow_matches_exhaustive():
 
 
 @pytest.mark.parametrize("W, dead, ells", [
-    (gen_cube(3, 1, 2, 2), (0,), (1, 2)),                  # a dead direction
-    (gen_cube(2, 1, 2, 3), (0, 2), (1,)),                  # two dead directions
+    (gen_cube(3, 1, 2, 2), (0,), (1, 2)),                  # a repeated coordinate
+    (gen_cube(2, 1, 2, 3), (0, 2), (1,)),                  # two repeated coordinates
     (gen_cube(3, 2, 1, 1), (), (3, 4)),                    # ell >= every edge size
     (gen_cube(2, 1, 2, 2), (), (2,)),
     (HypothesisClass(k=4, n=1, hyps=((1,), (2,), (3,), (4,))), (), (1, 2, 3, 4)),  # n = 1
@@ -338,7 +340,8 @@ def test_orientation_flow_matches_exhaustive():
     (HypothesisClass(k=2, n=2, hyps=((2, 1),)), (1,), (1,)),
 ])
 def test_orientation_oracle_edge_shapes(W, dead, ells):
-    G = build_oig(W, dead_dirs=dead)
+    # dead: the directions whose coordinate is taken twice
+    G = build_oig(repeat_coords(W, dead))
     for ell in ells:
         check_orientation_oracle(G, ell)
 
@@ -349,8 +352,9 @@ def test_orientation_oracle_random_dead_directions():
     for _ in range(40):
         W = random_class(rng, size_max=7)
         dead = [i for i in range(W.n) if rng.random() < 0.4]
-        G = build_oig(W, dead_dirs=dead)
-        if G.n_edges > 12 or any(len(e) > 4 for e in G.edges()):
+        G = build_oig(repeat_coords(W, dead))
+        # each repeat adds |W| singletons, which the brute force never branches on
+        if G.n_edges - len(dead) * len(W) > 12 or any(len(e) > 4 for e in G.edges()):
             continue
         for ell in (1, 2):
             check_orientation_oracle(G, ell)
@@ -361,25 +365,23 @@ def test_orientation_oracle_random_dead_directions():
 @st.composite
 def orientation_graphs(draw):
     """The graph of a class of at most 6 rows over [k]^n, k and n from 1,
-    projected on a sample whose coordinates may repeat, with some dead
-    directions."""
+    projected on a sample whose coordinates may repeat, with some of its
+    positions taken once more."""
     k = draw(st.integers(1, 3))
     n = draw(st.integers(1, 3))
     cube = list(itertools.product(range(1, k + 1), repeat=n))
     rows = draw(st.sets(st.sampled_from(cube), min_size=1, max_size=min(6, len(cube))))
     H = HypothesisClass(k=k, n=n, hyps=tuple(sorted(rows)))
     coords = draw(st.lists(st.integers(1, n), min_size=1, max_size=3))
-    W = restrict(H, coords, allow_repeats=True)
-    dead = draw(st.sets(st.integers(0, W.n - 1)))
-    return build_oig(W, dead_dirs=dead)
+    dead = draw(st.sets(st.integers(0, len(coords) - 1)))
+    return build_oig(repeat_coords(restrict(H, coords, allow_repeats=True), dead))
 
 
 @given(orientation_graphs(), st.integers(1, 4))
 @example(build_oig(HypothesisClass(k=1, n=1, hyps=((1,),))), 1)  # k = 1, n = 1, |W| = 1
 @example(build_oig(gen_cube(3, 2, 1, 2)), 3)                     # ell >= k
-@example(build_oig(restrict(gen_cube(3, 1, 2, 2), (1, 1, 2), allow_repeats=True),
-                   dead_dirs=(0, 1)), 1)                        # a repeated coordinate, dead
-@example(build_oig(restrict(gen_cube(3, 2, 2, 3), (2, 3, 2), allow_repeats=True)), 2)  # not dead
+@example(build_oig(restrict(gen_cube(3, 1, 2, 2), (1, 1, 2), allow_repeats=True)), 1)  # a repeat
+@example(build_oig(restrict(gen_cube(3, 2, 2, 3), (2, 3, 2), allow_repeats=True)), 2)  # repeat apart
 @example(build_oig(HypothesisClass(k=3, n=2, hyps=((1, 1), (2, 1), (3, 3)))), 1)  # (3, 3): live degree 0
 def test_orientation_flow_matches_scipy_oracle(G, ell):
     # t is feasible exactly when scipy's max-flow saturates every sink arc of
@@ -414,9 +416,9 @@ def test_orientation_flow_matches_scipy_oracle(G, ell):
 
 def test_orientation_balance_holds_only_the_live_edges(monkeypatch):
     # an edge with |e| <= ell keeps every member in every orientation, so it
-    # never enters the balance; dead directions hold only singletons.  When
-    # no row lies in more live edges than ceil(excess / |W|), one balance
-    # moves nothing: the first ell members reach that bound
+    # never enters the balance; a repeated coordinate's directions hold only
+    # singletons.  When no row lies in more live edges than ceil(excess /
+    # |W|), one balance moves nothing: the first ell members reach that bound
     honest, balanced = oig._balance, []
 
     def recorded(live, x, load, cap, unit):
@@ -430,7 +432,7 @@ def test_orientation_balance_holds_only_the_live_edges(monkeypatch):
     moved = stepped = flat = small = 0
     for seed in range(60):
         dead = rng.choice(3, 1 + seed % 2, replace=False).tolist()
-        G = build_oig(gen_random(3, 3, 14, seed), dead_dirs=dead)
+        G = build_oig(repeat_coords(gen_random(3, 3, 14, seed), dead))
         for ell in (1, 2):
             balanced.clear()
             sigma, _t = min_max_orientation(G, ell)
